@@ -64,17 +64,8 @@ def smoothness_alpha(disc, u):
     alpha[alpha > 1.0 - cfg.alpha_min] = 1.0
     alpha = np.minimum(alpha, cfg.alpha_max)
 
-    left, right = _pad_scalar(alpha, disc.bc)
-    return np.maximum(alpha, 0.5 * np.maximum(left, right))
-
-
-def _pad_scalar(a, bc):
-    """Left/right neighbour values of a per-element array under the BC."""
-    if bc == "periodic":
-        return np.roll(a, 1), np.roll(a, -1)
-    left = np.concatenate([[a[0]], a[:-1]])
-    right = np.concatenate([a[1:], [a[-1]]])
-    return left, right
+    padded = alpha[disc.boundary.cells]
+    return np.maximum(alpha, 0.5 * np.maximum(padded[:-2], padded[2:]))
 
 
 # ----------------------------------------------------------------------
@@ -104,14 +95,6 @@ class SubcellGeometry:
         self.length = grid.faces[-1] - grid.faces[0]
 
 
-def subcell_geometry(disc):
-    geo = getattr(disc, "_subcells", None)
-    if geo is None:
-        geo = SubcellGeometry(disc.grid, disc.ops)
-        disc._subcells = geo
-    return geo
-
-
 # ----------------------------------------------------------------------
 # low-order subcell schemes
 
@@ -122,23 +105,6 @@ def minmod3(a, b, c):
     agree = (sa == np.sign(b)) & (sa == np.sign(c))
     mag = np.minimum(np.abs(a), np.minimum(np.abs(b), np.abs(c)))
     return np.where(agree, sa * mag, 0.0)
-
-
-def _pad_subcells(disc, geo, u_flat):
-    """Ghost subcell (value, node position, face offsets) on each side."""
-    model, bc = disc.model, disc.bc
-    if bc == "periodic":
-        gl = (u_flat[-1], geo.x[-1] - geo.length, geo.dl[-1], geo.dr[-1])
-        gr = (u_flat[0], geo.x[0] + geo.length, geo.dl[0], geo.dr[0])
-    elif bc == "reflective":
-        xl, xr = disc.grid.faces[0], disc.grid.faces[-1]
-        gl = (model.reflect_state(u_flat[0]), 2 * xl - geo.x[0], -geo.dr[0], -geo.dl[0])
-        gr = (model.reflect_state(u_flat[-1]), 2 * xr - geo.x[-1], -geo.dr[-1], -geo.dl[-1])
-    else:
-        xl, xr = disc.grid.faces[0], disc.grid.faces[-1]
-        gl = (u_flat[0], 2 * xl - geo.x[0], -geo.dr[0], -geo.dl[0])
-        gr = (u_flat[-1], 2 * xr - geo.x[-1], -geo.dr[-1], -geo.dl[-1])
-    return gl, gr
 
 
 def _zero_bad_slopes(model, slopes, *states):
@@ -161,16 +127,12 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     the admissible set, so the scheme degrades to first order exactly at
     the troubled subcells.
     """
-    model = disc.model
-    geo = subcell_geometry(disc)
+    model, b = disc.model, disc.boundary
     nv = u.shape[-1]
     uf = u.reshape(-1, nv)
-    (ugl, xgl, dll, drl), (ugr, xgr, dlr, drr) = _pad_subcells(disc, geo, uf)
-
-    up = np.concatenate([ugl[None], uf, ugr[None]], axis=0)
-    xp = np.concatenate([[xgl], geo.x, [xgr]])
-    dlp = np.concatenate([[dll], geo.dl, [dlr]])
-    drp = np.concatenate([[drl], geo.dr, [drr]])
+    up = uf[b.subcells]
+    up[[0, -1]] *= b.state_sign
+    xp, dlp, drp = b.sub_x, b.sub_dl, b.sub_dr
 
     if use_slopes:
         gap_l = (xp[1:-1] - xp[:-2])[:, None]
@@ -204,7 +166,7 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     else:
         ul_ev, ur_ev = ul, ur
 
-    return rusanov_flux(model, ur_ev[:-1], ul_ev[1:], geo.subfaces)
+    return rusanov_flux(model, ur_ev[:-1], ul_ev[1:], disc.subcells.subfaces)
 
 
 def low_order_residual(disc, subface_fluxes, fnum):
@@ -237,21 +199,6 @@ def blended_update(high, low, alpha):
 # interface flux correction
 
 
-def _face_alpha(alpha, bc):
-    if bc == "periodic":
-        edge_l, edge_r = alpha[-1], alpha[0]
-    else:
-        edge_l, edge_r = alpha[0], alpha[-1]
-    a_minus = np.concatenate([[edge_l], alpha])
-    a_plus = np.concatenate([alpha, [edge_r]])
-    af = 0.5 * (a_minus + a_plus)
-    if bc in ("dirichlet_outflow", "dirichlet"):
-        af[0] = 0.0  # imposed boundary fluxes are not blended
-    if bc == "dirichlet":
-        af[-1] = 0.0
-    return af
-
-
 def blend_and_limit_face_flux(disc, fnum_ho, subface_fluxes, u, tau, alpha):
     """Blend the interface flux toward the subcell flux and correct it.
 
@@ -265,41 +212,27 @@ def blend_and_limit_face_flux(disc, fnum_ho, subface_fluxes, u, tau, alpha):
     Returns the corrected fluxes and the per-face, per-constraint theta
     factors (all ones where no correction fired).
     """
-    model = disc.model
+    model, b = disc.model, disc.boundary
     ne = disc.grid.ncells
     p = disc.ops.degree + 1
     w = disc.ops.weights
-    dx = disc.dx
     flow = subface_fluxes[::p]
-    af = _face_alpha(alpha, disc.bc)
+    a = alpha[b.cells]
+    af = 0.5 * (a[:-1] + a[1:])
+    af[b.imposed] = 0.0
     fcur = (1.0 - af[:, None]) * fnum_ho + af[:, None] * flow
     if model.nconstraints == 0:
         return fcur, np.ones((ne + 1, 0))
 
-    periodic = disc.bc == "periodic"
-    # minus side: last subcell of the left element; plus side: first of the right
-    um = np.concatenate([u[-1:, -1], u[:, -1]]) if periodic else \
-        np.concatenate([u[:1, -1], u[:, -1]])
-    upl = np.concatenate([u[:, 0], u[:1, 0]]) if periodic else \
-        np.concatenate([u[:, 0], u[-1:, 0]])
-    dx_m = np.concatenate([dx[-1:], dx]) if periodic else np.concatenate([dx[:1], dx])
-    dx_p = np.concatenate([dx, dx[:1]]) if periodic else np.concatenate([dx, dx[-1:]])
-    cm = (tau / (w[-1] * dx_m))[:, None]
-    cp = (tau / (w[0] * dx_p))[:, None]
-    f_int_m = np.concatenate([subface_fluxes[-2][None], subface_fluxes[p - 1:: p]]) \
-        if periodic else np.concatenate([subface_fluxes[p - 1][None], subface_fluxes[p - 1:: p]])
-    f_int_p = np.concatenate([subface_fluxes[1:: p], subface_fluxes[1][None]]) \
-        if periodic else np.concatenate([subface_fluxes[1:: p], subface_fluxes[-2][None]])
-
-    mask_m = np.ones(ne + 1, dtype=bool)
-    mask_p = np.ones(ne + 1, dtype=bool)
-    if not periodic:
-        mask_m[0] = False
-        mask_p[-1] = False
-    if disc.bc in ("dirichlet_outflow", "dirichlet"):
-        mask_p[0] = False  # imposed boundary fluxes stay untouched
-    if disc.bc == "dirichlet":
-        mask_m[-1] = False
+    # minus side: last subcell of the left element; plus side: first of the
+    # right (ghost sides at non-periodic ends are left out by b.limited)
+    left, right = b.cells[:-1], b.cells[1:]
+    um, upl = u[left, -1], u[right, 0]
+    cm = (tau / (w[-1] * disc.dx[left]))[:, None]
+    cp = (tau / (w[0] * disc.dx[right]))[:, None]
+    f_int_m = subface_fluxes[p * left + p - 1]
+    f_int_p = subface_fluxes[p * right + 1]
+    mask_m, mask_p = b.limited
 
     low_m = um - cm * (flow - f_int_m)
     low_p = upl - cp * (f_int_p - flow)

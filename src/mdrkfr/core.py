@@ -111,15 +111,104 @@ class RunConfig:
         return stability.default_cfl(self.correction, self.dissipation)
 
 
+@dataclass(frozen=True)
+class Boundary:
+    """Ghost values beyond the two ends of the mesh for one boundary kind.
+
+    Every lookup that crosses a domain end (element neighbours, face
+    traces, subcells) reads its ghost from the gathers here; nothing else
+    branches on the boundary kind.  Periodic ends wrap: the ghost is the
+    element or subcell at the far end, shifted by the domain length.  All
+    other kinds mirror the end element across the end face; transmissive
+    and the Dirichlet kinds copy its values, reflective walls also apply
+    the model's reflection signs (momentum for states, mass and energy for
+    fluxes).  At imposed faces (the left face for dirichlet_outflow, both
+    for dirichlet) the numerical flux is the flux of bc_state(x, t), and it
+    is neither blended nor limited.
+
+    cells        ne+2 element indices: left ghost, 0..ne-1, right ghost
+    traces       (trace, element) of the left and right ghost face values;
+                 trace 0 is an element's left-face trace, 1 its right-face one
+    subcells     subcell indices of the padded subcell line, ghosts at the ends
+    sub_x, sub_dl, sub_dr   node positions and face offsets along that line
+    state_sign, flux_sign   factors applied to ghost states and fluxes
+    limited      (minus, plus) masks over faces: whether the low-order
+                 update of the subcell on that side is kept admissible by
+                 the interface flux limiter (not ghosts, not imposed faces)
+    imposed      indices of the imposed faces
+    """
+
+    cells: np.ndarray
+    traces: tuple
+    subcells: np.ndarray
+    sub_x: np.ndarray
+    sub_dl: np.ndarray
+    sub_dr: np.ndarray
+    state_sign: np.ndarray
+    flux_sign: np.ndarray
+    limited: np.ndarray
+    imposed: np.ndarray
+    bc_state: object = None
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def face_sides(self, left, right, sign):
+        """Minus/plus values at the ne+1 faces from per-element traces."""
+        (sm, em), (sp, ep) = self.traces
+        pair = (left, right)
+        minus = np.concatenate([(pair[sm][em] * sign)[None], right])
+        plus = np.concatenate([left, (pair[sp][ep] * sign)[None]])
+        return minus, plus
+
+
+def make_boundary(kind, grid, subcells, model, bc_state=None):
+    """The ghost gathers of one boundary kind on one mesh."""
+    ne, ns = grid.ncells, len(subcells.x)
+    x, dl, dr = subcells.x, subcells.dl, subcells.dr
+    imposed = {"dirichlet_outflow": [0], "dirichlet": [0, ne]}.get(kind, [])
+    if imposed and bc_state is None:
+        raise ConfigurationError("dirichlet boundaries need a boundary-state callable")
+    if kind == "reflective" and model.nvar == 1:
+        raise ConfigurationError("reflective walls are defined for the gas model only")
+    limited = np.ones((2, ne + 1), dtype=bool)
+    limited[:, imposed] = False
+    ones = np.ones(model.nvar)
+    state_sign = flux_sign = ones
+    if kind == "periodic":
+        cells = np.r_[ne - 1, 0:ne, 0]
+        traces = ((1, ne - 1), (0, 0))
+        sub = np.r_[ns - 1, 0:ns, 0]
+        sub_x = np.concatenate([[x[-1] - subcells.length], x, [x[0] + subcells.length]])
+        sub_dl, sub_dr = dl[sub], dr[sub]
+    else:
+        cells = np.r_[0, 0:ne, ne - 1]
+        traces = ((0, 0), (1, ne - 1))
+        sub = np.r_[0, 0:ns, ns - 1]
+        xl, xr = grid.faces[0], grid.faces[-1]
+        sub_x = np.concatenate([[2 * xl - x[0]], x, [2 * xr - x[-1]]])
+        sub_dl = np.concatenate([[-dr[0]], dl, [-dr[-1]]])
+        sub_dr = np.concatenate([[-dl[0]], dr, [-dl[-1]]])
+        limited[0, 0] = limited[1, -1] = False
+        if kind == "reflective":
+            state_sign, flux_sign = model.reflect_state(ones), model.reflect_flux(ones)
+    return Boundary(cells, traces, sub, sub_x, sub_dl, sub_dr, state_sign, flux_sign,
+                    limited, np.array(imposed, dtype=int), bc_state)
+
+
 @dataclass
 class Discretization:
-    """Immutable per-run bundle: mesh, operators, model, configuration."""
+    """Immutable per-run bundle: mesh, operators, model, configuration,
+    boundary closure and subcell line."""
 
     grid: Grid
     ops: ReferenceOperators
     model: EquationModel
     config: RunConfig
-    bc_state: object = None  # callable (x, t) -> state, for Dirichlet inflow
+    boundary: Boundary
+    subcells: blending.SubcellGeometry
     xn: np.ndarray = field(init=False)
     dx: np.ndarray = field(init=False)
 
@@ -127,21 +216,15 @@ class Discretization:
         self.xn = self.grid.nodes(self.ops)
         self.dx = self.grid.dx
 
-    @property
-    def bc(self):
-        return self.config.boundary
-
 
 def make_discretization(grid, model, config, bc_state=None):
     config.validate()
     ops = make_operators(config.degree, config.points, config.correction)
-    if config.boundary.startswith("dirichlet") and bc_state is None:
-        raise ConfigurationError("dirichlet boundaries need a boundary-state callable")
-    if config.boundary == "reflective" and model.nvar == 1:
-        raise ConfigurationError("reflective walls are defined for the gas model only")
     if model.has_source and config.limiter != "none":
         raise ConfigurationError("source terms are supported with limiter='none' only")
-    return Discretization(grid, ops, model, config, bc_state)
+    subcells = blending.SubcellGeometry(grid, ops)
+    boundary = make_boundary(config.boundary, grid, subcells, model, bc_state)
+    return Discretization(grid, ops, model, config, boundary, subcells)
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +333,25 @@ def _ea_side_states(model, vec, u, u1, safe):
     return ua, u1a, bad
 
 
+def _ea_faces(model, u, u1, ops, xf_left, xf_right, favg, stage_value):
+    """Side loop shared by both ea stages.
+
+    stage_value(side, ua, u1a, xf, bad) turns the extrapolated trace and
+    increment into the stage's face flux and returns it with the mask of
+    faces that must fall back; those take the extrapolated nodal averaged
+    flux favg instead.
+    """
+    out = []
+    for side, vec, xf, safe in (("L", ops.VL, xf_left, u[:, 0]),
+                                ("R", ops.VR, xf_right, u[:, -1])):
+        ua, u1a, bad = _ea_side_states(model, vec, u, u1, safe)
+        value, bad = stage_value(side, ua, u1a, xf, bad)
+        if np.any(bad):
+            value = np.where(bad[:, None], _trace(vec, favg), value)
+        out.append(value)
+    return out
+
+
 def face_values_ea_stage1(model, u, u1, ops, xf_left, xf_right, favg):
     """Stage-one face fluxes built directly at the faces.
 
@@ -261,18 +363,16 @@ def face_values_ea_stage1(model, u, u1, ops, xf_left, xf_right, favg):
     Returns the per-element (left, right) face values and the pieces
     reused by stage two.
     """
-    face_f, face_f1, face_bad, out = {}, {}, {}, {}
-    for side, vec, xf, safe in (("L", ops.VL, xf_left, u[:, 0]),
-                                ("R", ops.VR, xf_right, u[:, -1])):
-        ua, u1a, bad = _ea_side_states(model, vec, u, u1, safe)
+    face_f, face_f1, face_bad = {}, {}, {}
+
+    def stage_value(side, ua, u1a, xf, bad):
         fa = model.flux(ua, xf)
         f1a = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
-        value = fa + 0.25 * f1a
-        if np.any(bad):
-            value = np.where(bad[:, None], _trace(vec, favg), value)
         face_f[side], face_f1[side], face_bad[side] = fa, f1a, bad
-        out[side] = value
-    return out["L"], out["R"], face_f, face_f1, face_bad
+        return fa + 0.25 * f1a, bad
+
+    fl, fr = _ea_faces(model, u, u1, ops, xf_left, xf_right, favg, stage_value)
+    return fl, fr, face_f, face_f1, face_bad
 
 
 def face_values_ea_stage2(model, ustar, us1, cache, ops, xf_left, xf_right, favg2):
@@ -281,17 +381,13 @@ def face_values_ea_stage2(model, ustar, us1, cache, ops, xf_left, xf_right, favg
     Faces that fell back in stage one, or whose stage-two extrapolated
     states are not evaluable, use the flux extrapolation again.
     """
-    out = {}
-    for side, vec, xf, safe in (("L", ops.VL, xf_left, ustar[:, 0]),
-                                ("R", ops.VR, xf_right, ustar[:, -1])):
-        ua, u1a, bad = _ea_side_states(model, vec, ustar, us1, safe)
+    def stage_value(side, ua, u1a, xf, bad):
         fs1a = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
         value = cache.face_f[side] + (cache.face_f1[side] + 2.0 * fs1a) / 6.0
-        bad = bad | cache.face_bad[side]
-        if np.any(bad):
-            value = np.where(bad[:, None], _trace(vec, favg2), value)
-        out[side] = value
-    return out["L"], out["R"]
+        return value, bad | cache.face_bad[side]
+
+    fl, fr = _ea_faces(model, ustar, us1, ops, xf_left, xf_right, favg2, stage_value)
+    return fl, fr
 
 
 def numerical_flux(f_minus, f_plus, diss_minus, diss_plus, lam):
@@ -313,54 +409,38 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops):
 
 
 # ----------------------------------------------------------------------
-# faces, ghosts and boundaries
-
-
-def face_sides(val_left, val_right, bc, reflect=None):
-    """Minus/plus values at all ne+1 faces from per-element trace values.
-
-    val_left[e] is the element's trace at its own left face, val_right[e]
-    at its right face.  The ghost entries follow the boundary kind:
-    periodic wraps, transmissive (and the Dirichlet closure, whose face
-    flux is overridden later) copies the interior trace, reflective
-    mirrors it.
-    """
-    if bc == "periodic":
-        ghost_minus, ghost_plus = val_right[-1], val_left[0]
-    elif bc == "reflective":
-        ghost_minus, ghost_plus = reflect(val_left[0]), reflect(val_right[-1])
-    else:
-        ghost_minus, ghost_plus = val_left[0], val_right[-1]
-    minus = np.concatenate([ghost_minus[None], val_right], axis=0)
-    plus = np.concatenate([val_left, ghost_plus[None]], axis=0)
-    return minus, plus
+# faces and imposed boundary fluxes
 
 
 def face_wave_speeds(disc, u):
     """Dissipation coefficient per face from the element-mean states."""
     means = np.einsum("p,epv->ev", disc.ops.weights, u)
     speeds = disc.model.speed(means[:, None, :], disc.xn).max(axis=1)
-    if disc.bc == "periodic":
-        ghost_l, ghost_r = speeds[-1], speeds[0]
-    else:
-        ghost_l, ghost_r = speeds[0], speeds[-1]
-    left = np.concatenate([[ghost_l], speeds])
-    right = np.concatenate([speeds, [ghost_r]])
-    return np.maximum(np.real(left), np.real(right))
+    s = np.real(speeds[disc.boundary.cells])
+    return np.maximum(s[:-1], s[1:])
 
 
-_TIME_QUAD = gauss_legendre(3)
+_XQ, _WQ = gauss_legendre(3)
+_STAGE_QUAD = tuple(zip((_XQ + 1.0) / 2.0, _WQ / 2.0))
 
 
-def _dirichlet_face_flux(disc, x_b, t0, tau):
-    """Time-average of the imposed boundary flux over one stage interval."""
-    xq, wq = _TIME_QUAD
-    theta = (xq + 1.0) / 2.0
-    total = 0.0
-    for th, w in zip(theta, wq / 2.0):
-        state = np.asarray(disc.bc_state(x_b, t0 + tau * th), dtype=float)
-        total = total + w * disc.model.flux(state, x_b)
-    return total
+def _impose_fluxes(disc, fnum, t, tau=None):
+    """Write the boundary-state flux into fnum at the imposed faces.
+
+    A stage passes its interval length tau and gets the flux averaged over
+    [t, t + tau] by three-point Gauss quadrature; the semi-discrete
+    baseline passes none and gets the flux at t.
+    """
+    for i in disc.boundary.imposed:
+        x = disc.grid.faces[i]
+        if tau is None:
+            fnum[i] = _bc_flux(disc, x, t)
+        else:
+            fnum[i] = sum(w * _bc_flux(disc, x, t + tau * th) for th, w in _STAGE_QUAD)
+
+
+def _bc_flux(disc, x, t):
+    return disc.model.flux(np.asarray(disc.boundary.bc_state(x, t), dtype=float), x)
 
 
 def _assemble_face_flux(disc, face_l, face_r, ud, lam, t, tau):
@@ -370,15 +450,11 @@ def _assemble_face_flux(disc, face_l, face_r, ud, lam, t, tau):
     traces feed the dissipation (the time-averaged solution for the d2
     variant, the start-of-step solution for d1).
     """
-    model = disc.model
-    fm, fp = face_sides(face_l, face_r, disc.bc, model.reflect_flux)
-    dl, dr = _trace(disc.ops.VL, ud), _trace(disc.ops.VR, ud)
-    um, up = face_sides(dl, dr, disc.bc, model.reflect_state)
+    b = disc.boundary
+    fm, fp = b.face_sides(face_l, face_r, b.flux_sign)
+    um, up = b.face_sides(_trace(disc.ops.VL, ud), _trace(disc.ops.VR, ud), b.state_sign)
     fnum = numerical_flux(fm, fp, um, up, lam)
-    if disc.bc in ("dirichlet_outflow", "dirichlet"):
-        fnum[0] = _dirichlet_face_flux(disc, disc.grid.faces[0], t, tau)
-    if disc.bc == "dirichlet":
-        fnum[-1] = _dirichlet_face_flux(disc, disc.grid.faces[-1], t, tau)
+    _impose_fluxes(disc, fnum, t, tau)
     return fnum
 
 
@@ -438,8 +514,9 @@ class StepDiagnostics:
 def _stage_residuals(disc, u_tn, favg, uavg, stage_u, lam, t, tau, compute_alpha_from):
     """Face fluxes plus high/low residuals for one stage.
 
-    Returns (fnum, r_high, r_low, alpha, theta_min); r_low and alpha are
-    None when blending is off.
+    Returns (fnum, residual, alpha, thetas).  With blending on, the
+    residual is the alpha-blend of the high- and low-order residuals; with
+    it off, it is the high-order one and alpha and thetas are None.
     """
     cfg = disc.config
     ops = disc.ops
@@ -450,7 +527,7 @@ def _stage_residuals(disc, u_tn, favg, uavg, stage_u, lam, t, tau, compute_alpha
     ud = uavg if cfg.dissipation == "d2" else u_tn
     fnum = _assemble_face_flux(disc, face_l, face_r, ud, lam, t, tau)
 
-    alpha = r_low = thetas = None
+    alpha = thetas = None
     if cfg.limiter != "none":
         alpha = blending.smoothness_alpha(disc, compute_alpha_from)
         subface = blending.low_order_subface_fluxes(disc, u_tn, tau,
@@ -458,15 +535,10 @@ def _stage_residuals(disc, u_tn, favg, uavg, stage_u, lam, t, tau, compute_alpha
         fnum, thetas = blending.blend_and_limit_face_flux(
             disc, fnum, subface, u_tn, tau, alpha)
         r_low = blending.low_order_residual(disc, subface, fnum)
-    r_high = fr_flux_derivative(favg, fnum[:-1], fnum[1:], ops)
-    return fnum, r_high, r_low, alpha, thetas
-
-
-def _blend(r_high, r_low, alpha):
-    if alpha is None:
-        return r_high
-    a = alpha[:, None, None]
-    return (1.0 - a) * r_high + a * r_low
+    residual = fr_flux_derivative(favg, fnum[:-1], fnum[1:], ops)
+    if alpha is not None:
+        residual = blending.blended_update(residual, r_low, alpha)
+    return fnum, residual, alpha, thetas
 
 
 def mdrk_step(disc, u, t, dt):
@@ -493,9 +565,9 @@ def mdrk_step(disc, u, t, dt):
             favg1)
         cache.face_f, cache.face_f1, cache.face_bad = face_f, face_f1, face_bad
         ea_faces = (fl, fr)
-    fnum1, rh1, rl1, alpha1, th1 = _stage_residuals(
+    fnum1, r1, alpha1, th1 = _stage_residuals(
         disc, u, favg1, uavg1, ea_faces, lam, t, 0.5 * dt, compute_alpha_from=u)
-    ustar = u - (0.5 * dt / disc.dx)[:, None, None] * _blend(rh1, rl1, alpha1)
+    ustar = u - (0.5 * dt / disc.dx)[:, None, None] * r1
     if savg1 is not None:
         ustar = ustar + 0.5 * dt * savg1
     if limited:
@@ -510,9 +582,9 @@ def mdrk_step(disc, u, t, dt):
         ea_faces = face_values_ea_stage2(model, ustar, us1, cache, disc.ops,
                                          disc.grid.faces[:-1], disc.grid.faces[1:],
                                          favg2)
-    fnum2, rh2, rl2, alpha2, th2 = _stage_residuals(
+    fnum2, r2, alpha2, th2 = _stage_residuals(
         disc, u, favg2, uavg2, ea_faces, lam, t, dt, compute_alpha_from=ustar)
-    unew = u - (dt / disc.dx)[:, None, None] * _blend(rh2, rl2, alpha2)
+    unew = u - (dt / disc.dx)[:, None, None] * r2
     if savg2 is not None:
         unew = unew + dt * savg2
     if limited:
@@ -538,20 +610,14 @@ def mdrk_step(disc, u, t, dt):
 
 def rkfr_rhs(disc, u, t):
     """Classical semi-discrete right-hand side with the corrected flux."""
-    model, ops = disc.model, disc.ops
+    model, ops, b = disc.model, disc.ops, disc.boundary
     f = model.flux(u, disc.xn)
     lam = face_wave_speeds(disc, u)
-    ul, ur = _trace(ops.VL, u), _trace(ops.VR, u)
-    um, up = face_sides(ul, ur, disc.bc, model.reflect_state)
+    um, up = b.face_sides(_trace(ops.VL, u), _trace(ops.VR, u), b.state_sign)
     fm = model.flux(um, disc.grid.faces)
     fp = model.flux(up, disc.grid.faces)
     fnum = numerical_flux(fm, fp, um, up, lam)
-    if disc.bc in ("dirichlet_outflow", "dirichlet"):
-        state = np.asarray(disc.bc_state(disc.grid.faces[0], t), dtype=float)
-        fnum[0] = model.flux(state, disc.grid.faces[0])
-    if disc.bc == "dirichlet":
-        state = np.asarray(disc.bc_state(disc.grid.faces[-1], t), dtype=float)
-        fnum[-1] = model.flux(state, disc.grid.faces[-1])
+    _impose_fluxes(disc, fnum, t)
     dudt = -fr_flux_derivative(f, fnum[:-1], fnum[1:], ops) / disc.dx[:, None, None]
     if model.has_source:
         dudt = dudt + model.source(u, disc.xn, t)

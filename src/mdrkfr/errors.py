@@ -42,8 +42,8 @@ class StencilStateError(SolverAbort):
     """A perturbed or extrapolated state required by the time-derivative
     stencil left the model's evaluable domain (e.g. non-positive density).
 
-    The time loop treats this as retriable: the step is repeated once with
-    half the step size before giving up.
+    The time loop treats this as retriable: it halves the step and repeats
+    it, up to max_halvings times (12 by default), before giving up.
     """
 
     def __init__(self, constraint, value, detail=""):

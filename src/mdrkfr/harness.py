@@ -11,11 +11,13 @@ import hashlib
 import io
 import time as _time
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import core, models, stability
 from .errors import ConfigurationError, StencilStateError
+from .operators import make_operators
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,7 @@ CATALOG = {
         xlo=0.1, xhi=1.0, boundary="dirichlet_outflow", final_time=1.0, default_cells=40,
         initial=lambda x: models.exact_solution("varadv_x2", x, 0.0),
         exact_id="varadv_x2",
+        bc_state=lambda x, t: models.exact_solution("varadv_x2", x, t),
         description="space-dependent transport, inflow on the left"),
     "burgers_sine": CaseSpec(
         name="burgers_sine", make_model=models.Burgers,
@@ -167,13 +170,12 @@ def make_run(case_id, config=None, cells=None):
     case = build_case(case_id)
     cfg = config if config is not None else case_config(case)
     if cfg.boundary != case.boundary:
-        cfg = replace(cfg, boundary=case.boundary)
-    bc_state = None
-    if cfg.boundary.startswith("dirichlet"):
-        bc_state = case.bc_state if case.bc_state is not None else case.exact
+        raise ConfigurationError(
+            f"case {case_id!r} has {case.boundary!r} boundaries, "
+            f"the configuration asks for {cfg.boundary!r}")
     grid = core.make_grid(case.xlo, case.xhi, cells or case.default_cells)
     model = case.make_model()
-    disc = core.make_discretization(grid, model, cfg, bc_state)
+    disc = core.make_discretization(grid, model, cfg, case.bc_state)
     return case, disc, initial_field(case, grid, disc.ops)
 
 
@@ -282,17 +284,10 @@ def _write_limiter_rows(writer, step, t, model, diag):
                                  f"{float(diag.theta2[f, k]):.6e}"])
 
 
+@lru_cache(maxsize=None)
 def rkfr_default_cfl(degree=3, points="gl", correction="radau"):
     """Fourier-certified CFL of the baseline integrator (cached)."""
-    key = (degree, points, correction)
-    if key not in _RKFR_CFL_CACHE:
-        from .operators import make_operators
-        _RKFR_CFL_CACHE[key] = stability.find_rkfr_cfl(
-            make_operators(degree, points, correction))
-    return _RKFR_CFL_CACHE[key]
-
-
-_RKFR_CFL_CACHE = {}
+    return stability.find_rkfr_cfl(make_operators(degree, points, correction))
 
 
 # ----------------------------------------------------------------------

@@ -228,7 +228,3 @@ def exact_solution(case_id, x, t):
     except KeyError:
         raise ConfigurationError(f"no exact solution registered for case {case_id!r}")
     return fn(x, t)
-
-
-def has_exact_solution(case_id):
-    return case_id in _EXACT

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ssprk
 from .errors import ConfigurationError
-from .operators import ReferenceOperators, make_operators
+from .operators import ReferenceOperators
 
 DISSIPATION_KINDS = ("d1", "d2")
 
@@ -142,9 +142,46 @@ def amplification_matrix(setup, kappa):
     return h
 
 
-def max_spectral_radius(setup, kappas):
-    h = amplification_matrix(setup, kappas)
+def _spectral_radius(h):
     return float(np.max(np.abs(np.linalg.eigvals(h))))
+
+
+def max_spectral_radius(setup, kappas):
+    return _spectral_radius(amplification_matrix(setup, kappas))
+
+
+def _wavenumbers(nkappa):
+    return np.linspace(0.0, 2.0 * np.pi, nkappa, endpoint=False)
+
+
+def _largest_stable(radius, sigma_max, tol, radius_tol):
+    """Largest CFL number sigma with radius(sigma) <= 1 + radius_tol.
+
+    A 60-point scan from sigma = tol to sigma_max brackets the first
+    unstable value; bisection then narrows the bracket to tol.
+    """
+    limit = 1.0 + radius_tol
+    lo = tol
+    rho = radius(lo)
+    if not rho <= limit:
+        raise RuntimeError(f"scheme unstable even at sigma = {lo}: rho = {rho:.6f}")
+    grid = np.linspace(lo, sigma_max, 60)
+    hi = None
+    for sig in grid[1:]:
+        if radius(sig) <= limit:
+            lo = sig
+        else:
+            hi = sig
+            break
+    if hi is None:
+        return float(grid[-1])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if radius(mid) <= limit:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
 
 
 def find_cfl(ops, dissipation, nkappa=1024, sigma_max=0.6, tol=5e-4,
@@ -154,43 +191,15 @@ def find_cfl(ops, dissipation, nkappa=1024, sigma_max=0.6, tol=5e-4,
     Stability means max_kappa rho(H) <= 1 + radius_tol over nkappa uniform
     wavenumber samples in [0, 2*pi).
     """
-    kappas = np.linspace(0.0, 2.0 * np.pi, nkappa, endpoint=False)
-    limit = 1.0 + radius_tol
-
-    def stable(sig):
-        return max_spectral_radius(assemble_matrices(ops, sig, dissipation),
-                                   kappas) <= limit
-
-    sigma_lo = tol
-    if not stable(sigma_lo):
-        raise RuntimeError(
-            f"scheme unstable even at sigma = {sigma_lo}: "
-            f"rho = {max_spectral_radius(assemble_matrices(ops, sigma_lo, dissipation), kappas):.6f}")
-
-    # coarse scan to bracket the crossing
-    grid = np.linspace(sigma_lo, sigma_max, 60)
-    lo, hi = sigma_lo, None
-    for sig in grid[1:]:
-        if stable(sig):
-            lo = sig
-        else:
-            hi = sig
-            break
-    if hi is None:
-        return float(grid[-1])
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
+    kappas = _wavenumbers(nkappa)
+    return _largest_stable(
+        lambda sig: max_spectral_radius(assemble_matrices(ops, sig, dissipation), kappas),
+        sigma_max, tol, radius_tol)
 
 
 def cfl_scan(ops, dissipation, sigmas, nkappa=1024):
     """max_kappa rho(H) for each sigma; plot-ready (sigma, radius) pairs."""
-    kappas = np.linspace(0.0, 2.0 * np.pi, nkappa, endpoint=False)
+    kappas = _wavenumbers(nkappa)
     return [(float(s), max_spectral_radius(assemble_matrices(ops, s, dissipation), kappas))
             for s in sigmas]
 
@@ -210,42 +219,10 @@ def rkfr_update_matrix(ops, sigma, kappa):
 
 def find_rkfr_cfl(ops, nkappa=1024, sigma_max=0.6, tol=5e-4, radius_tol=1e-10):
     """Largest stable CFL of the Runge-Kutta baseline on advection."""
-    kappas = np.linspace(0.0, 2.0 * np.pi, nkappa, endpoint=False)
-    limit = 1.0 + radius_tol
+    kappas = _wavenumbers(nkappa)
+    return _largest_stable(lambda sig: _spectral_radius(rkfr_update_matrix(ops, sig, kappas)),
+                           sigma_max, tol, radius_tol)
 
-    def stable(sig):
-        g = rkfr_update_matrix(ops, sig, kappas)
-        return float(np.max(np.abs(np.linalg.eigvals(g)))) <= limit
-
-    lo = tol
-    if not stable(lo):
-        raise RuntimeError("baseline scheme unstable at vanishing CFL")
-    hi = None
-    for sig in np.linspace(lo, sigma_max, 60)[1:]:
-        if stable(sig):
-            lo = sig
-        else:
-            hi = sig
-            break
-    if hi is None:
-        return float(sigma_max)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
-
-
-# commonly quoted stable CFL numbers; the d1 entries are blow-up-experiment
-# values, slightly above what the Fourier analysis certifies
-REPORTED_CFL = {
-    ("radau", "d2"): 0.107,
-    ("g2", "d2"): 0.224,
-    ("radau", "d1"): 0.09,
-    ("g2", "d1"): 0.16,
-}
 
 # defaults used for runs: Fourier-certified (find_cfl, rounded down)
 _SAFE_CFL = {
@@ -264,8 +241,3 @@ def default_cfl(correction, dissipation):
         raise ConfigurationError(
             f"no default CFL for correction={correction!r}, dissipation={dissipation!r}")
 
-
-if __name__ == "__main__":  # quick manual check
-    for corr, kind in (("radau", "gl"), ("g2", "gll")):
-        ops = make_operators(3, kind, corr)
-        print(corr, kind, "d2", round(find_cfl(ops, "d2"), 3))

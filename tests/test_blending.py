@@ -78,7 +78,7 @@ def test_alpha_neighbour_spreading():
 
 def test_subcell_widths_match_weights():
     disc = scalar_disc()
-    geo = blending.subcell_geometry(disc)
+    geo = disc.subcells
     w = disc.ops.weights
     assert np.allclose(geo.h.reshape(8, 4), w[None, :] * disc.dx[:, None])
     assert np.all(np.diff(geo.subfaces) > 0)
@@ -117,7 +117,7 @@ def test_mh_exact_gradient_on_linear_data():
     # at vanishing evolution time both traces agree at every interior
     # subface and the two-state flux collapses to the pointwise flux
     disc = scalar_disc(ncells=4)
-    geo = blending.subcell_geometry(disc)
+    geo = disc.subcells
     u = (2.0 + 3.0 * disc.xn)[..., None]
     sf = blending.low_order_subface_fluxes(disc, u, 0.0, use_slopes=True)
     # skip the subfaces touching the edge subcells, whose slopes are

@@ -6,11 +6,12 @@ from mdrkfr.errors import AdmissibilityError, ConfigurationError
 from mdrkfr.operators import make_operators
 
 
-def make_disc(ncells=10, model=None, **cfg_kw):
+def make_disc(ncells=10, model=None, bc_state=None, **cfg_kw):
     cfg_kw.setdefault("final_time", 1.0)
     cfg = core.RunConfig(**cfg_kw)
     grid = core.make_grid(0.0, 1.0, ncells)
-    return core.make_discretization(grid, model or models.LinearAdvection(1.0), cfg)
+    return core.make_discretization(grid, model or models.LinearAdvection(1.0), cfg,
+                                    bc_state)
 
 
 # ----------------------------------------------------------------------
@@ -224,27 +225,52 @@ def test_fr_flux_derivative_single_element_exact():
 # boundary closures
 
 
-def test_face_sides_periodic():
-    vals_l = np.arange(5, dtype=float)[:, None]
-    vals_r = np.arange(5, dtype=float)[:, None] + 10
-    minus, plus = core.face_sides(vals_l, vals_r, "periodic")
-    assert minus[0, 0] == 14.0 and plus[-1, 0] == 0.0
-
-
-def test_face_sides_transmissive():
-    vals_l = np.arange(5, dtype=float)[:, None]
-    vals_r = np.arange(5, dtype=float)[:, None] + 10
-    minus, plus = core.face_sides(vals_l, vals_r, "transmissive")
-    assert minus[0, 0] == vals_l[0, 0] and plus[-1, 0] == vals_r[-1, 0]
-
-
-def test_face_sides_reflective_negates_momentum():
+@pytest.mark.parametrize("kind", core.BOUNDARY_KINDS)
+def test_boundary_ghosts(kind):
     m = models.Euler()
-    vals_l = np.tile(np.array([1.0, 0.4, 2.0]), (5, 1))
-    vals_r = np.tile(np.array([1.0, -0.3, 2.0]), (5, 1))
-    minus, plus = core.face_sides(vals_l, vals_r, "reflective", m.reflect_state)
-    assert np.allclose(minus[0], [1.0, -0.4, 2.0])
-    assert np.allclose(plus[-1], [1.0, 0.3, 2.0])
+    ne = 5
+    disc = make_disc(ncells=ne, model=m, boundary=kind,
+                     bc_state=lambda x, t: m.conserved(1.0, 0.0, 1.0))
+    b = disc.boundary
+    wraps, walls = kind == "periodic", kind == "reflective"
+    state_sign = np.array([1.0, -1.0, 1.0]) if walls else np.ones(3)
+    flux_sign = -state_sign if walls else np.ones(3)
+
+    # face traces: wrap to the far element's facing trace, or mirror the
+    # end element's own trace
+    vals_l = np.arange(3 * ne, dtype=float).reshape(ne, 3) + 1.0
+    vals_r = vals_l + 100.0
+    for sign, ghost_sign in ((state_sign, b.state_sign), (flux_sign, b.flux_sign)):
+        minus, plus = b.face_sides(vals_l, vals_r, ghost_sign)
+        assert (minus[1:] == vals_r).all() and (plus[:-1] == vals_l).all()
+        assert (minus[0] == (vals_r[-1] if wraps else vals_l[0] * sign)).all()
+        assert (plus[-1] == (vals_l[0] if wraps else vals_r[-1] * sign)).all()
+
+    # per-element arrays
+    ends = [ne - 1, 0] if wraps else [0, ne - 1]
+    assert b.cells.tolist() == [ends[0], *range(ne), ends[1]]
+
+    # subcells: each ghost abuts its end face with the width of the
+    # subcell it copies
+    geo = disc.subcells
+    ns = len(geo.x)
+    assert b.subcells.tolist() == [ns - 1 if wraps else 0, *range(ns), 0 if wraps else ns - 1]
+    assert (b.sub_x[1:-1] == geo.x).all()
+    faces = disc.grid.faces
+    assert b.sub_x[0] + b.sub_dr[0] == pytest.approx(faces[0], abs=1e-15)
+    assert b.sub_x[-1] + b.sub_dl[-1] == pytest.approx(faces[-1], abs=1e-15)
+    widths = b.sub_dr - b.sub_dl
+    assert widths[0] == pytest.approx(geo.h[-1] if wraps else geo.h[0], rel=1e-14)
+    assert widths[-1] == pytest.approx(geo.h[0] if wraps else geo.h[-1], rel=1e-14)
+
+    # imposed faces, and the faces whose subcell updates the limiter guards
+    imposed = {"dirichlet_outflow": [0], "dirichlet": [0, ne]}.get(kind, [])
+    assert b.imposed.tolist() == imposed
+    minus_ok, plus_ok = np.ones(ne + 1, bool), np.ones(ne + 1, bool)
+    if not wraps:
+        minus_ok[0] = plus_ok[-1] = False
+    minus_ok[imposed] = plus_ok[imposed] = False
+    assert (b.limited[0] == minus_ok).all() and (b.limited[1] == plus_ok).all()
 
 
 def test_reflective_wall_zero_mass_flux():
@@ -346,17 +372,33 @@ def test_step_mass_conservation_periodic():
     assert mass1 == pytest.approx(mass0, abs=1e-13)
 
 
-def test_step_mean_update_identity():
-    # per-element mean change equals the face-flux difference, both stages
-    disc = make_disc(ncells=12, model=models.Burgers())
-    u = (0.3 * np.sin(2 * np.pi * disc.xn) + 1.0)[..., None]
+def _mean_update(disc, u, dt):
+    """Element means after one step, and as the face fluxes predict them."""
     w = disc.ops.weights
-    dt = 0.003
     before = np.einsum("p,epv->ev", w, u)
     out, diag = core.mdrk_step(disc, u, 0.0, dt)
     after = np.einsum("p,epv->ev", w, out)
     expected = before - (dt / disc.dx)[:, None] * (diag.fnum2[1:] - diag.fnum2[:-1])
+    return after, expected, diag
+
+
+def test_step_mean_update_identity():
+    # per-element mean change equals the face-flux difference, both stages
+    disc = make_disc(ncells=12, model=models.Burgers())
+    u = (0.3 * np.sin(2 * np.pi * disc.xn) + 1.0)[..., None]
+    after, expected, _ = _mean_update(disc, u, 0.003)
     assert np.allclose(after, expected, atol=1e-13)
+    # also for a blended, limited gas step under every non-periodic
+    # closure, with a pressure jump in both end elements
+    m = models.Euler()
+    for kind in ("transmissive", "reflective", "dirichlet_outflow", "dirichlet"):
+        disc = make_disc(ncells=12, model=m, boundary=kind, limiter="mh",
+                         bc_state=lambda x, t: m.conserved(1.0, 0.1, 1.0))
+        p = np.where((disc.xn < 0.05) | (disc.xn > 0.95), 10.0, 1.0)
+        u = m.conserved(np.ones_like(p), 0.1 * np.ones_like(p), p)
+        after, expected, diag = _mean_update(disc, u, 1e-3)
+        assert np.allclose(after, expected, rtol=1e-14, atol=1e-13), kind
+        assert diag.alpha2[0] > 0.0 and diag.alpha2[-1] > 0.0, kind
 
 
 def test_admissibility_abort_carries_location():

@@ -202,6 +202,13 @@ def test_baseline_run_does_not_mutate_shared_config():
     assert dt_first <= 0.98 * 0.107 * 0.1 + 1e-12
 
 
+def test_mismatched_boundary_is_refused():
+    # the case's boundary is part of the problem; a config may not swap it
+    cfg = harness.case_config(harness.build_case("blast"), boundary="periodic")
+    with pytest.raises(ConfigurationError, match="reflective"):
+        harness.run_case("blast", cfg, cells=20)
+
+
 def test_convergence_requires_three_meshes():
     with pytest.raises(ConfigurationError):
         harness.convergence_suite("linadv_sine", [20, 40])
@@ -237,6 +244,13 @@ def test_cli_run_smoke():
 def test_cli_configuration_error_exit_code():
     out = run_cli("run", "--case", "linadv_sine", "--override", "limiter=tvb")
     assert out.returncode == 1
+
+
+def test_cli_mismatched_boundary_exit_code():
+    out = run_cli("run", "--case", "blast", "--cells", "20",
+                  "--override", "boundary=periodic")
+    assert out.returncode == 1
+    assert "configuration error" in out.stderr and "reflective" in out.stderr
 
 
 def test_cli_admissibility_exit_code():
