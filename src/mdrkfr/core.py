@@ -103,6 +103,16 @@ class RunConfig:
             raise ConfigurationError(f"safety factor must lie in (0, 1], got {self.safety}")
         if self.cfl is not None and self.cfl <= 0.0:
             raise ConfigurationError(f"CFL must be positive, got {self.cfl}")
+        if self.cfl is None and self.degree != 3:
+            raise ConfigurationError(
+                f"default CFLs are certified for degree 3 only, got degree={self.degree}; "
+                "set the cfl override")
+        if self.points == "gll" and self.limiter == "mh":
+            # GLL end nodes of neighbouring elements coincide, which leaves
+            # the MUSCL-Hancock slopes across element faces undefined
+            raise ConfigurationError(
+                "limiter='mh' needs Gauss-Legendre points (points='gl'); "
+                "with points='gll' use limiter=fo")
         return self
 
     def resolved_cfl(self):

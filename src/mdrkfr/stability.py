@@ -142,16 +142,21 @@ def amplification_matrix(setup, kappa):
     return h
 
 
-def _spectral_radius(h):
-    return float(np.max(np.abs(np.linalg.eigvals(h))))
-
-
 def max_spectral_radius(setup, kappas):
-    return _spectral_radius(amplification_matrix(setup, kappas))
+    return float(np.max(np.abs(np.linalg.eigvals(amplification_matrix(setup, kappas)))))
 
 
 def _wavenumbers(nkappa):
-    return np.linspace(0.0, 2.0 * np.pi, nkappa, endpoint=False)
+    """The samples in [0, pi] of the uniform nkappa-point grid on [0, 2*pi).
+
+    The update blocks C_k are real, so H(2*pi - kappa) = conj H(kappa) and
+    the two have eigenvalues of equal modulus.  Sample j of the full grid
+    pairs with sample nkappa - j, so the first nkappa // 2 + 1 samples
+    carry every radius of the full grid, for odd and even nkappa alike.
+    """
+    if nkappa < 1:
+        raise ConfigurationError(f"need at least one wavenumber sample, got {nkappa}")
+    return np.linspace(0.0, 2.0 * np.pi, nkappa, endpoint=False)[:nkappa // 2 + 1]
 
 
 def _largest_stable(radius, sigma_max, tol, radius_tol):
@@ -189,7 +194,8 @@ def find_cfl(ops, dissipation, nkappa=1024, sigma_max=0.6, tol=5e-4,
     """Largest stable CFL number, bracketed by a coarse scan plus bisection.
 
     Stability means max_kappa rho(H) <= 1 + radius_tol over nkappa uniform
-    wavenumber samples in [0, 2*pi).
+    wavenumber samples in [0, 2*pi); by conjugate symmetry only those in
+    [0, pi] are evaluated.
     """
     kappas = _wavenumbers(nkappa)
     return _largest_stable(
@@ -204,24 +210,37 @@ def cfl_scan(ops, dissipation, sigmas, nkappa=1024):
             for s in sigmas]
 
 
-def rkfr_update_matrix(ops, sigma, kappa):
-    """Fourier symbol of one Runge-Kutta baseline step at CFL sigma.
+def _rkfr_symbol(ops, kappa):
+    """L(kappa): the baseline's semi-discrete upwind operator at unit CFL.
 
-    The semi-discrete upwind operator for unit-speed advection and the
-    five-stage SSP scheme give the amplification matrix directly.
+    Unit-speed advection gives u' = (sigma / dt) L(kappa) u per element.
     """
     kappa = np.asarray(kappa, dtype=float)
     cell = ops.D - np.outer(ops.bL, ops.VL)
     neigh = np.outer(ops.bL, ops.VR)
-    m = -sigma * (cell + np.exp(-1j * kappa)[..., None, None] * neigh)
-    return ssprk.amplification(m)
+    return -(cell + np.exp(-1j * kappa)[..., None, None] * neigh)
+
+
+def rkfr_update_matrix(ops, sigma, kappa):
+    """Fourier symbol of one Runge-Kutta baseline step at CFL sigma.
+
+    The five-stage SSP scheme applied to the semi-discrete operator gives
+    the amplification matrix directly.
+    """
+    return ssprk.amplification(sigma * _rkfr_symbol(ops, kappa))
 
 
 def find_rkfr_cfl(ops, nkappa=1024, sigma_max=0.6, tol=5e-4, radius_tol=1e-10):
-    """Largest stable CFL of the Runge-Kutta baseline on advection."""
-    kappas = _wavenumbers(nkappa)
-    return _largest_stable(lambda sig: _spectral_radius(rkfr_update_matrix(ops, sig, kappas)),
-                           sigma_max, tol, radius_tol)
+    """Largest stable CFL of the Runge-Kutta baseline on advection.
+
+    One step is a polynomial P of sigma * L(kappa), so its eigenvalues are
+    P(sigma * lambda) for the eigenvalues lambda of L(kappa): these are
+    solved for once and the search maps them through P at every sigma.
+    """
+    lam = np.linalg.eigvals(_rkfr_symbol(ops, _wavenumbers(nkappa)))[..., None, None]
+    return _largest_stable(
+        lambda sig: float(np.max(np.abs(ssprk.amplification(sig * lam)))),
+        sigma_max, tol, radius_tol)
 
 
 # defaults used for runs: Fourier-certified (find_cfl, rounded down)

@@ -209,6 +209,30 @@ def test_mismatched_boundary_is_refused():
         harness.run_case("blast", cfg, cells=20)
 
 
+def test_degree_without_cfl_is_refused():
+    # default CFLs are certified for degree 3 only
+    with pytest.raises(ConfigurationError, match="cfl"):
+        core.RunConfig(degree=5).validate()
+    with pytest.raises(ConfigurationError, match="cfl"):
+        harness.load_config(overrides=["degree=5"])
+    assert core.RunConfig(degree=5, cfl=0.02).validate().resolved_cfl() == 0.02
+    cfg = harness.case_config(harness.build_case("linadv_sine"), degree=5, cfl=0.02,
+                              final_time=0.01)
+    res = harness.run_case("linadv_sine", cfg, cells=10)
+    assert np.isfinite(res.field.data).all()
+
+
+def test_gll_with_mh_is_refused():
+    with pytest.raises(ConfigurationError, match="limiter=fo"):
+        core.RunConfig(points="gll", correction="g2", limiter="mh").validate()
+    cfg = harness.case_config(harness.build_case("blast"), points="gll",
+                              correction="g2", limiter="mh")
+    with pytest.raises(ConfigurationError, match="limiter=fo"):
+        harness.run_case("blast", cfg, cells=20)
+    core.RunConfig(points="gll", correction="g2", limiter="fo").validate()
+    core.RunConfig(points="gl", limiter="mh").validate()
+
+
 def test_convergence_requires_three_meshes():
     with pytest.raises(ConfigurationError):
         harness.convergence_suite("linadv_sine", [20, 40])
@@ -265,6 +289,26 @@ def test_cli_stability_smoke():
                   "--kappa-samples", "512")
     assert out.returncode == 0
     assert "cfl=0.107" in out.stdout
+
+
+def test_cli_zero_kappa_samples_exit_code():
+    out = run_cli("stability", "--kappa-samples", "0")
+    assert out.returncode == 1
+    assert "configuration error" in out.stderr and "wavenumber" in out.stderr
+
+
+def test_cli_degree_without_cfl_exit_code():
+    out = run_cli("run", "--case", "linadv_sine", "--cells", "20",
+                  "--override", "degree=5")
+    assert out.returncode == 1
+    assert "configuration error" in out.stderr and "cfl" in out.stderr
+
+
+def test_cli_gll_mh_exit_code():
+    out = run_cli("run", "--case", "blast", "--cells", "20", "--points", "gll",
+                  "--correction", "g2", "--limiter", "mh")
+    assert out.returncode == 1
+    assert "configuration error" in out.stderr and "limiter=fo" in out.stderr
 
 
 def test_cli_snapshot_and_diagnostics(tmp_path):

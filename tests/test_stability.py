@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from mdrkfr import core, models, stability
+from mdrkfr import core, models, ssprk, stability
+from mdrkfr.errors import ConfigurationError
 from mdrkfr.operators import make_operators
+
+FULL_KAPPAS = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+SEARCHES = [("gl", "radau", "d1"), ("gl", "radau", "d2"),
+            ("gll", "g2", "d1"), ("gll", "g2", "d2")]
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +169,88 @@ def test_default_cfl_lookup():
     # blow-up-experiment numbers
     assert stability.default_cfl("radau", "d1") <= 0.09
     assert stability.default_cfl("g2", "d1") <= 0.16
+
+
+@pytest.mark.parametrize("nkappa", [1, 2, 7, 256, 1023, 1024])
+def test_half_wavenumbers_cover_every_conjugate_pair(nkappa):
+    full = np.linspace(0.0, 2 * np.pi, nkappa, endpoint=False)
+    half = stability._wavenumbers(nkappa)
+    assert len(half) == nkappa // 2 + 1
+    assert np.array_equal(half, full[:len(half)])
+    assert half.max() <= np.pi
+    # every sample of the full grid is a half-set sample or its conjugate
+    folded = np.minimum(full, 2 * np.pi - full)
+    assert np.abs(folded[:, None] - half[None, :]).min(axis=1).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """Certified CFL of every search; the baseline's under dissipation None."""
+    out = {(p, c, d): stability.find_cfl(make_operators(3, p, c), d) for p, c, d in SEARCHES}
+    out[("gl", "radau", None)] = stability.find_rkfr_cfl(make_operators(3, "gl", "radau"))
+    return out
+
+
+@pytest.mark.parametrize("points,correction,diss", SEARCHES)
+def test_half_set_radius_equals_full_set_radius(certified, points, correction, diss):
+    ops = make_operators(3, points, correction)
+    half = stability._wavenumbers(1024)
+    for sigma in (0.05, certified[(points, correction, diss)], 0.3):
+        setup = stability.assemble_matrices(ops, sigma, diss)
+        assert stability.max_spectral_radius(setup, half) == pytest.approx(
+            stability.max_spectral_radius(setup, FULL_KAPPAS), abs=1e-13)
+
+
+def test_spectral_mapping_radius_matches_update_matrix(certified, ops_gl):
+    lam = np.linalg.eigvals(stability._rkfr_symbol(ops_gl, FULL_KAPPAS))
+    for sigma in (0.1, certified[("gl", "radau", None)], 0.3):
+        mapped = np.max(np.abs(ssprk.amplification(sigma * lam[..., None, None])))
+        direct = np.max(np.abs(np.linalg.eigvals(
+            stability.rkfr_update_matrix(ops_gl, sigma, FULL_KAPPAS))))
+        assert mapped == pytest.approx(direct, abs=1e-12)
+
+
+def test_update_matrix_is_ssprk_of_symbol(ops_gl):
+    m = -0.2 * (ops_gl.D - np.outer(ops_gl.bL, ops_gl.VL)
+                + np.exp(-1j * FULL_KAPPAS)[:, None, None] * np.outer(ops_gl.bL, ops_gl.VR))
+    assert np.array_equal(stability.rkfr_update_matrix(ops_gl, 0.2, FULL_KAPPAS),
+                          ssprk.amplification(m))
+
+
+def _full_radius(ops, diss, sigma):
+    if diss is None:
+        g = stability.rkfr_update_matrix(ops, sigma, FULL_KAPPAS)
+        return float(np.max(np.abs(np.linalg.eigvals(g))))
+    setup = stability.assemble_matrices(ops, sigma, diss)
+    return stability.max_spectral_radius(setup, FULL_KAPPAS)
+
+
+@pytest.mark.parametrize("points,correction,diss",
+                         SEARCHES + [("gl", "radau", None)])
+def test_certified_cfl_is_sharp_on_full_set(certified, points, correction, diss):
+    ops = make_operators(3, points, correction)
+    sigma = certified[(points, correction, diss)]
+    assert _full_radius(ops, diss, sigma) <= 1 + 1e-10
+    assert _full_radius(ops, diss, sigma + 5e-4) > 1 + 1e-10
+
+
+def test_certified_cfls_are_unchanged(certified):
+    # exact floats: the search's scan and bisection are fixed, so any
+    # change in the radius evaluation that flips a decision shows here
+    assert certified == {
+        ("gl", "radau", "d1"): 0.08464592161016951,
+        ("gl", "radau", "d2"): 0.10719067796610171,
+        ("gll", "g2", "d1"): 0.14529449152542373,
+        ("gll", "g2", "d2"): 0.224677436440678,
+        ("gl", "radau", None): 0.21515148305084747,
+    }
+
+
+@pytest.mark.parametrize("nkappa", [0, -4])
+def test_nonpositive_kappa_samples_are_refused(ops_gl, nkappa):
+    with pytest.raises(ConfigurationError, match="wavenumber"):
+        stability.find_cfl(ops_gl, "d2", nkappa=nkappa)
+    with pytest.raises(ConfigurationError, match="wavenumber"):
+        stability.cfl_scan(ops_gl, "d2", [0.05], nkappa=nkappa)
+    with pytest.raises(ConfigurationError, match="wavenumber"):
+        stability.find_rkfr_cfl(ops_gl, nkappa=nkappa)
