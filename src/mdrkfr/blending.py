@@ -107,14 +107,11 @@ def minmod3(a, b, c):
     return np.where(agree, sa * mag, 0.0)
 
 
-def _zero_bad_slopes(model, slopes, *states):
-    """Zero the slope wherever any candidate state leaves the admissible set."""
+def _admissible(model, *states):
+    """Rows at which every candidate state satisfies every constraint."""
     if model.nconstraints == 0:
-        return slopes
-    ok = np.ones(slopes.shape[0], dtype=bool)
-    for st in states:
-        ok &= np.all(model.constraints(st) > 0.0, axis=-1)
-    return np.where(ok[:, None], slopes, 0.0)
+        return np.ones(len(states[0]), dtype=bool)
+    return np.all(model.constraints(np.stack(states)) > 0.0, axis=(0, -1))
 
 
 def low_order_subface_fluxes(disc, u, tau, use_slopes):
@@ -134,39 +131,29 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     up[[0, -1]] *= b.state_sign
     xp, dlp, drp = b.sub_x, b.sub_dl, b.sub_dr
 
+    slopes = np.zeros_like(up)
     if use_slopes:
         gap_l = (xp[1:-1] - xp[:-2])[:, None]
         gap_r = (xp[2:] - xp[1:-1])[:, None]
         d_left = (uf - up[:-2]) / gap_l
         d_right = (up[2:] - uf) / gap_r
         d_mid = (up[2:] - up[:-2]) / (gap_l + gap_r)
-        slopes = minmod3(d_left, d_mid, d_right)
-        slopes_pad = np.concatenate([np.zeros((1, nv)), slopes, np.zeros((1, nv))])
-    else:
-        slopes_pad = np.zeros_like(up)
-
-    ul = up + slopes_pad * dlp[:, None]
-    ur = up + slopes_pad * drp[:, None]
-    slopes_pad = _zero_bad_slopes(model, slopes_pad, ul, ur)
-    ul = up + slopes_pad * dlp[:, None]
-    ur = up + slopes_pad * drp[:, None]
+        slopes[1:-1] = minmod3(d_left, d_mid, d_right)
+        ok = _admissible(model, up + slopes * dlp[:, None], up + slopes * drp[:, None])
+        slopes = np.where(ok[:, None], slopes, 0.0)
+    ul = up + slopes * dlp[:, None]
+    ur = up + slopes * drp[:, None]
 
     if use_slopes:
-        xfl, xfr = xp + dlp, xp + drp
-        hp = drp - dlp
-        dflux = (model.flux(ur, xfr) - model.flux(ul, xfl)) / hp[:, None]
+        dflux = (model.flux(ur, xp + drp) - model.flux(ul, xp + dlp)) / (drp - dlp)[:, None]
         ul_ev = ul - 0.5 * tau * dflux
         ur_ev = ur - 0.5 * tau * dflux
-        slopes_pad = _zero_bad_slopes(model, slopes_pad, ul_ev, ur_ev)
-        ul = up + slopes_pad * dlp[:, None]
-        ur = up + slopes_pad * drp[:, None]
-        dflux = (model.flux(ur, xfr) - model.flux(ul, xfl)) / hp[:, None]
-        ul_ev = ul - 0.5 * tau * dflux
-        ur_ev = ur - 0.5 * tau * dflux
-    else:
-        ul_ev, ur_ev = ul, ur
+        # a slope zeroed after prediction leaves both traces unevolved at
+        # the node value
+        ok = _admissible(model, ul_ev, ur_ev)[:, None]
+        ul, ur = np.where(ok, ul_ev, up), np.where(ok, ur_ev, up)
 
-    return rusanov_flux(model, ur_ev[:-1], ul_ev[1:], disc.subcells.subfaces)
+    return rusanov_flux(model, ur[:-1], ul[1:], disc.subcells.subfaces)
 
 
 def low_order_residual(disc, subface_fluxes, fnum):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import blending, stability
 from .errors import AdmissibilityError, ConfigurationError
-from .models import EquationModel
+from .models import EquationModel, numerical_flux
 from .operators import ReferenceOperators, gauss_legendre, make_operators
 
 BOUNDARY_KINDS = ("periodic", "transmissive", "reflective", "dirichlet_outflow",
@@ -101,8 +101,17 @@ class RunConfig:
             raise ConfigurationError(f"unknown boundary kind {self.boundary!r}")
         if not 0.0 < self.safety <= 1.0:
             raise ConfigurationError(f"safety factor must lie in (0, 1], got {self.safety}")
-        if self.cfl is not None and self.cfl <= 0.0:
-            raise ConfigurationError(f"CFL must be positive, got {self.cfl}")
+        # each range is written so that NaN fails it
+        if self.cfl is not None and not 0.0 < self.cfl < np.inf:
+            raise ConfigurationError(f"cfl must be positive and finite, got {self.cfl}")
+        if not 0.0 < self.final_time < np.inf:
+            raise ConfigurationError(
+                f"final_time must be positive and finite, got {self.final_time}")
+        if not 0.0 <= self.alpha_max <= 1.0:
+            raise ConfigurationError(f"alpha_max must lie in [0, 1], got {self.alpha_max}")
+        if not 0 <= self.snapshot_every:
+            raise ConfigurationError(
+                f"snapshot_every must be 0 (off) or a step count, got {self.snapshot_every}")
         if self.cfl is None and self.degree != 3:
             raise ConfigurationError(
                 f"default CFLs are certified for degree 3 only, got degree={self.degree}; "
@@ -220,10 +229,12 @@ class Discretization:
     boundary: Boundary
     subcells: blending.SubcellGeometry
     xn: np.ndarray = field(init=False)
+    xf: np.ndarray = field(init=False)
     dx: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.xn = self.grid.nodes(self.ops)
+        self.xf = np.stack([self.grid.faces[:-1], self.grid.faces[1:]])
         self.dx = self.grid.dx
 
 
@@ -270,10 +281,11 @@ class StageCache:
     u1: np.ndarray
     s: np.ndarray = None
     s1: np.ndarray = None
-    # face quantities for the extrapolate-then-average scheme
-    face_f: dict = None
-    face_f1: dict = None
-    face_bad: dict = None
+    # extrapolate-then-average face flux, its increment and fallback mask,
+    # side-first like the face traces
+    face_f: np.ndarray = None
+    face_f1: np.ndarray = None
+    face_bad: np.ndarray = None
 
 
 def stage1_time_average(model, u, xn, dx, dt, ops, t=0.0):
@@ -312,9 +324,15 @@ def _trace(vec, q):
     return np.einsum("p,epv->ev", vec, q)
 
 
+def _face_traces(q, ops):
+    """Left- and right-face traces of every element, stacked side-first
+    (shape (2, ne, nvar)) so they unpack as a (left, right) pair."""
+    return np.stack([_trace(ops.VL, q), _trace(ops.VR, q)])
+
+
 def face_values_ae(favg, ops):
     """Extrapolate the nodal averaged flux to both faces of every element."""
-    return _trace(ops.VL, favg), _trace(ops.VR, favg)
+    return _face_traces(favg, ops)
 
 
 def _evaluable(model, u):
@@ -324,45 +342,32 @@ def _evaluable(model, u):
     return ok
 
 
-def _ea_side_states(model, vec, u, u1, safe):
-    """Face trace of u and its increment, with a usability mask.
+def _ea_states(model, u, u1, ops):
+    """Face traces of u and its increment, with the mask of faces that fall back.
 
     Wherever any of the five stencil states would not be evaluable (e.g.
     non-positive density after extrapolation), the trace is replaced by the
-    admissible adjacent node value with zero increment; callers overwrite
-    those rows with the flux-extrapolation value afterwards.
+    admissible adjacent node value with zero increment, so the stencil can
+    run over every face; callers overwrite those faces with the
+    flux-extrapolation value afterwards.
     """
-    ua = _trace(vec, u)
-    u1a = _trace(vec, u1)
-    bad = ~(_evaluable(model, ua) & _evaluable(model, ua + u1a)
-            & _evaluable(model, ua - u1a) & _evaluable(model, ua + 2.0 * u1a)
-            & _evaluable(model, ua - 2.0 * u1a))
+    ua, u1a = _face_traces(u, ops), _face_traces(u1, ops)
+    stencil = np.stack([ua, ua + u1a, ua - u1a, ua + 2.0 * u1a, ua - 2.0 * u1a])
+    bad = ~np.all(_evaluable(model, stencil), axis=0)
     if np.any(bad):
-        ua = np.where(bad[:, None], safe, ua)
-        u1a = np.where(bad[:, None], np.zeros_like(u1a), u1a)
+        ua = np.where(bad[..., None], np.stack([u[:, 0], u[:, -1]]), ua)
+        u1a = np.where(bad[..., None], 0.0, u1a)
     return ua, u1a, bad
 
 
-def _ea_faces(model, u, u1, ops, xf_left, xf_right, favg, stage_value):
-    """Side loop shared by both ea stages.
-
-    stage_value(side, ua, u1a, xf, bad) turns the extrapolated trace and
-    increment into the stage's face flux and returns it with the mask of
-    faces that must fall back; those take the extrapolated nodal averaged
-    flux favg instead.
-    """
-    out = []
-    for side, vec, xf, safe in (("L", ops.VL, xf_left, u[:, 0]),
-                                ("R", ops.VR, xf_right, u[:, -1])):
-        ua, u1a, bad = _ea_side_states(model, vec, u, u1, safe)
-        value, bad = stage_value(side, ua, u1a, xf, bad)
-        if np.any(bad):
-            value = np.where(bad[:, None], _trace(vec, favg), value)
-        out.append(value)
-    return out
+def _fall_back(value, bad, favg, ops):
+    """Extrapolated nodal averaged flux at the faces marked bad."""
+    if np.any(bad):
+        value = np.where(bad[..., None], _face_traces(favg, ops), value)
+    return value
 
 
-def face_values_ea_stage1(model, u, u1, ops, xf_left, xf_right, favg):
+def face_values_ea_stage1(model, u, u1, ops, xf, favg):
     """Stage-one face fluxes built directly at the faces.
 
     The solution and its increment are extrapolated first; the same
@@ -370,39 +375,26 @@ def face_values_ea_stage1(model, u, u1, ops, xf_left, xf_right, favg):
     face coordinate.  Faces whose extrapolated states are not evaluable
     fall back to extrapolating the nodal averaged flux instead (the two
     constructions coincide on nodesets that include the endpoints).
-    Returns the per-element (left, right) face values and the pieces
-    reused by stage two.
+    xf holds the (2, ne) left/right face coordinates of every element.
+    Returns the (2, ne, nvar) face values, then the face flux, its
+    increment and the fallback mask, which stage two reuses.
     """
-    face_f, face_f1, face_bad = {}, {}, {}
-
-    def stage_value(side, ua, u1a, xf, bad):
-        fa = model.flux(ua, xf)
-        f1a = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
-        face_f[side], face_f1[side], face_bad[side] = fa, f1a, bad
-        return fa + 0.25 * f1a, bad
-
-    fl, fr = _ea_faces(model, u, u1, ops, xf_left, xf_right, favg, stage_value)
-    return fl, fr, face_f, face_f1, face_bad
+    ua, u1a, bad = _ea_states(model, u, u1, ops)
+    fa = model.flux(ua, xf)
+    f1a = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
+    return _fall_back(fa + 0.25 * f1a, bad, favg, ops), fa, f1a, bad
 
 
-def face_values_ea_stage2(model, ustar, us1, cache, ops, xf_left, xf_right, favg2):
+def face_values_ea_stage2(model, ustar, us1, cache, ops, xf, favg2):
     """Stage-two face fluxes; stage-one face flux pieces are reused.
 
     Faces that fell back in stage one, or whose stage-two extrapolated
     states are not evaluable, use the flux extrapolation again.
     """
-    def stage_value(side, ua, u1a, xf, bad):
-        fs1a = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
-        value = cache.face_f[side] + (cache.face_f1[side] + 2.0 * fs1a) / 6.0
-        return value, bad | cache.face_bad[side]
-
-    fl, fr = _ea_faces(model, ustar, us1, ops, xf_left, xf_right, favg2, stage_value)
-    return fl, fr
-
-
-def numerical_flux(f_minus, f_plus, diss_minus, diss_plus, lam):
-    """Central average of the face fluxes plus jump penalty on the traces."""
-    return 0.5 * (f_minus + f_plus) - 0.5 * lam[..., None] * (diss_plus - diss_minus)
+    ua, u1a, bad = _ea_states(model, ustar, us1, ops)
+    fs1a = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
+    value = cache.face_f + (cache.face_f1 + 2.0 * fs1a) / 6.0
+    return _fall_back(value, bad | cache.face_bad, favg2, ops)
 
 
 def fr_flux_derivative(favg, fnum_left, fnum_right, ops):
@@ -422,11 +414,15 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops):
 # faces and imposed boundary fluxes
 
 
+def _mean_speeds(disc, u):
+    """Wave speed of each element's mean state, maximised over its nodes."""
+    means = np.einsum("p,epv->ev", disc.ops.weights, u)
+    return np.real(disc.model.speed(means[:, None, :], disc.xn)).max(axis=1)
+
+
 def face_wave_speeds(disc, u):
     """Dissipation coefficient per face from the element-mean states."""
-    means = np.einsum("p,epv->ev", disc.ops.weights, u)
-    speeds = disc.model.speed(means[:, None, :], disc.xn).max(axis=1)
-    s = np.real(speeds[disc.boundary.cells])
+    s = _mean_speeds(disc, u)[disc.boundary.cells]
     return np.maximum(s[:-1], s[1:])
 
 
@@ -453,16 +449,16 @@ def _bc_flux(disc, x, t):
     return disc.model.flux(np.asarray(disc.boundary.bc_state(x, t), dtype=float), x)
 
 
-def _assemble_face_flux(disc, face_l, face_r, ud, lam, t, tau):
+def _assemble_face_flux(disc, faces, ud, lam, t, tau):
     """Numerical flux at every face for one stage.
 
-    face_l/face_r: per-element central face values; ud: nodal states whose
-    traces feed the dissipation (the time-averaged solution for the d2
-    variant, the start-of-step solution for d1).
+    faces: per-element (left, right) central face values; ud: nodal states
+    whose traces feed the dissipation (the time-averaged solution for the
+    d2 variant, the start-of-step solution for d1).
     """
     b = disc.boundary
-    fm, fp = b.face_sides(face_l, face_r, b.flux_sign)
-    um, up = b.face_sides(_trace(disc.ops.VL, ud), _trace(disc.ops.VR, ud), b.state_sign)
+    fm, fp = b.face_sides(*faces, b.flux_sign)
+    um, up = b.face_sides(*_face_traces(ud, disc.ops), b.state_sign)
     fnum = numerical_flux(fm, fp, um, up, lam)
     _impose_fluxes(disc, fnum, t, tau)
     return fnum
@@ -492,8 +488,7 @@ def validate_admissible(model, u, time=None, step=None, detail=""):
 def compute_dt(disc, u, t):
     """CFL time step from element-mean wave speeds, clamped to the horizon."""
     cfg = disc.config
-    means = np.einsum("p,epv->ev", disc.ops.weights, u)
-    speeds = np.real(disc.model.speed(means[:, None, :], disc.xn)).max(axis=1)
+    speeds = _mean_speeds(disc, u)
     remaining = cfg.final_time - t
     smax = float(np.max(speeds))
     if smax <= 0.0:
@@ -521,34 +516,40 @@ class StepDiagnostics:
     dt: float = 0.0
 
 
-def _stage_residuals(disc, u_tn, favg, uavg, stage_u, lam, t, tau, compute_alpha_from):
-    """Face fluxes plus high/low residuals for one stage.
+def _stage(disc, u, averages, faces, lam, t, tau, alpha_from, time, detail):
+    """One stage: u - (tau/dx) * residual + tau * source, checked.
 
-    Returns (fnum, residual, alpha, thetas).  With blending on, the
-    residual is the alpha-blend of the high- and low-order residuals; with
-    it off, it is the high-order one and alpha and thetas are None.
+    averages is the stage's (favg, uavg, savg); faces are its
+    extrapolate-then-average face values, or None to extrapolate favg.
+    With blending on, the residual is the alpha-blend of the high- and
+    low-order residuals and the update passes the scaling limiter; with it
+    off, alpha and thetas are None.  Returns (u_new, fnum, alpha, thetas).
     """
     cfg = disc.config
-    ops = disc.ops
-    if cfg.face_scheme == "ae":
-        face_l, face_r = face_values_ae(favg, ops)
-    else:
-        face_l, face_r = stage_u  # precomputed by the caller for EA
-    ud = uavg if cfg.dissipation == "d2" else u_tn
-    fnum = _assemble_face_flux(disc, face_l, face_r, ud, lam, t, tau)
+    favg, uavg, savg = averages
+    if faces is None:
+        faces = face_values_ae(favg, disc.ops)
+    ud = uavg if cfg.dissipation == "d2" else u
+    fnum = _assemble_face_flux(disc, faces, ud, lam, t, tau)
 
     alpha = thetas = None
     if cfg.limiter != "none":
-        alpha = blending.smoothness_alpha(disc, compute_alpha_from)
-        subface = blending.low_order_subface_fluxes(disc, u_tn, tau,
+        alpha = blending.smoothness_alpha(disc, alpha_from)
+        subface = blending.low_order_subface_fluxes(disc, u, tau,
                                                     use_slopes=(cfg.limiter == "mh"))
         fnum, thetas = blending.blend_and_limit_face_flux(
-            disc, fnum, subface, u_tn, tau, alpha)
+            disc, fnum, subface, u, tau, alpha)
         r_low = blending.low_order_residual(disc, subface, fnum)
-    residual = fr_flux_derivative(favg, fnum[:-1], fnum[1:], ops)
+    residual = fr_flux_derivative(favg, fnum[:-1], fnum[1:], disc.ops)
     if alpha is not None:
         residual = blending.blended_update(residual, r_low, alpha)
-    return fnum, residual, alpha, thetas
+    unew = u - (tau / disc.dx)[:, None, None] * residual
+    if savg is not None:
+        unew = unew + tau * savg
+    if alpha is not None:
+        unew = blending.scaling_limiter(disc, unew)
+    validate_admissible(disc.model, unew, time=time, detail=detail)
+    return unew, fnum, alpha, thetas
 
 
 def mdrk_step(disc, u, t, dt):
@@ -560,46 +561,26 @@ def mdrk_step(disc, u, t, dt):
     states are not evaluable; the caller may retry the latter with a
     smaller step.
     """
-    cfg = disc.config
-    model = disc.model
-    limited = cfg.limiter != "none"
+    model, ops = disc.model, disc.ops
+    ea = disc.config.face_scheme == "ea"
     lam = face_wave_speeds(disc, u)
 
     # stage 1: averages over [t, t + dt/2]
-    favg1, uavg1, savg1, cache = stage1_time_average(model, u, disc.xn, disc.dx,
-                                                     dt, disc.ops, t)
-    ea_faces = None
-    if cfg.face_scheme == "ea":
-        fl, fr, face_f, face_f1, face_bad = face_values_ea_stage1(
-            model, u, cache.u1, disc.ops, disc.grid.faces[:-1], disc.grid.faces[1:],
-            favg1)
-        cache.face_f, cache.face_f1, cache.face_bad = face_f, face_f1, face_bad
-        ea_faces = (fl, fr)
-    fnum1, r1, alpha1, th1 = _stage_residuals(
-        disc, u, favg1, uavg1, ea_faces, lam, t, 0.5 * dt, compute_alpha_from=u)
-    ustar = u - (0.5 * dt / disc.dx)[:, None, None] * r1
-    if savg1 is not None:
-        ustar = ustar + 0.5 * dt * savg1
-    if limited:
-        ustar = blending.scaling_limiter(disc, ustar)
-    validate_admissible(model, ustar, time=t, detail="after first stage")
+    *avg1, cache = stage1_time_average(model, u, disc.xn, disc.dx, dt, ops, t)
+    faces1 = None
+    if ea:
+        faces1, cache.face_f, cache.face_f1, cache.face_bad = face_values_ea_stage1(
+            model, u, cache.u1, ops, disc.xf, avg1[0])
+    ustar, fnum1, alpha1, th1 = _stage(disc, u, avg1, faces1, lam, t, 0.5 * dt, u,
+                                       t, "after first stage")
 
     # stage 2: averages over [t, t + dt]
-    favg2, uavg2, savg2, us1 = stage2_time_average(model, u, ustar, cache,
-                                                   disc.xn, disc.dx, dt, disc.ops, t)
-    ea_faces = None
-    if cfg.face_scheme == "ea":
-        ea_faces = face_values_ea_stage2(model, ustar, us1, cache, disc.ops,
-                                         disc.grid.faces[:-1], disc.grid.faces[1:],
-                                         favg2)
-    fnum2, r2, alpha2, th2 = _stage_residuals(
-        disc, u, favg2, uavg2, ea_faces, lam, t, dt, compute_alpha_from=ustar)
-    unew = u - (dt / disc.dx)[:, None, None] * r2
-    if savg2 is not None:
-        unew = unew + dt * savg2
-    if limited:
-        unew = blending.scaling_limiter(disc, unew)
-    validate_admissible(model, unew, time=t + dt, detail="after second stage")
+    *avg2, us1 = stage2_time_average(model, u, ustar, cache, disc.xn, disc.dx, dt, ops, t)
+    faces2 = None
+    if ea:
+        faces2 = face_values_ea_stage2(model, ustar, us1, cache, ops, disc.xf, avg2[0])
+    unew, fnum2, alpha2, th2 = _stage(disc, u, avg2, faces2, lam, t, dt, ustar,
+                                      t + dt, "after second stage")
 
     mins = None
     if model.nconstraints:
@@ -623,7 +604,7 @@ def rkfr_rhs(disc, u, t):
     model, ops, b = disc.model, disc.ops, disc.boundary
     f = model.flux(u, disc.xn)
     lam = face_wave_speeds(disc, u)
-    um, up = b.face_sides(_trace(ops.VL, u), _trace(ops.VR, u), b.state_sign)
+    um, up = b.face_sides(*_face_traces(u, ops), b.state_sign)
     fm = model.flux(um, disc.grid.faces)
     fp = model.flux(up, disc.grid.faces)
     fnum = numerical_flux(fm, fp, um, up, lam)

@@ -124,9 +124,6 @@ class Euler(EquationModel):
     def pressure(self, u):
         return (self.gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0])
 
-    def sound_speed(self, u):
-        return np.sqrt(self.gamma * self.pressure(u) / u[..., 0])
-
     def flux(self, u, x):
         rho = u[..., 0]
         if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
@@ -155,15 +152,15 @@ class Euler(EquationModel):
         return f * np.array([-1.0, 1.0, -1.0])
 
 
+def numerical_flux(f_minus, f_plus, diss_minus, diss_plus, lam):
+    """Central average of the face fluxes plus jump penalty on the traces."""
+    return 0.5 * (f_minus + f_plus) - 0.5 * lam[..., None] * (diss_plus - diss_minus)
+
+
 def rusanov_flux(model, ul, ur, x):
     """Central flux plus local max-wave-speed penalty on the state jump."""
     lam = model.max_face_speed(ul, ur, x)
-    return 0.5 * (model.flux(ul, x) + model.flux(ur, x)) - 0.5 * lam[..., None] * (ur - ul)
-
-
-def admissibility_values(model, u):
-    """Constraint values p_k(u); negative entries are data, not errors."""
-    return model.constraints(np.asarray(u))
+    return numerical_flux(model.flux(ul, x), model.flux(ur, x), ul, ur, lam)
 
 
 def varadv_x2_speed(x):

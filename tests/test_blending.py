@@ -112,6 +112,20 @@ def test_mh_reduces_to_fo_for_zero_slopes():
     assert np.allclose(sf_fo, sf_mh, atol=1e-14)
 
 
+def test_mh_failed_prediction_keeps_node_values():
+    # an expansion ramp v = x: over a long interval the predicted traces of
+    # every sloped subcell reach negative density, so each falls back to its
+    # node value and the scheme reduces to first order exactly
+    disc = euler_disc(limiter="mh", boundary="transmissive")
+    shape = disc.xn.shape
+    u = disc.model.conserved(np.ones(shape), disc.xn, np.ones(shape))
+    sf_fo = blending.low_order_subface_fluxes(disc, u, 4.0, use_slopes=False)
+    sf_short = blending.low_order_subface_fluxes(disc, u, 1e-3, use_slopes=True)
+    assert not np.allclose(sf_short, sf_fo)
+    assert np.array_equal(blending.low_order_subface_fluxes(disc, u, 4.0, use_slopes=True),
+                          sf_fo)
+
+
 def test_mh_exact_gradient_on_linear_data():
     # linear profiles are reconstructed exactly by the limited slopes, so
     # at vanishing evolution time both traces agree at every interior

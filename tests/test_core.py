@@ -177,6 +177,37 @@ def test_face_values_ae_extrapolates_cubic():
     assert fr[0, 0] == pytest.approx(q(1.0), abs=1e-14)
 
 
+def test_ea_fallback_face():
+    # element 1's density drops at its last node, so its right-face trace
+    # extrapolates to negative density while every node stays admissible
+    disc = make_disc(ncells=4, model=models.Euler())
+    model, ops = disc.model, disc.ops
+    rho = np.ones((4, 4))
+    rho[1] = [1.0, 1.0, 1.0, 0.05]
+    u = model.conserved(rho, 0.5 + 0.2 * np.sin(2 * np.pi * disc.xn), np.ones_like(rho))
+    assert core.face_values_ae(u, ops)[1][1, 0] < 0.0
+    dt = 1e-3
+    favg1, _, _, cache = core.stage1_time_average(model, u, disc.xn, disc.dx, dt, ops)
+    faces1, cache.face_f, cache.face_f1, cache.face_bad = core.face_values_ea_stage1(
+        model, u, cache.u1, ops, disc.xf, favg1)
+    expected = np.zeros((2, 4), dtype=bool)
+    expected[1, 1] = True
+    assert np.array_equal(cache.face_bad, expected)
+    ae1 = core.face_values_ae(favg1, ops)
+    assert np.array_equal(faces1[1, 1], ae1[1, 1])
+    assert not np.allclose(faces1[0, 1], ae1[0, 1], rtol=0.0, atol=1e-12)
+
+    # uniform stage-two states are evaluable at every face, yet the face
+    # that fell back in stage one falls back again
+    ustar = model.conserved(np.ones((4, 4)), np.full((4, 4), 0.5), np.ones((4, 4)))
+    favg2, _, _, us1 = core.stage2_time_average(model, u, ustar, cache, disc.xn,
+                                                disc.dx, dt, ops)
+    faces2 = core.face_values_ea_stage2(model, ustar, us1, cache, ops, disc.xf, favg2)
+    ae2 = core.face_values_ae(favg2, ops)
+    assert np.array_equal(faces2[1, 1], ae2[1, 1])
+    assert not np.allclose(faces2[0, 1], ae2[0, 1], rtol=0.0, atol=1e-12)
+
+
 def test_numerical_flux_consistency():
     f = np.array([[1.0]])
     out = core.numerical_flux(f, f, np.array([[2.0]]), np.array([[2.0]]),

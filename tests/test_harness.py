@@ -233,6 +233,26 @@ def test_gll_with_mh_is_refused():
     core.RunConfig(points="gl", limiter="mh").validate()
 
 
+OUT_OF_RANGE = [("cfl", "nan"), ("final_time", "nan"), ("alpha_max", "-0.5"),
+                ("snapshot_every", "-3")]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_out_of_range_setting_is_refused(key, value):
+    # NaN and negative values must not fall through a comparison
+    with pytest.raises(ConfigurationError, match=key):
+        harness.load_config(overrides=[f"{key}={value}"])
+    cfg = harness.case_config(harness.build_case("blast"),
+                              **{key: harness._coerce(key, value)})
+    with pytest.raises(ConfigurationError, match=key):
+        harness.run_case("blast", cfg, cells=20)
+
+
+def test_range_ends_are_accepted():
+    core.RunConfig(alpha_max=0.0, snapshot_every=0).validate()
+    core.RunConfig(alpha_max=1.0, cfl=0.05).validate()
+
+
 def test_convergence_requires_three_meshes():
     with pytest.raises(ConfigurationError):
         harness.convergence_suite("linadv_sine", [20, 40])
@@ -309,6 +329,14 @@ def test_cli_gll_mh_exit_code():
                   "--correction", "g2", "--limiter", "mh")
     assert out.returncode == 1
     assert "configuration error" in out.stderr and "limiter=fo" in out.stderr
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_cli_out_of_range_setting_exit_code(key, value):
+    out = run_cli("run", "--case", "blast", "--cells", "20",
+                  "--override", f"{key}={value}")
+    assert out.returncode == 1
+    assert "configuration error" in out.stderr and key in out.stderr
 
 
 def test_cli_snapshot_and_diagnostics(tmp_path):

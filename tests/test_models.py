@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from mdrkfr.errors import ConfigurationError, StencilStateError
 from mdrkfr.models import (Burgers, Euler, LinearAdvection, VariableAdvection,
-                           admissibility_values, exact_solution, rusanov_flux,
-                           varadv_x2_speed)
+                           exact_solution, rusanov_flux, varadv_x2_speed)
 
 finite_floats = st.floats(-50.0, 50.0)
 positive_floats = st.floats(0.01, 50.0)
@@ -79,18 +78,18 @@ def test_euler_primitive_round_trip(rho, v, p):
 def test_admissibility_values_euler():
     u = euler_state(1.0, 0.0, 2.5 * 0.4)  # E = 2.5 gives unit pressure
     u = np.array([1.0, 0.0, 2.5])
-    vals = admissibility_values(Euler(), u)
+    vals = Euler().constraints(u)
     assert np.allclose(vals, [1.0, 1.0])
 
 
 def test_admissibility_values_signal_not_error():
     u = np.array([-0.1, 0.0, 2.5])
-    vals = admissibility_values(Euler(), u)
+    vals = Euler().constraints(u)
     assert vals[0] == pytest.approx(-0.1)
 
 
 def test_admissibility_values_scalar_empty():
-    assert admissibility_values(Burgers(), np.array([1.0])).shape == (0,)
+    assert Burgers().constraints(np.array([1.0])).shape == (0,)
 
 
 @settings(max_examples=40, deadline=None)
