@@ -12,6 +12,7 @@ toward the (admissible) element mean afterwards.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,7 +111,7 @@ def minmod3(a, b, c):
 def _admissible(model, *states):
     """Rows at which every candidate state satisfies every constraint."""
     if model.nconstraints == 0:
-        return np.ones(len(states[0]), dtype=bool)
+        return np.ones(states[0].shape[:-1], dtype=bool)
     return np.all(model.constraints(np.stack(states)) > 0.0, axis=(0, -1))
 
 
@@ -123,6 +124,11 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     Slopes are dropped wherever reconstruction or prediction would leave
     the admissible set, so the scheme degrades to first order exactly at
     the troubled subcells.
+
+    tau is one interval or an array of them; the fluxes then lead with
+    tau's shape, and the reconstruction is built once for all intervals.
+    First-order fluxes do not depend on tau, so every interval shares one
+    (read-only) array.
     """
     model, b = disc.model, disc.boundary
     nv = u.shape[-1]
@@ -144,16 +150,18 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     ul = up + slopes * dlp[:, None]
     ur = up + slopes * drp[:, None]
 
-    if use_slopes:
-        dflux = (model.flux(ur, xp + drp) - model.flux(ul, xp + dlp)) / (drp - dlp)[:, None]
-        ul_ev = ul - 0.5 * tau * dflux
-        ur_ev = ur - 0.5 * tau * dflux
-        # a slope zeroed after prediction leaves both traces unevolved at
-        # the node value
-        ok = _admissible(model, ul_ev, ur_ev)[:, None]
-        ul, ur = np.where(ok, ul_ev, up), np.where(ok, ur_ev, up)
+    if not use_slopes:
+        flux = rusanov_flux(model, ur[:-1], ul[1:], disc.subcells.subfaces)
+        return np.broadcast_to(flux, np.shape(tau) + flux.shape)
 
-    return rusanov_flux(model, ur[:-1], ul[1:], disc.subcells.subfaces)
+    dflux = (model.flux(ur, xp + drp) - model.flux(ul, xp + dlp)) / (drp - dlp)[:, None]
+    step = (0.5 * np.asarray(tau))[..., None, None] * dflux
+    ul_ev, ur_ev = ul - step, ur - step
+    # a slope zeroed after prediction leaves both traces unevolved at the
+    # node value
+    ok = _admissible(model, ul_ev, ur_ev)[..., None]
+    ul, ur = np.where(ok, ul_ev, up), np.where(ok, ur_ev, up)
+    return rusanov_flux(model, ur[..., :-1, :], ul[..., 1:, :], disc.subcells.subfaces)
 
 
 def low_order_residual(disc, subface_fluxes, fnum):
@@ -176,7 +184,8 @@ def low_order_residual(disc, subface_fluxes, fnum):
 
 def blended_update(high, low, alpha):
     """Convex combination of high- and low-order residuals."""
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
+    # written so that NaN fails it
+    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
         raise ValueError(f"blending coefficient outside [0, 1]: {alpha}")
     a = alpha[:, None, None]
     return (1.0 - a) * high + a * low
@@ -186,7 +195,59 @@ def blended_update(high, low, alpha):
 # interface flux correction
 
 
-def blend_and_limit_face_flux(disc, fnum_ho, subface_fluxes, u, tau, alpha):
+class FaceUpdates(NamedTuple):
+    """The low-order updates of the two subcells next to every element face.
+
+    Per face: the subcell flux at the face (flow), the start-of-step
+    values of the minus subcell (last of the left element) and the plus
+    subcell (first of the right one), tau over their widths, the subcell
+    fluxes at their other faces, and the constraint values of the two
+    updates with flow at the face, stacked minus first.
+    """
+
+    subface_fluxes: np.ndarray
+    flow: np.ndarray
+    um: np.ndarray
+    upl: np.ndarray
+    cm: np.ndarray
+    cp: np.ndarray
+    f_int_m: np.ndarray
+    f_int_p: np.ndarray
+    cons: np.ndarray
+
+
+def low_order_face_updates(disc, subface_fluxes, u, tau):
+    """Build and check the low-order updates next to every element face.
+
+    They depend on the start-of-step state and the stage interval only,
+    so a step checks both stages' before its high-order work.  Raises
+    StencilStateError when an update the interface limiter guards
+    (Boundary.limited) leaves the admissible set: the limiter pulls the
+    flux toward these updates, so no correction can help, but a shorter
+    step can.
+    """
+    model, b = disc.model, disc.boundary
+    p = disc.ops.degree + 1
+    w = disc.ops.weights
+    left, right = b.cells[:-1], b.cells[1:]
+    flow = subface_fluxes[::p]
+    um, upl = u[left, -1], u[right, 0]
+    cm = (tau / (w[-1] * disc.dx[left]))[:, None]
+    cp = (tau / (w[0] * disc.dx[right]))[:, None]
+    f_int_m = subface_fluxes[p * left + p - 1]
+    f_int_p = subface_fluxes[p * right + 1]
+    cons = model.constraints(np.stack([um - cm * (flow - f_int_m),
+                                       upl - cp * (f_int_p - flow)]))
+    bad = b.limited[..., None] & ~(cons > 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad.any(axis=(0, 1))))
+        raise StencilStateError(f"low-order {model.constraint_names[k]}",
+                                float(cons[..., k][bad[..., k]].min()),
+                                detail="subcell update left the admissible set")
+    return FaceUpdates(subface_fluxes, flow, um, upl, cm, cp, f_int_m, f_int_p, cons)
+
+
+def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):
     """Blend the interface flux toward the subcell flux and correct it.
 
     Starting from the alpha-weighted average of the high-order and subcell
@@ -194,62 +255,32 @@ def blend_and_limit_face_flux(disc, fnum_ho, subface_fluxes, u, tau, alpha):
     tentative low-order updates adjacent to the face by pulling the flux
     toward the subcell flux exactly as far as concavity requires.  Faces
     whose tentative updates already satisfy the constraint (with the
-    one-tenth-of-the-low-order-value margin) are left untouched.
+    one-tenth-of-the-low-order-value margin) are left untouched.  low is
+    the stage's checked FaceUpdates (low_order_face_updates).
 
     Returns the corrected fluxes and the per-face, per-constraint theta
     factors (all ones where no correction fired).
     """
     model, b = disc.model, disc.boundary
     ne = disc.grid.ncells
-    p = disc.ops.degree + 1
-    w = disc.ops.weights
-    flow = subface_fluxes[::p]
+    flow = low.flow
     a = alpha[b.cells]
     af = 0.5 * (a[:-1] + a[1:])
     af[b.imposed] = 0.0
     fcur = (1.0 - af[:, None]) * fnum_ho + af[:, None] * flow
-    if model.nconstraints == 0:
-        return fcur, np.ones((ne + 1, 0))
-
-    # minus side: last subcell of the left element; plus side: first of the
-    # right (ghost sides at non-periodic ends are left out by b.limited)
-    left, right = b.cells[:-1], b.cells[1:]
-    um, upl = u[left, -1], u[right, 0]
-    cm = (tau / (w[-1] * disc.dx[left]))[:, None]
-    cp = (tau / (w[0] * disc.dx[right]))[:, None]
-    f_int_m = subface_fluxes[p * left + p - 1]
-    f_int_p = subface_fluxes[p * right + 1]
-    mask_m, mask_p = b.limited
-
-    low_m = um - cm * (flow - f_int_m)
-    low_p = upl - cp * (f_int_p - flow)
-    cons_low_m = model.constraints(low_m)
-    cons_low_p = model.constraints(low_p)
-    for k, name in enumerate(model.constraint_names):
-        bad_m = mask_m & ~(cons_low_m[:, k] > 0.0)
-        bad_p = mask_p & ~(cons_low_p[:, k] > 0.0)
-        if np.any(bad_m) or np.any(bad_p):
-            val = min(cons_low_m[bad_m, k].min(initial=np.inf),
-                      cons_low_p[bad_p, k].min(initial=np.inf))
-            raise StencilStateError(f"low-order {name}", float(val),
-                                    detail="subcell update left the admissible set")
-
     thetas = np.ones((ne + 1, model.nconstraints))
+    # minus and plus sides stacked on axis 0; ghost sides at non-periodic
+    # ends are left out by b.limited
+    eps = 0.1 * low.cons
     for k in range(model.nconstraints):
-        eps_m = 0.1 * cons_low_m[:, k]
-        eps_p = 0.1 * cons_low_p[:, k]
-        tld_m = um - cm * (fcur - f_int_m)
-        tld_p = upl - cp * (f_int_p - fcur)
-        pk_tm = model.constraints(tld_m)[:, k]
-        pk_tp = model.constraints(tld_p)[:, k]
-        theta = np.ones(ne + 1)
-        need_m = mask_m & ~(pk_tm >= eps_m)
-        need_p = mask_p & ~(pk_tp >= eps_p)
+        tld = np.stack([low.um - low.cm * (fcur - low.f_int_m),
+                        low.upl - low.cp * (low.f_int_p - fcur)])
+        pk = model.constraints(tld)[..., k]
+        ck = low.cons[..., k]
+        need = b.limited & ~(pk >= eps[..., k])
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratio_m = np.abs((eps_m - cons_low_m[:, k]) / (pk_tm - cons_low_m[:, k]))
-            ratio_p = np.abs((eps_p - cons_low_p[:, k]) / (pk_tp - cons_low_p[:, k]))
-        theta = np.minimum(theta, np.where(need_m, np.clip(ratio_m, 0.0, 1.0), 1.0))
-        theta = np.minimum(theta, np.where(need_p, np.clip(ratio_p, 0.0, 1.0), 1.0))
+            ratio = np.abs((eps[..., k] - ck) / (pk - ck))
+        theta = np.where(need, np.clip(ratio, 0.0, 1.0), 1.0).min(axis=0)
         fcur = theta[:, None] * fcur + (1.0 - theta[:, None]) * flow
         thetas[:, k] = theta
     return fcur, thetas

@@ -66,8 +66,10 @@ def _cmd_run(args):
     finally:
         if diag_fh:
             diag_fh.close()
+    reasons = ", ".join(f"{name}: {n}" for name, n in res.retry_reasons.most_common())
+    reasons = f" ({reasons})" if reasons else ""
     print(f"case={args.case} cells={cells} steps={res.steps} "
-          f"t={res.field.time:.6g} wall={res.wall_time:.2f}s retries={res.retries}")
+          f"t={res.field.time:.6g} wall={res.wall_time:.2f}s retries={res.retries}{reasons}")
     if res.min_constraints is not None:
         names = res.disc.model.constraint_names
         mins = ", ".join(f"min {n}={v:.6e}" for n, v in zip(names, res.min_constraints))

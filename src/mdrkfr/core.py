@@ -109,6 +109,12 @@ class RunConfig:
                 f"final_time must be positive and finite, got {self.final_time}")
         if not 0.0 <= self.alpha_max <= 1.0:
             raise ConfigurationError(f"alpha_max must lie in [0, 1], got {self.alpha_max}")
+        # from 0.5 up, the floor and the cap of the indicator cross
+        if not 0.0 <= self.alpha_min < 0.5:
+            raise ConfigurationError(f"alpha_min must lie in [0, 0.5), got {self.alpha_min}")
+        if not 0.0 < self.indicator_sharpness < np.inf:
+            raise ConfigurationError(
+                f"indicator_sharpness must be positive and finite, got {self.indicator_sharpness}")
         if not 0 <= self.snapshot_every:
             raise ConfigurationError(
                 f"snapshot_every must be 0 (off) or a step count, got {self.snapshot_every}")
@@ -516,14 +522,16 @@ class StepDiagnostics:
     dt: float = 0.0
 
 
-def _stage(disc, u, averages, faces, lam, t, tau, alpha_from, time, detail):
+def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail):
     """One stage: u - (tau/dx) * residual + tau * source, checked.
 
     averages is the stage's (favg, uavg, savg); faces are its
     extrapolate-then-average face values, or None to extrapolate favg.
-    With blending on, the residual is the alpha-blend of the high- and
-    low-order residuals and the update passes the scaling limiter; with it
-    off, alpha and thetas are None.  Returns (u_new, fnum, alpha, thetas).
+    low is the stage's checked blending.FaceUpdates, or None with blending
+    off.  With blending on, the residual is the alpha-blend of the high-
+    and low-order residuals and the update passes the scaling limiter;
+    with it off, alpha and thetas are None.  Returns (u_new, fnum, alpha,
+    thetas).
     """
     cfg = disc.config
     favg, uavg, savg = averages
@@ -533,13 +541,10 @@ def _stage(disc, u, averages, faces, lam, t, tau, alpha_from, time, detail):
     fnum = _assemble_face_flux(disc, faces, ud, lam, t, tau)
 
     alpha = thetas = None
-    if cfg.limiter != "none":
+    if low is not None:
         alpha = blending.smoothness_alpha(disc, alpha_from)
-        subface = blending.low_order_subface_fluxes(disc, u, tau,
-                                                    use_slopes=(cfg.limiter == "mh"))
-        fnum, thetas = blending.blend_and_limit_face_flux(
-            disc, fnum, subface, u, tau, alpha)
-        r_low = blending.low_order_residual(disc, subface, fnum)
+        fnum, thetas = blending.blend_and_limit_face_flux(disc, fnum, low, alpha)
+        r_low = blending.low_order_residual(disc, low.subface_fluxes, fnum)
     residual = fr_flux_derivative(favg, fnum[:-1], fnum[1:], disc.ops)
     if alpha is not None:
         residual = blending.blended_update(residual, r_low, alpha)
@@ -552,18 +557,36 @@ def _stage(disc, u, averages, faces, lam, t, tau, alpha_from, time, detail):
     return unew, fnum, alpha, thetas
 
 
+def _low_order(disc, u, dt):
+    """Both stages' checked low-order face updates, or Nones when unblended.
+
+    They depend on u and the stage interval only, so one subcell pass
+    builds them before any high-order work: a step that has to be halved
+    stops here.
+    """
+    limiter = disc.config.limiter
+    if limiter == "none":
+        return None, None
+    taus = (0.5 * dt, dt)
+    subfaces = blending.low_order_subface_fluxes(disc, u, np.array(taus),
+                                                 use_slopes=(limiter == "mh"))
+    return tuple(blending.low_order_face_updates(disc, sf, u, tau)
+                 for sf, tau in zip(subfaces, taus))
+
+
 def mdrk_step(disc, u, t, dt):
     """One full two-stage update from t to t + dt.
 
     Returns the new nodal array and per-step diagnostics.  Raises
     AdmissibilityError (with location context) if a stage output leaves
     the admissible set, and StencilStateError when intermediate stencil
-    states are not evaluable; the caller may retry the latter with a
-    smaller step.
+    states or the low-order subcell updates next to element faces are not
+    admissible; the caller may retry the latter with a smaller step.
     """
     model, ops = disc.model, disc.ops
     ea = disc.config.face_scheme == "ea"
     lam = face_wave_speeds(disc, u)
+    low1, low2 = _low_order(disc, u, dt)
 
     # stage 1: averages over [t, t + dt/2]
     *avg1, cache = stage1_time_average(model, u, disc.xn, disc.dx, dt, ops, t)
@@ -571,7 +594,7 @@ def mdrk_step(disc, u, t, dt):
     if ea:
         faces1, cache.face_f, cache.face_f1, cache.face_bad = face_values_ea_stage1(
             model, u, cache.u1, ops, disc.xf, avg1[0])
-    ustar, fnum1, alpha1, th1 = _stage(disc, u, avg1, faces1, lam, t, 0.5 * dt, u,
+    ustar, fnum1, alpha1, th1 = _stage(disc, u, avg1, faces1, lam, t, 0.5 * dt, low1, u,
                                        t, "after first stage")
 
     # stage 2: averages over [t, t + dt]
@@ -579,7 +602,7 @@ def mdrk_step(disc, u, t, dt):
     faces2 = None
     if ea:
         faces2 = face_values_ea_stage2(model, ustar, us1, cache, ops, disc.xf, avg2[0])
-    unew, fnum2, alpha2, th2 = _stage(disc, u, avg2, faces2, lam, t, dt, ustar,
+    unew, fnum2, alpha2, th2 = _stage(disc, u, avg2, faces2, lam, t, dt, low2, ustar,
                                       t + dt, "after second stage")
 
     mins = None

@@ -10,6 +10,7 @@ import configparser
 import hashlib
 import io
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
@@ -187,6 +188,8 @@ class RunResult:
     field: core.SolutionField
     steps: int = 0
     retries: int = 0
+    # halvings per StencilStateError.constraint
+    retry_reasons: Counter = field(default_factory=Counter)
     min_constraints: np.ndarray = None
     theta_min: float = 1.0
     wall_time: float = 0.0
@@ -205,7 +208,8 @@ def run_case(case_id, config=None, cells=None, scheme="mdrk",
     A stencil failure shrinks the step by half and retries, up to
     max_halvings times, before the abort propagates; the failures this
     cures scale with the step size, so a bounded number of halvings always
-    suffices when the state itself is admissible.
+    suffices when the state itself is admissible.  retry_reasons counts the
+    halvings by the constraint that failed.
     """
     if scheme not in ("mdrk", "rkfr"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
@@ -231,11 +235,12 @@ def run_case(case_id, config=None, cells=None, scheme="mdrk",
             try:
                 unew, diag = step_fn(disc, fld.data, fld.time, dt)
                 break
-            except StencilStateError:
+            except StencilStateError as exc:
                 if attempt == max_halvings:
                     raise
                 dt = 0.5 * dt
                 result.retries += 1
+                result.retry_reasons[exc.constraint] += 1
         if record_steps:
             result.step_records.append({
                 "t": fld.time, "dt": dt,

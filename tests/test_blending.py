@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mdrkfr import blending, core, models
-from mdrkfr.errors import AdmissibilityError
+from mdrkfr.errors import AdmissibilityError, StencilStateError
 
 
 def euler_disc(ncells=8, limiter="mh", boundary="periodic", **kw):
@@ -126,6 +126,28 @@ def test_mh_failed_prediction_keeps_node_values():
                           sf_fo)
 
 
+def test_stacked_tau_fluxes_equal_per_tau_calls():
+    # one reconstruction serves every interval: the stacked fluxes are the
+    # per-interval ones bit for bit, and first-order fluxes ignore tau
+    disc = euler_disc(limiter="mh", boundary="reflective")
+    rng = np.random.default_rng(5)
+    shape = disc.xn.shape
+    u = disc.model.conserved(10.0 ** rng.uniform(-2.0, 1.0, shape),
+                             rng.normal(size=shape), 10.0 ** rng.uniform(-2.0, 2.0, shape))
+    taus = np.array([1e-4, 1e-2, 0.5])
+    for use_slopes in (False, True):
+        stacked = blending.low_order_subface_fluxes(disc, u, taus, use_slopes)
+        assert stacked.shape == (3, 8 * 4 + 1, 3)
+        for sf, tau in zip(stacked, taus):
+            assert np.array_equal(sf, blending.low_order_subface_fluxes(disc, u, tau,
+                                                                        use_slopes))
+    fo = blending.low_order_subface_fluxes(disc, u, taus, use_slopes=False)
+    assert np.array_equal(fo[0], fo[1]) and np.array_equal(fo[0], fo[2])
+    assert np.array_equal(fo[0], blending.low_order_subface_fluxes(disc, u, 7.0, False))
+    mh = blending.low_order_subface_fluxes(disc, u, taus, use_slopes=True)
+    assert not np.array_equal(mh[0], mh[1])
+
+
 def test_mh_exact_gradient_on_linear_data():
     # linear profiles are reconstructed exactly by the limited slopes, so
     # at vanishing evolution time both traces agree at every interior
@@ -189,6 +211,30 @@ def test_blended_update_endpoints():
         blending.blended_update(high, low, np.array([0.2, 1.4, 0.0, 0.0]))
 
 
+def test_blended_update_refuses_nan():
+    # the [0, 1] check is written so that NaN fails it
+    with pytest.raises(ValueError):
+        blending.blended_update(np.ones((2, 4, 1)), np.zeros((2, 4, 1)),
+                                np.array([0.2, np.nan]))
+
+
+def test_low_order_face_updates_are_the_limiter_endpoints():
+    # the values the flux limiter pulls toward: each face's two subcell
+    # updates with the subcell flux at the face, and a failing one raises
+    disc = euler_disc(limiter="fo", ncells=8, boundary="reflective")
+    p = np.where(disc.xn < 0.5, 1000.0, 0.01)
+    u = disc.model.conserved(np.ones_like(p), np.zeros_like(p), p)
+    sf = blending.low_order_subface_fluxes(disc, u, 1e-5, use_slopes=False)
+    low = blending.low_order_face_updates(disc, sf, u, 1e-5)
+    w = disc.ops.weights
+    low_m = u[3, -1] - 1e-5 / (w[-1] * disc.dx[3]) * (sf[16] - sf[15])
+    low_p = u[4, 0] - 1e-5 / (w[0] * disc.dx[4]) * (sf[17] - sf[16])
+    assert np.array_equal(low.cons[:, 4], disc.model.constraints(np.stack([low_m, low_p])))
+    assert np.all(low.cons[disc.boundary.limited] > 0.0)
+    with pytest.raises(StencilStateError, match="low-order pressure"):
+        blending.low_order_face_updates(disc, sf, u, 1e-2)
+
+
 def test_blended_means_match_high_order_means():
     # Theorem-style identity: blending never changes element means
     disc = euler_disc(limiter="mh")
@@ -221,8 +267,8 @@ def test_flux_limiter_inactive_on_smooth_flow():
     sf = blending.low_order_subface_fluxes(disc, u, 1e-4, use_slopes=True)
     # candidate equals the high-order flux when alpha = 0
     fho = np.tile(disc.model.flux(u[0, 0], 0.0), (17, 1))
-    out, thetas = blending.blend_and_limit_face_flux(disc, fho, sf, u, 1e-4,
-                                                     np.zeros(16))
+    low = blending.low_order_face_updates(disc, sf, u, 1e-4)
+    out, thetas = blending.blend_and_limit_face_flux(disc, fho, low, np.zeros(16))
     assert np.all(thetas == 1.0)
     assert np.allclose(out, fho, atol=1e-12)
 
@@ -233,8 +279,8 @@ def test_flux_limiter_endpoint_theta_zero():
     u = uniform_euler(disc, rho=1.0, v=0.0, p=1e-8)
     sf = blending.low_order_subface_fluxes(disc, u, 1e-3, use_slopes=False)
     crazy = np.tile(np.array([0.0, 1e6, 0.0]), (9, 1))
-    out, thetas = blending.blend_and_limit_face_flux(disc, crazy, sf, u, 1e-3,
-                                                     np.zeros(8))
+    low = blending.low_order_face_updates(disc, sf, u, 1e-3)
+    out, thetas = blending.blend_and_limit_face_flux(disc, crazy, low, np.zeros(8))
     flow = sf[:: 4]
     assert float(thetas.min()) < 1e-4
     assert np.allclose(out, flow, rtol=1e-3, atol=1e-6)
@@ -250,8 +296,8 @@ def test_flux_limiter_enforces_floor_on_blast_face():
     sf = blending.low_order_subface_fluxes(disc, u, tau, use_slopes=True)
     fho = np.zeros((9, 3))
     fho[4] = np.array([0.0, -5e3, -3e6])  # unphysical candidate at the jump
-    out, thetas = blending.blend_and_limit_face_flux(disc, fho, sf, u, tau,
-                                                     np.zeros(8))
+    low = blending.low_order_face_updates(disc, sf, u, tau)
+    out, thetas = blending.blend_and_limit_face_flux(disc, fho, low, np.zeros(8))
     # rebuild the tentative updates with the corrected flux
     w = disc.ops.weights
     p_idx = 4

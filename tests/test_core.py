@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mdrkfr import core, models
-from mdrkfr.errors import AdmissibilityError, ConfigurationError
+from mdrkfr import blending, core, models
+from mdrkfr.errors import AdmissibilityError, ConfigurationError, StencilStateError
 from mdrkfr.operators import make_operators
 
 
@@ -430,6 +430,42 @@ def test_step_mean_update_identity():
         after, expected, diag = _mean_update(disc, u, 1e-3)
         assert np.allclose(after, expected, rtol=1e-14, atol=1e-13), kind
         assert diag.alpha2[0] > 0.0 and diag.alpha2[-1] > 0.0, kind
+
+
+def _blast_jump(limiter):
+    m = models.Euler()
+    disc = make_disc(ncells=8, model=m, boundary="reflective", limiter=limiter)
+    p = np.where(disc.xn < 0.5, 1000.0, 0.01)
+    return disc, m.conserved(np.ones_like(p), np.zeros_like(p), p)
+
+
+@pytest.mark.parametrize("limiter", ["fo", "mh"])
+def test_low_order_failure_stops_before_high_order_work(monkeypatch, limiter):
+    # both stages' subcell updates next to the faces depend on the
+    # start-of-step state only, so they are checked before stage one
+    def high_order_work(*args, **kwargs):
+        raise AssertionError("stage one started")
+
+    monkeypatch.setattr(core, "stage1_time_average", high_order_work)
+    disc, u = _blast_jump(limiter)
+    with pytest.raises(StencilStateError, match="low-order"):
+        core.mdrk_step(disc, u, 0.0, 1e-2)
+
+
+@pytest.mark.parametrize("limiter", ["fo", "mh"])
+def test_subcell_fluxes_built_once_per_step(monkeypatch, limiter):
+    calls = []
+    build = blending.low_order_subface_fluxes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(blending, "low_order_subface_fluxes", counted)
+    disc, u = _blast_jump(limiter)
+    _, diag = core.mdrk_step(disc, u, 0.0, 1e-5)
+    assert len(calls) == 1
+    assert diag.theta1 is not None and diag.theta2 is not None
 
 
 def test_admissibility_abort_carries_location():

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -234,7 +235,8 @@ def test_gll_with_mh_is_refused():
 
 
 OUT_OF_RANGE = [("cfl", "nan"), ("final_time", "nan"), ("alpha_max", "-0.5"),
-                ("snapshot_every", "-3")]
+                ("snapshot_every", "-3"), ("indicator_sharpness", "nan"),
+                ("indicator_sharpness", "-1"), ("alpha_min", "nan"), ("alpha_min", "0.7")]
 
 
 @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
@@ -249,8 +251,18 @@ def test_out_of_range_setting_is_refused(key, value):
 
 
 def test_range_ends_are_accepted():
-    core.RunConfig(alpha_max=0.0, snapshot_every=0).validate()
+    core.RunConfig(alpha_max=0.0, snapshot_every=0, alpha_min=0.0).validate()
     core.RunConfig(alpha_max=1.0, cfl=0.05).validate()
+
+
+def test_retry_reasons_are_recorded():
+    # GLL/g2 with fo blending at the certified CFL 0.224 halves often
+    cfg = harness.case_config(harness.build_case("density_ratio"), points="gll",
+                              correction="g2", limiter="fo", final_time=0.05)
+    res = harness.run_case("density_ratio", cfg, cells=100)
+    assert res.retries > 0
+    assert sum(res.retry_reasons.values()) == res.retries
+    assert any(name.startswith("low-order") for name in res.retry_reasons)
 
 
 def test_convergence_requires_three_meshes():
@@ -302,6 +314,14 @@ def test_cli_admissibility_exit_code():
                   "--limiter", "none")
     assert out.returncode == 2
     assert "aborted" in out.stderr
+
+
+def test_cli_prints_retry_reasons():
+    out = run_cli("run", "--case", "density_ratio", "--cells", "100",
+                  "--final-time", "0.05", "--points", "gll", "--correction", "g2",
+                  "--limiter", "fo")
+    assert out.returncode == 0
+    assert re.search(r"retries=[1-9]\d* \(.*low-order", out.stdout)
 
 
 def test_cli_stability_smoke():

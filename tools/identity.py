@@ -1,0 +1,254 @@
+"""Compare the solver output of two source trees, bit for bit.
+
+    python3 tools/identity.py <tree-a> <tree-b>
+
+Each tree's package (<tree>/src/mdrkfr) is imported in its own
+subprocess, without writing bytecode caches, and runs the same matrix of
+short runs:
+
+- every catalogue case (the smooth ones at 40 cells, blast, titarev_toro
+  and density_ratio at 100, sedov at 51) under {gl/radau, gll/g2} x
+  {ae, ea} faces, limiter none on the smooth cases and fo/mh on the gas
+  cases (fo only with gll points), 30 steps each;
+- d1 dissipation on every case with gl/radau, once with ea faces (mh on
+  gas) and once with ae faces (fo on gas);
+- the Runge-Kutta baseline on linadv_sine and varadv_x2;
+- linadv_sine and burgers_sine with fo and mh blending;
+- 150 steps of every gas case under gl/ea/mh, gll/g2/ea/fo and
+  gll/g2/ae/fo (the last halves about a third of its step attempts);
+- direct low_order_subface_fluxes calls on random gas states, with and
+  without slopes, under three boundary kinds.
+
+Every step takes the compute_dt step and halves it on StencilStateError,
+as harness.run_case does.  Compared: each accepted step's state, dt and
+StepDiagnostics fields (fnum, alpha, theta, minimum constraints), each
+run's retry count and abort message, and each direct call's fluxes, with
+np.array_equal plus equal np.signbit.  Exits 1 on any mismatch and 2
+when a tree fails to run the matrix.  The constraint behind each halving
+is printed as a note only: trees may test their admissibility
+conditions in different orders.
+"""
+
+import argparse
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+
+import numpy as np
+
+SMOOTH = {"linadv_sine": 40, "varadv_x2": 40, "burgers_sine": 40,
+          "source_manufactured": 40}
+GAS = {"blast": 100, "titarev_toro": 100, "density_ratio": 100, "sedov": 51}
+PAIRINGS = (("gl", "radau"), ("gll", "g2"))
+SHORT, LONG = 30, 150
+MAX_HALVINGS = 12
+
+
+def matrix():
+    """(key, case, cells, scheme, config overrides, steps) of every run."""
+    runs = []
+
+    def add(case, cells, steps=SHORT, scheme="mdrk", **cfg):
+        key = "/".join([case, scheme] + [f"{k}={v}" for k, v in sorted(cfg.items())]
+                       + [f"steps={steps}"])
+        runs.append((key, case, cells, scheme, cfg, steps))
+
+    for points, correction in PAIRINGS:
+        for face in ("ae", "ea"):
+            for case, cells in SMOOTH.items():
+                add(case, cells, points=points, correction=correction,
+                    face_scheme=face, limiter="none")
+            for case, cells in GAS.items():
+                for limiter in ("fo", "mh") if points == "gl" else ("fo",):
+                    add(case, cells, points=points, correction=correction,
+                        face_scheme=face, limiter=limiter)
+    for case, cells in {**SMOOTH, **GAS}.items():
+        gas = case in GAS
+        add(case, cells, dissipation="d1", face_scheme="ea",
+            limiter="mh" if gas else "none")
+        add(case, cells, dissipation="d1", face_scheme="ae",
+            limiter="fo" if gas else "none")
+    for case in ("linadv_sine", "varadv_x2"):
+        add(case, SMOOTH[case], scheme="rkfr", limiter="none")
+    for case in ("linadv_sine", "burgers_sine"):
+        for limiter in ("fo", "mh"):
+            add(case, SMOOTH[case], limiter=limiter)
+    for case, cells in GAS.items():
+        add(case, cells, LONG, face_scheme="ea", limiter="mh")
+        add(case, cells, LONG, points="gll", correction="g2", face_scheme="ea",
+            limiter="fo")
+        add(case, cells, LONG, points="gll", correction="g2", face_scheme="ae",
+            limiter="fo")
+    return runs
+
+
+def run_one(case_id, cells, scheme, overrides, steps):
+    """Outputs of one run: per-step records, retries, reasons, abort."""
+    from mdrkfr import core, errors, harness
+
+    case = harness.build_case(case_id)
+    cfg = harness.case_config(case, **overrides)
+    if scheme == "rkfr" and cfg.cfl is None:
+        cfg = dataclasses.replace(cfg, cfl=harness.rkfr_default_cfl(
+            cfg.degree, cfg.points, cfg.correction))
+    _, disc, fld = harness.make_run(case_id, cfg, cells)
+    step_fn = core.mdrk_step if scheme == "mdrk" else core.rkfr_step
+    u, t = fld.data, 0.0
+    out = {"steps": [], "retries": 0, "reasons": [], "abort": None}
+    try:
+        for n in range(steps):
+            if disc.config.final_time - t <= 1e-12:
+                break
+            dt = core.compute_dt(disc, u, t)
+            for attempt in range(MAX_HALVINGS + 1):
+                try:
+                    unew, diag = step_fn(disc, u, t, dt)
+                    break
+                except errors.StencilStateError as exc:
+                    if attempt == MAX_HALVINGS:
+                        raise
+                    out["reasons"].append((n, exc.constraint))
+                    out["retries"] += 1
+                    dt = 0.5 * dt
+            record = {"u": unew, "dt": dt}
+            for f in dataclasses.fields(diag):
+                record[f.name] = getattr(diag, f.name)
+            out["steps"].append(record)
+            u, t = unew, t + dt
+    except errors.SolverAbort as exc:
+        out["abort"] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def direct_subface_calls(ncalls=240, seed=7):
+    """low_order_subface_fluxes on random gas states, one record per call."""
+    from mdrkfr import blending, core, errors, models
+
+    rng = np.random.default_rng(seed)
+    model = models.Euler()
+    records = []
+    for i in range(ncalls):
+        kind = ("periodic", "transmissive", "reflective")[i % 3]
+        limiter = "mh" if i % 2 else "fo"
+        cfg = core.RunConfig(limiter=limiter, boundary=kind)
+        disc = core.make_discretization(core.make_grid(0.0, 1.0, 6), model, cfg)
+        shape = disc.xn.shape
+        rho = 10.0 ** rng.uniform(-3.0, 1.0, shape)
+        p = 10.0 ** rng.uniform(-4.0, 3.0, shape)
+        v = rng.normal(scale=5.0, size=shape) * (rng.random(shape) > 0.1)
+        tau = 10.0 ** rng.uniform(-5.0, -1.0)
+        u = model.conserved(rho, v, p)
+        try:
+            value = blending.low_order_subface_fluxes(disc, u, tau, limiter == "mh")
+        except errors.SolverAbort as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        records.append((f"subface/{i}/{kind}/{limiter}", value))
+    return records
+
+
+def worker(tree, path):
+    src = os.path.realpath(os.path.join(tree, "src"))
+    sys.path.insert(0, src)
+    import mdrkfr
+
+    if not os.path.realpath(mdrkfr.__file__).startswith(src + os.sep):
+        sys.exit(f"imported {mdrkfr.__file__}, not the package under {src}")
+    with open(path, "wb") as fh:
+        for key, case, cells, scheme, overrides, steps in matrix():
+            pickle.dump((key, run_one(case, cells, scheme, overrides, steps)), fh)
+        for record in direct_subface_calls():
+            pickle.dump(record, fh)
+
+
+def _records(path):
+    with open(path, "rb") as fh:
+        while True:
+            try:
+                yield pickle.load(fh)
+            except EOFError:
+                return
+
+
+def same(a, b):
+    """Equal values, arrays compared with array_equal plus signbit."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape != b.shape or a.dtype != b.dtype:
+            return False
+        if a.dtype.kind not in "fc":
+            return np.array_equal(a, b)
+        return (np.array_equal(a, b, equal_nan=True)
+                and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+                and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+    if isinstance(a, float) and isinstance(b, float):
+        return same(np.array(a), np.array(b))
+    return type(a) is type(b) and a == b
+
+
+def compare(path_a, path_b):
+    """Mismatch descriptions, counts of what was compared, reason notes."""
+    mismatches, notes, counts = [], [], Counter()
+    for (key_a, out_a), (key_b, out_b) in zip(_records(path_a), _records(path_b)):
+        if key_a != key_b:
+            raise SystemExit(f"record order differs: {key_a} against {key_b}")
+        if key_a.startswith("subface/"):
+            counts["direct calls"] += 1
+            if not same(out_a, out_b):
+                mismatches.append(f"{key_a}: fluxes differ")
+            continue
+        counts["runs"] += 1
+        counts["halvings"] += out_a["retries"]
+        for name in ("retries", "abort"):
+            counts["values"] += 1
+            if out_a[name] != out_b[name]:
+                mismatches.append(f"{key_a}: {name} {out_a[name]!r} != {out_b[name]!r}")
+        if out_a["reasons"] != out_b["reasons"]:
+            notes.append(key_a)
+        if len(out_a["steps"]) != len(out_b["steps"]):
+            mismatches.append(f"{key_a}: {len(out_a['steps'])} != {len(out_b['steps'])} steps")
+        for n, (ra, rb) in enumerate(zip(out_a["steps"], out_b["steps"])):
+            counts["accepted steps"] += 1
+            for name in sorted(set(ra) | set(rb)):
+                counts["values"] += 1
+                if not same(ra.get(name), rb.get(name)):
+                    mismatches.append(f"{key_a}: step {n} {name} differs")
+    return mismatches, counts, notes
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("trees", nargs=2, metavar="TREE")
+    # internal: --worker TREE OUT runs the matrix on one tree into OUT
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return worker(*args.trees)
+
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"tree{i}.pickle") for i in range(2)]
+        procs = [subprocess.Popen([sys.executable, "-B", os.path.abspath(__file__),
+                                   "--worker", tree, path], env=env)
+                 for tree, path in zip(args.trees, paths)]
+        if any([proc.wait() != 0 for proc in procs]):
+            print("a worker failed", file=sys.stderr)
+            return 2
+        mismatches, counts, notes = compare(*paths)
+    print(", ".join(f"{counts[k]} {k}" for k in ("runs", "accepted steps", "halvings",
+                                                 "direct calls", "values"))
+          + f"; {len(mismatches)} mismatches")
+    for line in mismatches[:50]:
+        print("MISMATCH", line)
+    if notes:
+        print(f"note: the constraint behind a halving differs in {len(notes)} runs, "
+              f"e.g. {notes[0]}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
