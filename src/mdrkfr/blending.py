@@ -54,9 +54,8 @@ def smoothness_alpha(disc, u):
     sq = modal * modal
     total = sq.sum(axis=1)
     total_lo = total - sq[:, -1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e_top = np.where(total > 0.0, sq[:, -1] / total, 0.0)
-        e_next = np.where(total_lo > 0.0, sq[:, -2] / total_lo, 0.0)
+    e_top = np.divide(sq[:, -1], total, out=np.zeros(total.shape), where=total > 0.0)
+    e_next = np.divide(sq[:, -2], total_lo, out=np.zeros(total.shape), where=total_lo > 0.0)
     energy = np.maximum(e_top, e_next)
 
     thresh = indicator_threshold(degree)
@@ -185,7 +184,7 @@ def low_order_residual(disc, subface_fluxes, fnum):
 def blended_update(high, low, alpha):
     """Convex combination of high- and low-order residuals."""
     # written so that NaN fails it
-    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):
+    if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
         raise ValueError(f"blending coefficient outside [0, 1]: {alpha}")
     a = alpha[:, None, None]
     return (1.0 - a) * high + a * low
@@ -216,6 +215,15 @@ class FaceUpdates(NamedTuple):
     cons: np.ndarray
 
 
+def _side_updates(low, flux):
+    """The two subcell updates of FaceUpdates low with flux at the face,
+    stacked minus first."""
+    out = np.empty((2,) + flux.shape, dtype=np.result_type(low.um, flux))
+    np.subtract(low.um, low.cm * (flux - low.f_int_m), out=out[0])
+    np.subtract(low.upl, low.cp * (low.f_int_p - flux), out=out[1])
+    return out
+
+
 def low_order_face_updates(disc, subface_fluxes, u, tau):
     """Build and check the low-order updates next to every element face.
 
@@ -236,15 +244,15 @@ def low_order_face_updates(disc, subface_fluxes, u, tau):
     cp = (tau / (w[0] * disc.dx[right]))[:, None]
     f_int_m = subface_fluxes[p * left + p - 1]
     f_int_p = subface_fluxes[p * right + 1]
-    cons = model.constraints(np.stack([um - cm * (flow - f_int_m),
-                                       upl - cp * (f_int_p - flow)]))
+    low = FaceUpdates(subface_fluxes, flow, um, upl, cm, cp, f_int_m, f_int_p, None)
+    cons = model.constraints(_side_updates(low, flow))
     bad = b.limited[..., None] & ~(cons > 0.0)
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad.any(axis=(0, 1))))
         raise StencilStateError(f"low-order {model.constraint_names[k]}",
                                 float(cons[..., k][bad[..., k]].min()),
                                 detail="subcell update left the admissible set")
-    return FaceUpdates(subface_fluxes, flow, um, upl, cm, cp, f_int_m, f_int_p, cons)
+    return low._replace(cons=cons)
 
 
 def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):
@@ -273,14 +281,12 @@ def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):
     # ends are left out by b.limited
     eps = 0.1 * low.cons
     for k in range(model.nconstraints):
-        tld = np.stack([low.um - low.cm * (fcur - low.f_int_m),
-                        low.upl - low.cp * (low.f_int_p - fcur)])
+        tld = _side_updates(low, fcur)
         pk = model.constraints(tld)[..., k]
         ck = low.cons[..., k]
         need = b.limited & ~(pk >= eps[..., k])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.abs((eps[..., k] - ck) / (pk - ck))
-        theta = np.where(need, np.clip(ratio, 0.0, 1.0), 1.0).min(axis=0)
+        ratio = np.divide(eps[..., k] - ck, pk - ck, out=np.ones(need.shape), where=need)
+        theta = np.clip(np.abs(ratio), 0.0, 1.0).min(axis=0)
         fcur = theta[:, None] * fcur + (1.0 - theta[:, None]) * flow
         thetas[:, k] = theta
     return fcur, thetas
@@ -305,17 +311,17 @@ def scaling_limiter(disc, u):
     mean = np.einsum("p,epv->ev", w, u)
     for k, name in enumerate(model.constraint_names):
         pbar = model.constraints(mean)[:, k]
-        if np.any(~(pbar > 0.0)):
+        if not (pbar > 0.0).all():
             e = int(np.argmin(pbar))
             raise AdmissibilityError(f"mean {name}", float(pbar[e]), element=e,
                                      detail="inadmissible element mean reached the scaling limiter")
         eps = 0.1 * pbar
         pj = model.constraints(u)[..., k]
         need = ~(pj >= eps[:, None])
-        if not np.any(need):
+        if not need.any():
             continue
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = (pbar[:, None] - eps[:, None]) / (pbar[:, None] - pj)
-        theta = np.where(need, np.clip(ratio, 0.0, 1.0), 1.0).min(axis=1)
+        ratio = np.divide(pbar[:, None] - eps[:, None], pbar[:, None] - pj,
+                          out=np.ones(need.shape), where=need)
+        theta = np.clip(ratio, 0.0, 1.0).min(axis=1)
         u = mean[:, None, :] + theta[:, None, None] * (u - mean[:, None, :])
     return u

@@ -258,9 +258,26 @@ def make_discretization(grid, model, config, bc_state=None):
 # elementwise building blocks
 
 
+def apply_d(d_matrix, q):
+    """D q along the node axis: np.einsum("pq,eqv->epv", d_matrix, q).
+
+    Both branches give einsum's own numbers, bit for bit.  For systems
+    einsum sums the products from zero in node order, which the loop
+    repeats without einsum's strided walk over the variable axis; for one
+    variable einsum sums in matmul's order and is the fastest form.
+    """
+    if q.shape[-1] == 1:
+        return np.einsum("pq,eqv->epv", d_matrix, q)
+    out = np.zeros(q.shape[:1] + d_matrix.shape[:1] + q.shape[2:],
+                   dtype=np.result_type(d_matrix, q))
+    for k in range(d_matrix.shape[1]):
+        out += d_matrix[:, k, None] * q[:, None, k]
+    return out
+
+
 def local_solution_derivative(u, f, dx, dt, d_matrix, s=None):
     """u1 = -(dt/dx) D f (+ dt s): the scaled local solution time derivative."""
-    u1 = -(dt / dx)[:, None, None] * np.einsum("pq,eqv->epv", d_matrix, f)
+    u1 = -(dt / dx)[:, None, None] * apply_d(d_matrix, f)
     if s is not None:
         u1 = u1 + dt * s
     return u1
@@ -333,7 +350,10 @@ def _trace(vec, q):
 def _face_traces(q, ops):
     """Left- and right-face traces of every element, stacked side-first
     (shape (2, ne, nvar)) so they unpack as a (left, right) pair."""
-    return np.stack([_trace(ops.VL, q), _trace(ops.VR, q)])
+    out = np.empty((2,) + q.shape[:1] + q.shape[2:], dtype=np.result_type(ops.VL, q))
+    np.einsum("p,epv->ev", ops.VL, q, out=out[0])
+    np.einsum("p,epv->ev", ops.VR, q, out=out[1])
+    return out
 
 
 def face_values_ae(favg, ops):
@@ -342,7 +362,7 @@ def face_values_ae(favg, ops):
 
 
 def _evaluable(model, u):
-    ok = np.all(np.isfinite(u), axis=-1)
+    ok = np.isfinite(u).all(axis=-1)
     if model.nvar > 1:
         ok &= np.real(u[..., 0]) > 0.0
     return ok
@@ -358,9 +378,14 @@ def _ea_states(model, u, u1, ops):
     flux-extrapolation value afterwards.
     """
     ua, u1a = _face_traces(u, ops), _face_traces(u1, ops)
-    stencil = np.stack([ua, ua + u1a, ua - u1a, ua + 2.0 * u1a, ua - 2.0 * u1a])
-    bad = ~np.all(_evaluable(model, stencil), axis=0)
-    if np.any(bad):
+    stencil = np.empty((5,) + ua.shape, dtype=np.result_type(ua, u1a))
+    stencil[0] = ua
+    np.add(ua, u1a, out=stencil[1])
+    np.subtract(ua, u1a, out=stencil[2])
+    np.add(ua, 2.0 * u1a, out=stencil[3])
+    np.subtract(ua, 2.0 * u1a, out=stencil[4])
+    bad = ~_evaluable(model, stencil).all(axis=0)
+    if bad.any():
         ua = np.where(bad[..., None], np.stack([u[:, 0], u[:, -1]]), ua)
         u1a = np.where(bad[..., None], 0.0, u1a)
     return ua, u1a, bad
@@ -368,7 +393,7 @@ def _ea_states(model, u, u1, ops):
 
 def _fall_back(value, bad, favg, ops):
     """Extrapolated nodal averaged flux at the faces marked bad."""
-    if np.any(bad):
+    if bad.any():
         value = np.where(bad[..., None], _face_traces(favg, ops), value)
     return value
 
@@ -411,7 +436,7 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops):
     """
     jump_l = fnum_left - _trace(ops.VL, favg)
     jump_r = fnum_right - _trace(ops.VR, favg)
-    return (np.einsum("pq,eqv->epv", ops.D, favg)
+    return (apply_d(ops.D, favg)
             + ops.bL[None, :, None] * jump_l[:, None, :]
             + ops.bR[None, :, None] * jump_r[:, None, :])
 
@@ -476,7 +501,7 @@ def _assemble_face_flux(disc, faces, ud, lam, t, tau):
 
 def validate_admissible(model, u, time=None, step=None, detail=""):
     """Raise with located diagnostics when a nodal state is inadmissible."""
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         e, p = np.unravel_index(int(np.argmin(np.isfinite(u).all(axis=-1))), u.shape[:2])
         raise AdmissibilityError("finite", float("nan"), element=int(e), node=int(p),
                                  time=time, step=step, detail=detail or "non-finite state")
@@ -485,7 +510,7 @@ def validate_admissible(model, u, time=None, step=None, detail=""):
     vals = model.constraints(u)
     for k, name in enumerate(model.constraint_names):
         col = vals[..., k]
-        if np.any(col <= 0.0):
+        if (col <= 0.0).any():
             e, p = np.unravel_index(int(np.argmin(col)), col.shape)
             raise AdmissibilityError(name, float(col[e, p]), element=int(e),
                                      node=int(p), time=time, step=step, detail=detail)

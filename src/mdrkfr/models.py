@@ -126,13 +126,18 @@ class Euler(EquationModel):
 
     def flux(self, u, x):
         rho = u[..., 0]
-        if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
+        # NaN fails the first test (the minimum is NaN), +inf the second
+        if rho.size and not (rho.min() > 0.0 and rho.max() < np.inf):
             bad = float(np.min(rho)) if np.all(np.isfinite(rho)) else float("nan")
             raise StencilStateError("density", bad,
                                     detail="primitive recovery needs positive density")
         v = u[..., 1] / rho
         p = (self.gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] * v)
-        return np.stack([u[..., 1], p + u[..., 1] * v, (u[..., 2] + p) * v], axis=-1)
+        out = np.empty(p.shape + (3,), dtype=p.dtype)
+        out[..., 0] = u[..., 1]
+        out[..., 1] = p + u[..., 1] * v
+        out[..., 2] = (u[..., 2] + p) * v
+        return out
 
     def speed(self, u, x):
         rho, v, p = self.primitive(u)
@@ -140,7 +145,11 @@ class Euler(EquationModel):
                                np.broadcast_shapes(u.shape[:-1], np.shape(x))).copy()
 
     def constraints(self, u):
-        return np.stack([u[..., 0], self.pressure(u)], axis=-1)
+        p = self.pressure(u)
+        out = np.empty(p.shape + (2,), dtype=p.dtype)
+        out[..., 0] = u[..., 0]
+        out[..., 1] = p
+        return out
 
     def indicator_quantity(self, u):
         return u[..., 0] * self.pressure(u)
@@ -206,8 +215,10 @@ def manufactured_state(x, t, gamma=1.4):
 def manufactured_source(u, x, t):
     w = MS_K * (np.asarray(x, dtype=float) - MS_V * t)
     forcing = MS_K * MS_P_AMP * np.cos(w)
-    zeros = np.zeros_like(forcing)
-    return np.stack([zeros, forcing, MS_V * forcing], axis=-1)
+    out = np.zeros(forcing.shape + (3,))
+    out[..., 1] = forcing
+    out[..., 2] = MS_V * forcing
+    return out
 
 
 _EXACT = {

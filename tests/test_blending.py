@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdrkfr import blending, core, models
+from mdrkfr import blending, core, harness, models
 from mdrkfr.errors import AdmissibilityError, StencilStateError
 
 
@@ -44,8 +44,12 @@ def test_alpha_saturates_on_step():
     # nine cells put the jump strictly inside an element
     disc = scalar_disc(ncells=9)
     u = np.where(disc.xn < 0.5, 1.0, 0.0)[..., None]
-    alpha = blending.smoothness_alpha(disc, u)
+    # the zero elements have no mode energy: alpha 0 there, with no 0/0
+    # formed and dropped
+    with np.errstate(divide="raise", invalid="raise"):
+        alpha = blending.smoothness_alpha(disc, u)
     assert float(alpha.max()) == pytest.approx(disc.config.alpha_max)
+    assert alpha[-1] == 0.0
 
 
 def test_alpha_monotone_in_top_mode_energy():
@@ -368,3 +372,22 @@ def test_scaling_limiter_scalar_noop():
     disc = scalar_disc()
     u = np.random.default_rng(3).normal(size=(8, 4, 1))
     assert blending.scaling_limiter(disc, u) is u
+
+
+# ----------------------------------------------------------------------
+# floating-point hygiene
+
+
+@pytest.mark.parametrize("case_id, overrides", [
+    ("blast", dict(points="gl", correction="radau", limiter="mh", final_time=0.004)),
+    ("density_ratio", dict(points="gll", correction="g2", limiter="fo", final_time=0.02)),
+])
+def test_blended_runs_raise_no_floating_point_error(case_id, overrides):
+    # the indicator, the flux limiter and the scaling limiter divide only
+    # where they keep the quotient, so no inf or NaN is made and dropped
+    case = harness.build_case(case_id)
+    cfg = harness.case_config(case, **overrides)
+    with np.errstate(divide="raise", invalid="raise"):
+        result = harness.run_case(case_id, cfg, 100)
+    assert result.steps > 0
+    assert result.theta_min < 1.0

@@ -18,6 +18,22 @@ def make_disc(ncells=10, model=None, bc_state=None, **cfg_kw):
 # elementwise pieces
 
 
+@pytest.mark.parametrize("points, correction", [("gl", "radau"), ("gll", "g2")])
+@pytest.mark.parametrize("nvar", [1, 3])
+@pytest.mark.parametrize("ne", [1, 7, 400])
+def test_apply_d_is_einsum_bit_for_bit(points, correction, nvar, ne):
+    d_matrix = make_operators(3, points, correction).D
+    rng = np.random.default_rng(ne * nvar)
+    q = rng.normal(size=(ne, 4, nvar)) * 10.0 ** rng.uniform(-8.0, 8.0, (ne, 4, nvar))
+    # signed zeros too: einsum sums from +0, so all-zero products give +0
+    q[rng.random(q.shape) < 0.2] = 0.0
+    q[rng.random(q.shape) < 0.2] = -0.0
+    expected = np.einsum("pq,eqv->epv", d_matrix, q)
+    out = core.apply_d(d_matrix, q)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
 def test_local_derivative_constant_data():
     disc = make_disc()
     u = np.full((10, 4, 1), 3.0)

@@ -29,11 +29,58 @@ def test_variable_advection_flux():
     assert m.flux(np.array([1.0]), 0.5) == pytest.approx(0.25)
 
 
-def test_euler_flux_requires_positive_density():
+@pytest.mark.parametrize("rho", [0.0, -0.1, np.nan, np.inf, -np.inf],
+                         ids=["zero", "negative", "nan", "inf", "minus-inf"])
+def test_euler_flux_requires_positive_density(rho):
     u = euler_state(1.0, 0.0, 1.0)
-    u[..., 0] = -0.1
+    u[..., 0] = rho
     with pytest.raises(StencilStateError):
         Euler().flux(u, 0.0)
+
+
+def test_euler_flux_guard_reports_minimum_or_nan():
+    u = euler_state(np.ones(4), np.zeros(4), np.ones(4))
+    u[1, 0], u[2, 0] = -0.5, -0.2
+    with pytest.raises(StencilStateError) as err:
+        Euler().flux(u, 0.0)
+    assert err.value.value == -0.5
+    u[3, 0] = np.inf
+    with pytest.raises(StencilStateError) as err:
+        Euler().flux(u, 0.0)
+    assert np.isnan(err.value.value)
+
+
+def test_euler_flux_of_no_states():
+    assert Euler().flux(np.zeros((0, 3)), 0.0).shape == (0, 3)
+
+
+def _stacked_flux(u, gamma=1.4):
+    # the formulas as once written with np.stack, kept as the reference
+    rho = u[..., 0]
+    v = u[..., 1] / rho
+    p = (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] * v)
+    return np.stack([u[..., 1], p + u[..., 1] * v, (u[..., 2] + p) * v], axis=-1)
+
+
+def _stacked_constraints(u, gamma=1.4):
+    p = (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0])
+    return np.stack([u[..., 0], p], axis=-1)
+
+
+def _bitwise_equal(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(states=st.lists(st.tuples(positive_floats, finite_floats, positive_floats),
+                       min_size=1, max_size=12))
+def test_euler_outputs_equal_stacked_formulas(states):
+    u = euler_state(*np.array(states).T)
+    for shape in (u.shape, (1,) + u.shape, (3,)):
+        w = u.reshape(shape) if shape != (3,) else u[0]
+        assert _bitwise_equal(Euler().flux(w, 0.0), _stacked_flux(w))
+        assert _bitwise_equal(Euler().constraints(w), _stacked_constraints(w))
 
 
 def test_rusanov_consistency_scalar():

@@ -12,7 +12,9 @@ short runs:
   cases (fo only with gll points), 30 steps each;
 - d1 dissipation on every case with gl/radau, once with ea faces (mh on
   gas) and once with ae faces (fo on gas);
-- the Runge-Kutta baseline on linadv_sine and varadv_x2;
+- the Runge-Kutta baseline on linadv_sine, varadv_x2 and
+  source_manufactured (the one run where the gas flux and the
+  manufactured source feed the baseline's right-hand side);
 - linadv_sine and burgers_sine with fo and mh blending;
 - 150 steps of every gas case under gl/ea/mh, gll/g2/ea/fo and
   gll/g2/ae/fo (the last halves about a third of its step attempts);
@@ -72,7 +74,7 @@ def matrix():
             limiter="mh" if gas else "none")
         add(case, cells, dissipation="d1", face_scheme="ae",
             limiter="fo" if gas else "none")
-    for case in ("linadv_sine", "varadv_x2"):
+    for case in ("linadv_sine", "varadv_x2", "source_manufactured"):
         add(case, SMOOTH[case], scheme="rkfr", limiter="none")
     for case in ("linadv_sine", "burgers_sine"):
         for limiter in ("fo", "mh"):
