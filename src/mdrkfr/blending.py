@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError, StencilStateError
-from .models import rusanov_flux
+from .models import fold, rusanov_flux
 from .operators import build_nodeset, legendre
 
 
@@ -111,7 +111,8 @@ def _admissible(model, *states):
     """Rows at which every candidate state satisfies every constraint."""
     if model.nconstraints == 0:
         return np.ones(states[0].shape[:-1], dtype=bool)
-    return np.all(model.constraints(np.stack(states)) > 0.0, axis=(0, -1))
+    ok = fold(np.logical_and, model.constraints(np.stack(states)) > 0.0)
+    return ok.all(axis=0)
 
 
 def low_order_subface_fluxes(disc, u, tau, use_slopes):
@@ -134,26 +135,25 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     uf = u.reshape(-1, nv)
     up = uf[b.subcells]
     up[[0, -1]] *= b.state_sign
-    xp, dlp, drp = b.sub_x, b.sub_dl, b.sub_dr
+    xp, dlp, drp = b.sub_x, b.sub_dlv, b.sub_drv
 
     slopes = np.zeros_like(up)
     if use_slopes:
-        gap_l = (xp[1:-1] - xp[:-2])[:, None]
-        gap_r = (xp[2:] - xp[1:-1])[:, None]
+        gap_l, gap_r = b.sub_gap[:-1], b.sub_gap[1:]
         d_left = (uf - up[:-2]) / gap_l
         d_right = (up[2:] - uf) / gap_r
         d_mid = (up[2:] - up[:-2]) / (gap_l + gap_r)
         slopes[1:-1] = minmod3(d_left, d_mid, d_right)
-        ok = _admissible(model, up + slopes * dlp[:, None], up + slopes * drp[:, None])
+        ok = _admissible(model, up + slopes * dlp, up + slopes * drp)
         slopes = np.where(ok[:, None], slopes, 0.0)
-    ul = up + slopes * dlp[:, None]
-    ur = up + slopes * drp[:, None]
+    ul = up + slopes * dlp
+    ur = up + slopes * drp
 
     if not use_slopes:
         flux = rusanov_flux(model, ur[:-1], ul[1:], disc.subcells.subfaces)
         return np.broadcast_to(flux, np.shape(tau) + flux.shape)
 
-    dflux = (model.flux(ur, xp + drp) - model.flux(ul, xp + dlp)) / (drp - dlp)[:, None]
+    dflux = (model.flux(ur, xp + b.sub_dr) - model.flux(ul, xp + b.sub_dl)) / (drp - dlp)
     step = (0.5 * np.asarray(tau))[..., None, None] * dflux
     ul_ev, ur_ev = ul - step, ur - step
     # a slope zeroed after prediction leaves both traces unevolved at the
@@ -322,6 +322,6 @@ def scaling_limiter(disc, u):
             continue
         ratio = np.divide(pbar[:, None] - eps[:, None], pbar[:, None] - pj,
                           out=np.ones(need.shape), where=need)
-        theta = np.clip(ratio, 0.0, 1.0).min(axis=1)
+        theta = fold(np.minimum, np.clip(ratio, 0.0, 1.0), 1)
         u = mean[:, None, :] + theta[:, None, None] * (u - mean[:, None, :])
     return u

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import blending, stability
 from .errors import AdmissibilityError, ConfigurationError
-from .models import EquationModel, numerical_flux
+from .models import EquationModel, fold, numerical_flux
 from .operators import ReferenceOperators, gauss_legendre, make_operators
 
 BOUNDARY_KINDS = ("periodic", "transmissive", "reflective", "dirichlet_outflow",
@@ -156,6 +156,10 @@ class Boundary:
                  trace 0 is an element's left-face trace, 1 its right-face one
     subcells     subcell indices of the padded subcell line, ghosts at the ends
     sub_x, sub_dl, sub_dr   node positions and face offsets along that line
+    sub_gap, sub_dlv, sub_drv   node gaps (x[i+1] - x[i]) and face offsets
+                 of that line repeated across the variables, so the subcell
+                 pass multiplies same-shape arrays in one long inner loop
+                 instead of one short loop per subcell
     state_sign, flux_sign   factors applied to ghost states and fluxes
     limited      (minus, plus) masks over faces: whether the low-order
                  update of the subcell on that side is kept admissible by
@@ -169,6 +173,9 @@ class Boundary:
     sub_x: np.ndarray
     sub_dl: np.ndarray
     sub_dr: np.ndarray
+    sub_gap: np.ndarray
+    sub_dlv: np.ndarray
+    sub_drv: np.ndarray
     state_sign: np.ndarray
     flux_sign: np.ndarray
     limited: np.ndarray
@@ -219,7 +226,8 @@ def make_boundary(kind, grid, subcells, model, bc_state=None):
         limited[0, 0] = limited[1, -1] = False
         if kind == "reflective":
             state_sign, flux_sign = model.reflect_state(ones), model.reflect_flux(ones)
-    return Boundary(cells, traces, sub, sub_x, sub_dl, sub_dr, state_sign, flux_sign,
+    wide = [np.repeat(a[:, None], model.nvar, axis=1) for a in (np.diff(sub_x), sub_dl, sub_dr)]
+    return Boundary(cells, traces, sub, sub_x, sub_dl, sub_dr, *wide, state_sign, flux_sign,
                     limited, np.array(imposed, dtype=int), bc_state)
 
 
@@ -258,21 +266,40 @@ def make_discretization(grid, model, config, bc_state=None):
 # elementwise building blocks
 
 
+def _node_major(q):
+    """(ne, p, nvar) values as a contiguous (p, ne * nvar) array, one row
+    per node."""
+    return q.transpose(1, 0, 2).reshape(q.shape[1], -1)
+
+
+def _element_major(a, ne):
+    """Inverse of _node_major: a contiguous (ne, p, nvar) array."""
+    return np.ascontiguousarray(a.reshape(a.shape[0], ne, -1).transpose(1, 0, 2))
+
+
+def _d_products(d_matrix, q):
+    """D q of a system, node-major (_node_major), summed as einsum sums it:
+    from zero, in node order."""
+    qt = _node_major(q)
+    out = np.zeros((d_matrix.shape[0], qt.shape[1]), dtype=np.result_type(d_matrix, q))
+    for k in range(d_matrix.shape[1]):
+        out += d_matrix[:, k, None] * qt[k]
+    return out
+
+
 def apply_d(d_matrix, q):
     """D q along the node axis: np.einsum("pq,eqv->epv", d_matrix, q).
 
     Both branches give einsum's own numbers, bit for bit.  For systems
-    einsum sums the products from zero in node order, which the loop
-    repeats without einsum's strided walk over the variable axis; for one
-    variable einsum sums in matmul's order and is the fastest form.
+    einsum sums the products from zero in node order; the loop repeats
+    that on a node-major copy, where every product is one long inner loop
+    instead of one per node and element along the short variable axis,
+    and returns a contiguous array.  For one variable einsum sums in
+    matmul's order and is the fastest form.
     """
     if q.shape[-1] == 1:
         return np.einsum("pq,eqv->epv", d_matrix, q)
-    out = np.zeros(q.shape[:1] + d_matrix.shape[:1] + q.shape[2:],
-                   dtype=np.result_type(d_matrix, q))
-    for k in range(d_matrix.shape[1]):
-        out += d_matrix[:, k, None] * q[:, None, k]
-    return out
+    return _element_major(_d_products(d_matrix, q), q.shape[0])
 
 
 def local_solution_derivative(u, f, dx, dt, d_matrix, s=None):
@@ -343,10 +370,6 @@ def stage2_time_average(model, u, ustar, cache, xn, dx, dt, ops, t=0.0):
     return favg, uavg, savg, us1
 
 
-def _trace(vec, q):
-    return np.einsum("p,epv->ev", vec, q)
-
-
 def _face_traces(q, ops):
     """Left- and right-face traces of every element, stacked side-first
     (shape (2, ne, nvar)) so they unpack as a (left, right) pair."""
@@ -362,7 +385,7 @@ def face_values_ae(favg, ops):
 
 
 def _evaluable(model, u):
-    ok = np.isfinite(u).all(axis=-1)
+    ok = fold(np.logical_and, np.isfinite(u))
     if model.nvar > 1:
         ok &= np.real(u[..., 0]) > 0.0
     return ok
@@ -428,17 +451,25 @@ def face_values_ea_stage2(model, ustar, us1, cache, ops, xf, favg2):
     return _fall_back(value, bad | cache.face_bad, favg2, ops)
 
 
-def fr_flux_derivative(favg, fnum_left, fnum_right, ops):
+def fr_flux_derivative(favg, fnum_left, fnum_right, ops, traces=None):
     """Derivative of the corrected (continuous) flux at the solution points.
 
     fnum_left/fnum_right are the numerical fluxes at each element's own
-    faces, shape (ne, nvar).
+    faces, shape (ne, nvar); traces are favg's (left, right) face traces
+    when the caller has them (_face_traces).  For systems the correction
+    terms are added node-major, on the D products' own layout.
     """
-    jump_l = fnum_left - _trace(ops.VL, favg)
-    jump_r = fnum_right - _trace(ops.VR, favg)
-    return (apply_d(ops.D, favg)
-            + ops.bL[None, :, None] * jump_l[:, None, :]
-            + ops.bR[None, :, None] * jump_r[:, None, :])
+    if traces is None:
+        traces = _face_traces(favg, ops)
+    jump_l = fnum_left - traces[0]
+    jump_r = fnum_right - traces[1]
+    if favg.shape[-1] == 1:
+        return (apply_d(ops.D, favg)
+                + ops.bL[None, :, None] * jump_l[:, None, :]
+                + ops.bR[None, :, None] * jump_r[:, None, :])
+    return _element_major(_d_products(ops.D, favg)
+                          + ops.bL[:, None] * jump_l.reshape(-1)
+                          + ops.bR[:, None] * jump_r.reshape(-1), favg.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +479,7 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops):
 def _mean_speeds(disc, u):
     """Wave speed of each element's mean state, maximised over its nodes."""
     means = np.einsum("p,epv->ev", disc.ops.weights, u)
-    return np.real(disc.model.speed(means[:, None, :], disc.xn)).max(axis=1)
+    return fold(np.maximum, np.real(disc.model.speed(means[:, None, :], disc.xn)), 1)
 
 
 def face_wave_speeds(disc, u):
@@ -560,7 +591,8 @@ def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail)
     """
     cfg = disc.config
     favg, uavg, savg = averages
-    if faces is None:
+    ae = faces is None
+    if ae:
         faces = face_values_ae(favg, disc.ops)
     ud = uavg if cfg.dissipation == "d2" else u
     fnum = _assemble_face_flux(disc, faces, ud, lam, t, tau)
@@ -570,7 +602,8 @@ def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail)
         alpha = blending.smoothness_alpha(disc, alpha_from)
         fnum, thetas = blending.blend_and_limit_face_flux(disc, fnum, low, alpha)
         r_low = blending.low_order_residual(disc, low.subface_fluxes, fnum)
-    residual = fr_flux_derivative(favg, fnum[:-1], fnum[1:], disc.ops)
+    # extrapolated faces are the traces the residual needs
+    residual = fr_flux_derivative(favg, fnum[:-1], fnum[1:], disc.ops, faces if ae else None)
     if alpha is not None:
         residual = blending.blended_update(residual, r_low, alpha)
     unew = u - (tau / disc.dx)[:, None, None] * residual
@@ -632,7 +665,9 @@ def mdrk_step(disc, u, t, dt):
 
     mins = None
     if model.nconstraints:
-        mins = model.constraints(unew).reshape(-1, model.nconstraints).min(axis=0)
+        # one long reduction per constraint, not one short one per node
+        cons = model.constraints(unew)
+        mins = np.array([cons[..., k].min() for k in range(model.nconstraints)])
     theta_min = 1.0
     for th in (th1, th2):
         if th is not None and th.size:

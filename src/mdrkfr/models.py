@@ -161,6 +161,22 @@ class Euler(EquationModel):
         return f * np.array([-1.0, 1.0, -1.0])
 
 
+def fold(ufunc, a, axis=-1):
+    """ufunc.reduce(a, axis) as one elementwise ufunc call per slice of a.
+
+    For a short axis (variables, constraints, nodes) a reduction runs one C
+    inner loop per row, a few elements long; combining whole slices keeps
+    every inner loop as long as the other axes.  Only for ufuncs whose
+    result does not depend on the order (logical_and, minimum, maximum),
+    where both forms give the same values.  A one-long axis gives a view.
+    """
+    lead = (slice(None),) * (axis % a.ndim)
+    out = a[lead + (0,)]
+    for k in range(1, a.shape[axis]):
+        out = ufunc(out, a[lead + (k,)])
+    return out
+
+
 def numerical_flux(f_minus, f_plus, diss_minus, diss_plus, lam):
     """Central average of the face fluxes plus jump penalty on the traces."""
     return 0.5 * (f_minus + f_plus) - 0.5 * lam[..., None] * (diss_plus - diss_minus)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdrkfr import blending, core, models
 from mdrkfr.errors import AdmissibilityError, ConfigurationError, StencilStateError
@@ -32,6 +34,67 @@ def test_apply_d_is_einsum_bit_for_bit(points, correction, nvar, ne):
     out = core.apply_d(d_matrix, q)
     assert np.array_equal(out, expected)
     assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+def _broadcast_fr_flux_derivative(favg, fnum_left, fnum_right, ops):
+    # the formula as once written element-major, kept as the reference
+    jump_l = fnum_left - np.einsum("p,epv->ev", ops.VL, favg)
+    jump_r = fnum_right - np.einsum("p,epv->ev", ops.VR, favg)
+    return (np.einsum("pq,eqv->epv", ops.D, favg)
+            + ops.bL[None, :, None] * jump_l[:, None, :]
+            + ops.bR[None, :, None] * jump_r[:, None, :])
+
+
+def _signed_values(rng, shape):
+    # magnitudes over 16 decades, with +0 and -0 mixed in
+    q = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    q[rng.random(shape) < 0.2] = 0.0
+    q[rng.random(shape) < 0.2] = -0.0
+    return q
+
+
+@pytest.mark.parametrize("points, correction", [("gl", "radau"), ("gll", "g2")])
+@pytest.mark.parametrize("nvar", [1, 3])
+@pytest.mark.parametrize("ne", [1, 7, 400])
+def test_fr_flux_derivative_is_broadcast_formula_bit_for_bit(points, correction, nvar, ne):
+    ops = make_operators(3, points, correction)
+    rng = np.random.default_rng(10 * ne + nvar)
+    favg = _signed_values(rng, (ne, 4, nvar))
+    fnum = _signed_values(rng, (ne + 1, nvar))
+    expected = _broadcast_fr_flux_derivative(favg, fnum[:-1], fnum[1:], ops)
+    # traces made inside, and handed over as an ae stage does
+    for traces in (None, core.face_values_ae(favg, ops)):
+        out = core.fr_flux_derivative(favg, fnum[:-1], fnum[1:], ops, traces)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+special_floats = st.sampled_from([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+state_values = st.one_of(special_floats, st.floats(-50.0, 50.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(state_values, state_values, state_values),
+                     min_size=1, max_size=12),
+       split=st.integers(0, 12))
+def test_admissibility_masks_equal_np_all(rows, split):
+    # the masks fold the short variable and constraint axes slice by slice;
+    # np.all over those axes is the reference
+    u = np.array(rows)
+    other = np.roll(u, split, axis=0)
+    gas, scalar = models.Euler(), models.Burgers()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for states in ((u,), (u, other), (u[None], other[None])):
+            expected = np.all(gas.constraints(np.stack(states)) > 0.0, axis=(0, -1))
+            assert np.array_equal(blending._admissible(gas, *states), expected)
+            assert np.array_equal(blending._admissible(scalar, *states),
+                                  np.ones(states[0].shape[:-1], dtype=bool))
+        stencil = np.stack([u, other])
+        expected = np.isfinite(stencil).all(axis=-1) & (stencil[..., 0] > 0.0)
+        assert np.array_equal(core._evaluable(gas, stencil), expected)
+        assert np.array_equal(core._evaluable(scalar, stencil[..., :1]),
+                              np.isfinite(stencil[..., 0]))
 
 
 def test_local_derivative_constant_data():

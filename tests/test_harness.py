@@ -234,6 +234,39 @@ def test_gll_with_mh_is_refused():
     core.RunConfig(points="gl", limiter="mh").validate()
 
 
+# each gas case briefly, at a mesh and final time that keep the sweep short
+SWEEP_CASES = {"blast": (50, 0.002), "density_ratio": (50, 0.005), "sedov": (51, 1e-4),
+               "titarev_toro": (80, 0.1)}
+
+
+@pytest.mark.parametrize("limiter", ["fo", "mh"])
+@pytest.mark.parametrize("face_scheme", ["ae", "ea"])
+@pytest.mark.parametrize("dissipation", ["d1", "d2"])
+@pytest.mark.parametrize("points, correction", [("gl", "radau"), ("gll", "g2")])
+def test_configuration_sweep_runs_or_is_refused(points, correction, dissipation,
+                                                face_scheme, limiter):
+    """Every blended configuration either runs each gas case with no
+    floating-point error or is refused with a ConfigurationError (GLL + mh).
+
+    Underflow is left out of the errstate: the smoothness indicator's
+    logistic underflows exp by design on smooth elements, where alpha is
+    then zero.
+    """
+    for case_id, (cells, final_time) in SWEEP_CASES.items():
+        cfg = harness.case_config(harness.build_case(case_id), points=points,
+                                  correction=correction, dissipation=dissipation,
+                                  face_scheme=face_scheme, limiter=limiter,
+                                  final_time=final_time)
+        if points == "gll" and limiter == "mh":
+            with pytest.raises(ConfigurationError, match="limiter=fo"):
+                harness.run_case(case_id, cfg, cells)
+            continue
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            res = harness.run_case(case_id, cfg, cells)
+        assert res.field.time == pytest.approx(final_time, abs=1e-12)
+        assert res.steps > 0
+
+
 OUT_OF_RANGE = [("cfl", "nan"), ("final_time", "nan"), ("alpha_max", "-0.5"),
                 ("snapshot_every", "-3"), ("indicator_sharpness", "nan"),
                 ("indicator_sharpness", "-1"), ("alpha_min", "nan"), ("alpha_min", "0.7")]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mdrkfr.errors import ConfigurationError, StencilStateError
 from mdrkfr.models import (Burgers, Euler, LinearAdvection, VariableAdvection,
-                           exact_solution, rusanov_flux, varadv_x2_speed)
+                           exact_solution, fold, rusanov_flux, varadv_x2_speed)
 
 finite_floats = st.floats(-50.0, 50.0)
 positive_floats = st.floats(0.01, 50.0)
@@ -81,6 +81,25 @@ def test_euler_outputs_equal_stacked_formulas(states):
         w = u.reshape(shape) if shape != (3,) else u[0]
         assert _bitwise_equal(Euler().flux(w, 0.0), _stacked_flux(w))
         assert _bitwise_equal(Euler().constraints(w), _stacked_constraints(w))
+
+
+@pytest.mark.parametrize("ufunc", [np.logical_and, np.minimum, np.maximum])
+@pytest.mark.parametrize("axis", [0, 1, -1])
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_fold_equals_reduce(ufunc, axis, length):
+    rng = np.random.default_rng(length)
+    shape = [5, 4, 3]
+    shape[axis] = length
+    a = rng.normal(size=shape)
+    a[rng.random(a.shape) < 0.1] = np.nan
+    a[rng.random(a.shape) < 0.1] = np.inf
+    a[rng.random(a.shape) < 0.1] = -np.inf
+    if ufunc is np.logical_and:
+        a = a > 0.0
+    expected = ufunc.reduce(a, axis=axis)
+    out = fold(ufunc, a, axis)
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    assert np.array_equal(out, expected, equal_nan=True)
 
 
 def test_rusanov_consistency_scalar():

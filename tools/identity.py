@@ -18,6 +18,8 @@ short runs:
 - linadv_sine and burgers_sine with fo and mh blending;
 - 150 steps of every gas case under gl/ea/mh, gll/g2/ea/fo and
   gll/g2/ae/fo (the last halves about a third of its step attempts);
+- 30 steps of blast at 400 cells in its default configuration, the
+  benchmark's middle mesh;
 - direct low_order_subface_fluxes calls on random gas states, with and
   without slopes, under three boundary kinds.
 
@@ -85,6 +87,7 @@ def matrix():
             limiter="fo")
         add(case, cells, LONG, points="gll", correction="g2", face_scheme="ae",
             limiter="fo")
+    add("blast", 400)
     return runs
 
 
