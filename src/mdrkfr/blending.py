@@ -235,15 +235,10 @@ def low_order_face_updates(disc, subface_fluxes, u, tau):
     step can.
     """
     model, b = disc.model, disc.boundary
-    p = disc.ops.degree + 1
-    w = disc.ops.weights
-    left, right = b.cells[:-1], b.cells[1:]
-    flow = subface_fluxes[::p]
-    um, upl = u[left, -1], u[right, 0]
-    cm = (tau / (w[-1] * disc.dx[left]))[:, None]
-    cp = (tau / (w[0] * disc.dx[right]))[:, None]
-    f_int_m = subface_fluxes[p * left + p - 1]
-    f_int_p = subface_fluxes[p * right + 1]
+    flow = subface_fluxes[::disc.ops.degree + 1]
+    um, upl = u[b.cells[:-1], -1], u[b.cells[1:], 0]
+    cm, cp = (tau / b.end_widths)[..., None]
+    f_int_m, f_int_p = subface_fluxes[b.inner_subfaces]
     low = FaceUpdates(subface_fluxes, flow, um, upl, cm, cp, f_int_m, f_int_p, None)
     cons = model.constraints(_side_updates(low, flow))
     bad = b.limited[..., None] & ~(cons > 0.0)
@@ -266,6 +261,12 @@ def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):
     one-tenth-of-the-low-order-value margin) are left untouched.  low is
     the stage's checked FaceUpdates (low_order_face_updates).
 
+    The constraint values of the tentative updates are evaluated once per
+    candidate flux: a constraint that no face needs skips the theta work
+    and leaves the flux at fcur + 0 * flow, which is what theta = 1
+    computes and, for a finite flow, fcur itself, so the next constraint
+    reuses the values.
+
     Returns the corrected fluxes and the per-face, per-constraint theta
     factors (all ones where no correction fired).
     """
@@ -280,15 +281,21 @@ def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):
     # minus and plus sides stacked on axis 0; ghost sides at non-periodic
     # ends are left out by b.limited
     eps = 0.1 * low.cons
+    cons = None
     for k in range(model.nconstraints):
-        tld = _side_updates(low, fcur)
-        pk = model.constraints(tld)[..., k]
+        if cons is None:
+            cons = model.constraints(_side_updates(low, fcur))
+        pk = cons[..., k]
         ck = low.cons[..., k]
         need = b.limited & ~(pk >= eps[..., k])
+        if not need.any():
+            fcur = fcur + 0.0 * flow
+            continue
         ratio = np.divide(eps[..., k] - ck, pk - ck, out=np.ones(need.shape), where=need)
         theta = np.clip(np.abs(ratio), 0.0, 1.0).min(axis=0)
         fcur = theta[:, None] * fcur + (1.0 - theta[:, None]) * flow
         thetas[:, k] = theta
+        cons = None
     return fcur, thetas
 
 
@@ -302,21 +309,26 @@ def scaling_limiter(disc, u):
 
     Constraints are enforced in their stated order so the concavity
     hypothesis of each later constraint holds when it is processed.  The
-    element mean is preserved exactly.
+    element mean is preserved exactly.  The means' constraint values are
+    evaluated once, the nodes' again only after a constraint squeezed u.
     """
     model = disc.model
     if model.nconstraints == 0:
         return u
     w = disc.ops.weights
     mean = np.einsum("p,epv->ev", w, u)
+    cmean = model.constraints(mean)
+    cons = None
     for k, name in enumerate(model.constraint_names):
-        pbar = model.constraints(mean)[:, k]
+        pbar = cmean[:, k]
         if not (pbar > 0.0).all():
             e = int(np.argmin(pbar))
             raise AdmissibilityError(f"mean {name}", float(pbar[e]), element=e,
                                      detail="inadmissible element mean reached the scaling limiter")
         eps = 0.1 * pbar
-        pj = model.constraints(u)[..., k]
+        if cons is None:
+            cons = model.constraints(u)
+        pj = cons[..., k]
         need = ~(pj >= eps[:, None])
         if not need.any():
             continue
@@ -324,4 +336,5 @@ def scaling_limiter(disc, u):
                           out=np.ones(need.shape), where=need)
         theta = fold(np.minimum, np.clip(ratio, 0.0, 1.0), 1)
         u = mean[:, None, :] + theta[:, None, None] * (u - mean[:, None, :])
+        cons = None
     return u

@@ -42,10 +42,23 @@ def _build_config(args, case):
                                base=harness.case_config(case))
 
 
+def _cell_count(key, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(f"{key}: {text!r} is not a cell count") from None
+
+
+def _meshes(args):
+    return [_cell_count("meshes", m) for m in args.meshes.split(",")]
+
+
 def _cmd_run(args):
     case = harness.build_case(args.case)
     cfg, extras = _build_config(args, case)
-    cells = args.cells or int(extras.get("cells", case.default_cells))
+    cells = args.cells
+    if cells is None:
+        cells = _cell_count("cells", extras.get("cells", case.default_cells))
     writer = None
     diag_fh = None
     if args.diagnostics:
@@ -88,7 +101,7 @@ def _cmd_run(args):
 def _cmd_convergence(args):
     case = harness.build_case(args.case)
     cfg, _ = _build_config(args, case)
-    meshes = [int(m) for m in args.meshes.split(",")]
+    meshes = _meshes(args)
     rep = harness.convergence_suite(args.case, meshes, cfg, scheme=args.scheme)
     for var, name in enumerate(case.make_model().var_names):
         print(f"-- {name}")
@@ -130,7 +143,7 @@ def _cmd_compare(args):
     cfg, _ = _build_config(args, case)
     if not case.has_exact:
         raise ConfigurationError(f"case {args.case!r} has no exact solution to compare against")
-    meshes = [int(m) for m in args.meshes.split(",")]
+    meshes = _meshes(args)
     print(f"{'cells':>7} {'two-stage L2':>14} {'baseline L2':>14} {'ratio':>7}")
     for nc in meshes:
         res_m = harness.run_case(args.case, cfg, cells=nc, scheme="mdrk")

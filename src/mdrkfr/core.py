@@ -164,6 +164,11 @@ class Boundary:
     limited      (minus, plus) masks over faces: whether the low-order
                  update of the subcell on that side is kept admissible by
                  the interface flux limiter (not ghosts, not imposed faces)
+    end_widths   (minus, plus) widths of the subcells next to every face:
+                 the last subcell of the left element, w[-1] * dx, and the
+                 first of the right one, w[0] * dx
+    inner_subfaces   (minus, plus) indices into the subface line of those
+                 two subcells' other faces
     imposed      indices of the imposed faces
     """
 
@@ -179,6 +184,8 @@ class Boundary:
     state_sign: np.ndarray
     flux_sign: np.ndarray
     limited: np.ndarray
+    end_widths: np.ndarray
+    inner_subfaces: np.ndarray
     imposed: np.ndarray
     bc_state: object = None
 
@@ -227,8 +234,13 @@ def make_boundary(kind, grid, subcells, model, bc_state=None):
         if kind == "reflective":
             state_sign, flux_sign = model.reflect_state(ones), model.reflect_flux(ones)
     wide = [np.repeat(a[:, None], model.nvar, axis=1) for a in (np.diff(sub_x), sub_dl, sub_dr)]
+    # the subcells next to every face; subface j is the left face of subcell j
+    p = subcells.psub
+    end_cells = np.stack([p * cells[:-1] + p - 1, p * cells[1:]])
+    inner_subfaces = end_cells + np.array([[0], [1]])
     return Boundary(cells, traces, sub, sub_x, sub_dl, sub_dr, *wide, state_sign, flux_sign,
-                    limited, np.array(imposed, dtype=int), bc_state)
+                    limited, subcells.h[end_cells], inner_subfaces,
+                    np.array(imposed, dtype=int), bc_state)
 
 
 @dataclass
@@ -531,13 +543,17 @@ def _assemble_face_flux(disc, faces, ud, lam, t, tau):
 
 
 def validate_admissible(model, u, time=None, step=None, detail=""):
-    """Raise with located diagnostics when a nodal state is inadmissible."""
+    """Raise with located diagnostics when a nodal state is inadmissible.
+
+    Returns the constraint values it checked, None for a model without
+    constraints.
+    """
     if not np.isfinite(u).all():
         e, p = np.unravel_index(int(np.argmin(np.isfinite(u).all(axis=-1))), u.shape[:2])
         raise AdmissibilityError("finite", float("nan"), element=int(e), node=int(p),
                                  time=time, step=step, detail=detail or "non-finite state")
     if model.nconstraints == 0:
-        return
+        return None
     vals = model.constraints(u)
     for k, name in enumerate(model.constraint_names):
         col = vals[..., k]
@@ -545,6 +561,7 @@ def validate_admissible(model, u, time=None, step=None, detail=""):
             e, p = np.unravel_index(int(np.argmin(col)), col.shape)
             raise AdmissibilityError(name, float(col[e, p]), element=int(e),
                                      node=int(p), time=time, step=step, detail=detail)
+    return vals
 
 
 def compute_dt(disc, u, t):
@@ -587,7 +604,7 @@ def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail)
     off.  With blending on, the residual is the alpha-blend of the high-
     and low-order residuals and the update passes the scaling limiter;
     with it off, alpha and thetas are None.  Returns (u_new, fnum, alpha,
-    thetas).
+    thetas, constraint values of u_new).
     """
     cfg = disc.config
     favg, uavg, savg = averages
@@ -611,8 +628,8 @@ def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail)
         unew = unew + tau * savg
     if alpha is not None:
         unew = blending.scaling_limiter(disc, unew)
-    validate_admissible(disc.model, unew, time=time, detail=detail)
-    return unew, fnum, alpha, thetas
+    cons = validate_admissible(disc.model, unew, time=time, detail=detail)
+    return unew, fnum, alpha, thetas, cons
 
 
 def _low_order(disc, u, dt):
@@ -652,21 +669,20 @@ def mdrk_step(disc, u, t, dt):
     if ea:
         faces1, cache.face_f, cache.face_f1, cache.face_bad = face_values_ea_stage1(
             model, u, cache.u1, ops, disc.xf, avg1[0])
-    ustar, fnum1, alpha1, th1 = _stage(disc, u, avg1, faces1, lam, t, 0.5 * dt, low1, u,
-                                       t, "after first stage")
+    ustar, fnum1, alpha1, th1, _ = _stage(disc, u, avg1, faces1, lam, t, 0.5 * dt, low1, u,
+                                          t, "after first stage")
 
     # stage 2: averages over [t, t + dt]
     *avg2, us1 = stage2_time_average(model, u, ustar, cache, disc.xn, disc.dx, dt, ops, t)
     faces2 = None
     if ea:
         faces2 = face_values_ea_stage2(model, ustar, us1, cache, ops, disc.xf, avg2[0])
-    unew, fnum2, alpha2, th2 = _stage(disc, u, avg2, faces2, lam, t, dt, low2, ustar,
-                                      t + dt, "after second stage")
+    unew, fnum2, alpha2, th2, cons = _stage(disc, u, avg2, faces2, lam, t, dt, low2, ustar,
+                                            t + dt, "after second stage")
 
     mins = None
-    if model.nconstraints:
+    if cons is not None:
         # one long reduction per constraint, not one short one per node
-        cons = model.constraints(unew)
         mins = np.array([cons[..., k].min() for k in range(model.nconstraints)])
     theta_min = 1.0
     for th in (th1, th2):

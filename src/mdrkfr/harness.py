@@ -174,7 +174,8 @@ def make_run(case_id, config=None, cells=None):
         raise ConfigurationError(
             f"case {case_id!r} has {case.boundary!r} boundaries, "
             f"the configuration asks for {cfg.boundary!r}")
-    grid = core.make_grid(case.xlo, case.xhi, cells or case.default_cells)
+    grid = core.make_grid(case.xlo, case.xhi,
+                          case.default_cells if cells is None else cells)
     model = case.make_model()
     disc = core.make_discretization(grid, model, cfg, case.bc_state)
     return case, disc, initial_field(case, grid, disc.ops)
@@ -438,10 +439,14 @@ _CONFIG_INTS = {"degree", "snapshot_every"}
 
 
 def _coerce(key, value):
-    if key in _CONFIG_FLOATS:
-        return None if value.lower() == "none" else float(value)
-    if key in _CONFIG_INTS:
-        return int(value)
+    try:
+        if key in _CONFIG_FLOATS:
+            return None if value.lower() == "none" else float(value)
+        if key in _CONFIG_INTS:
+            return int(value)
+    except ValueError:
+        kind = "a number" if key in _CONFIG_FLOATS else "an integer"
+        raise ConfigurationError(f"{key} must be {kind}, got {value!r}") from None
     return value
 
 

@@ -5,10 +5,10 @@ from mdrkfr import blending, core, harness, models
 from mdrkfr.errors import AdmissibilityError, StencilStateError
 
 
-def euler_disc(ncells=8, limiter="mh", boundary="periodic", **kw):
+def euler_disc(ncells=8, limiter="mh", boundary="periodic", bc_state=None, **kw):
     cfg = core.RunConfig(final_time=1.0, limiter=limiter, boundary=boundary, **kw)
     grid = core.make_grid(0.0, 1.0, ncells)
-    return core.make_discretization(grid, models.Euler(), cfg)
+    return core.make_discretization(grid, models.Euler(), cfg, bc_state)
 
 
 def scalar_disc(ncells=8, limiter="mh", **kw):
@@ -372,6 +372,115 @@ def test_scaling_limiter_scalar_noop():
     disc = scalar_disc()
     u = np.random.default_rng(3).normal(size=(8, 4, 1))
     assert blending.scaling_limiter(disc, u) is u
+
+
+# ----------------------------------------------------------------------
+# the limiters against their one-call-per-constraint loops
+
+
+def reference_flux_limiter(disc, fnum_ho, low, alpha):
+    """blend_and_limit_face_flux evaluating every constraint afresh."""
+    model, b = disc.model, disc.boundary
+    flow = low.flow
+    a = alpha[b.cells]
+    af = 0.5 * (a[:-1] + a[1:])
+    af[b.imposed] = 0.0
+    fcur = (1.0 - af[:, None]) * fnum_ho + af[:, None] * flow
+    thetas = np.ones((disc.grid.ncells + 1, model.nconstraints))
+    eps = 0.1 * low.cons
+    for k in range(model.nconstraints):
+        pk = model.constraints(blending._side_updates(low, fcur))[..., k]
+        ck = low.cons[..., k]
+        need = b.limited & ~(pk >= eps[..., k])
+        ratio = np.divide(eps[..., k] - ck, pk - ck, out=np.ones(need.shape), where=need)
+        theta = np.clip(np.abs(ratio), 0.0, 1.0).min(axis=0)
+        fcur = theta[:, None] * fcur + (1.0 - theta[:, None]) * flow
+        thetas[:, k] = theta
+    return fcur, thetas
+
+
+def reference_scaling_limiter(disc, u, fired):
+    """scaling_limiter evaluating every constraint afresh; appends the
+    index of each constraint that squeezed u to fired."""
+    model = disc.model
+    mean = np.einsum("p,epv->ev", disc.ops.weights, u)
+    for k in range(model.nconstraints):
+        pbar = model.constraints(mean)[:, k]
+        eps = 0.1 * pbar
+        pj = model.constraints(u)[..., k]
+        need = ~(pj >= eps[:, None])
+        if not need.any():
+            continue
+        fired.append(k)
+        ratio = np.divide(pbar[:, None] - eps[:, None], pbar[:, None] - pj,
+                          out=np.ones(need.shape), where=need)
+        theta = models.fold(np.minimum, np.clip(ratio, 0.0, 1.0), 1)
+        u = mean[:, None, :] + theta[:, None, None] * (u - mean[:, None, :])
+    return u
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# which constraints a constructed state breaks
+BRANCHES = {"none": (), "density": (0,), "pressure": (1,), "both": (0, 1)}
+
+
+def random_gas(disc, rng):
+    shape = disc.xn.shape
+    return disc.model.conserved(rng.uniform(0.5, 1.5, shape),
+                                rng.normal(scale=0.1, size=shape),
+                                rng.uniform(0.5, 1.5, shape))
+
+
+# flux kicks (face, variable, multiple of the minus-side value over cm):
+# mass breaks the density of the minus-side update, energy its pressure;
+# at face 3 of "both" the pressure limiting starts from the flux that the
+# density limiting already pulled
+FLUX_KICKS = {"none": [], "density": [(3, 0, 5.0)], "pressure": [(6, 2, 5.0)],
+              "both": [(3, 0, 5.0), (3, 2, 20.0), (6, 2, 5.0)]}
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "transmissive", "dirichlet"])
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_flux_limiter_matches_per_constraint_loop(branch, boundary):
+    disc = euler_disc(limiter="fo", ncells=8, boundary=boundary,
+                      bc_state=lambda x, t: np.array([1.0, 0.0, 2.5]))
+    rng = np.random.default_rng(list(BRANCHES).index(branch))
+    u = random_gas(disc, rng)
+    sf = blending.low_order_subface_fluxes(disc, u, 1e-3, use_slopes=False)
+    low = blending.low_order_face_updates(disc, sf, u, 1e-3)
+    fho = low.flow * (1.0 + 1e-3 * rng.normal(size=low.flow.shape))
+    for face, var, size in FLUX_KICKS[branch]:
+        fho[face, var] += size * low.um[face, var] / low.cm[face, 0]
+    alpha = rng.uniform(0.0, 0.5, 8)
+    out, thetas = blending.blend_and_limit_face_flux(disc, fho, low, alpha)
+    ref_out, ref_thetas = reference_flux_limiter(disc, fho, low, alpha)
+    assert same_bits(out, ref_out) and same_bits(thetas, ref_thetas)
+    fired = tuple(k for k in range(2) if (thetas[:, k] < 1.0).any())
+    assert fired == BRANCHES[branch]
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_scaling_limiter_matches_per_constraint_loop(branch):
+    # element 2 at rest with one node's density below a tenth of the mean,
+    # element 5 with one node's pressure negative; in "both" the thin node
+    # of element 2 has negative pressure too, so the pressure squeeze
+    # starts from the state the density squeeze left
+    disc = euler_disc(ncells=8)
+    u = random_gas(disc, np.random.default_rng(10 + list(BRANCHES).index(branch)))
+    if 0 in BRANCHES[branch]:
+        u[2, :, 1] = 0.0
+        u[2, 1, 0] = 1e-3
+    if 1 in BRANCHES[branch]:
+        u[5, 2, 2] = 0.5 * u[5, 2, 1] ** 2 / u[5, 2, 0] - 0.05
+    if branch == "both":
+        u[2, 1, 2] = -0.05
+    fired = []
+    ref = reference_scaling_limiter(disc, u, fired)
+    assert same_bits(blending.scaling_limiter(disc, u), ref)
+    assert tuple(fired) == BRANCHES[branch]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdrkfr import blending, core, models
+from mdrkfr import blending, core, harness, models
 from mdrkfr.errors import AdmissibilityError, ConfigurationError, StencilStateError
 from mdrkfr.operators import make_operators
 
@@ -382,6 +382,13 @@ def test_boundary_ghosts(kind):
     minus_ok[imposed] = plus_ok[imposed] = False
     assert (b.limited[0] == minus_ok).all() and (b.limited[1] == plus_ok).all()
 
+    # face geometry of the subcells next to every face: the last subcell
+    # of the left element and the first of the right one
+    w, p = disc.ops.weights, len(disc.ops.weights)
+    left, right = b.cells[:-1], b.cells[1:]
+    assert np.array_equal(b.end_widths, np.stack([w[-1] * disc.dx[left], w[0] * disc.dx[right]]))
+    assert np.array_equal(b.inner_subfaces, np.stack([p * left + p - 1, p * right + 1]))
+
 
 def test_reflective_wall_zero_mass_flux():
     # one step of the blast data must not transport mass through walls
@@ -545,6 +552,54 @@ def test_subcell_fluxes_built_once_per_step(monkeypatch, limiter):
     _, diag = core.mdrk_step(disc, u, 0.0, 1e-5)
     assert len(calls) == 1
     assert diag.theta1 is not None and diag.theta2 is not None
+
+
+def test_constraints_evaluated_at_most_12_times_per_step(monkeypatch):
+    # each constraint value is evaluated once per state: four subcell and
+    # face-update checks, then per stage one flux-limiter call, the means
+    # and the nodes in the scaling limiter and the stage check, whose
+    # stage-2 values give the step's minima
+    calls = []
+    evaluate = models.Euler.constraints
+
+    def counted(self, u):
+        calls.append(u.shape)
+        return evaluate(self, u)
+
+    monkeypatch.setattr(models.Euler, "constraints", counted)
+    _, disc, fld = harness.make_run("blast", cells=100)
+    u, t, attempts = fld.data, 0.0, 0
+    for _ in range(20):
+        dt = core.compute_dt(disc, u, t)
+        while True:
+            attempts += 1
+            try:
+                unew, _ = core.mdrk_step(disc, u, t, dt)
+                break
+            except StencilStateError:
+                dt *= 0.5
+        u, t = unew, t + dt
+    assert len(calls) <= 12 * attempts
+
+
+def test_validate_admissible_returns_checked_values():
+    m = models.Euler()
+    u = np.tile(m.conserved(1.0, 0.5, 2.0), (4, 3, 1))
+    assert np.array_equal(core.validate_admissible(m, u), m.constraints(u))
+    assert core.validate_admissible(models.Burgers(), np.ones((4, 3, 1))) is None
+
+
+@pytest.mark.parametrize("limiter", ["none", "fo", "mh"])
+def test_step_min_constraints_are_the_new_state_minima(limiter):
+    m = models.Euler()
+    disc = make_disc(ncells=16, model=m, limiter=limiter)
+    rho = 1.0 + 0.5 * np.sin(2 * np.pi * disc.xn)
+    u = m.conserved(rho, np.full_like(rho, 0.3), 1.0 + 0.2 * np.cos(2 * np.pi * disc.xn))
+    unew, diag = core.mdrk_step(disc, u, 0.0, 1e-3)
+    cons = m.constraints(unew)
+    assert np.array_equal(diag.min_constraints, cons.reshape(-1, 2).min(axis=0))
+    _, diag = core.mdrk_step(make_disc(ncells=16), np.sin(disc.xn)[..., None], 0.0, 1e-3)
+    assert diag.min_constraints is None
 
 
 def test_admissibility_abort_carries_location():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mdrkfr import core, harness, models
+from mdrkfr import cli, core, harness, models
 from mdrkfr.errors import ConfigurationError
 
 
@@ -390,6 +390,24 @@ def test_cli_out_of_range_setting_exit_code(key, value):
                   "--override", f"{key}={value}")
     assert out.returncode == 1
     assert "configuration error" in out.stderr and key in out.stderr
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--case", "blast", "--cells", "0"], "0 cells"),
+    (["compare", "--case", "linadv_sine", "--meshes", "0,20"], "0 cells"),
+    (["run", "--case", "blast", "--cells", "20", "--override", "cfl=abc"], "cfl"),
+    (["run", "--case", "blast", "--cells", "20", "--override", "degree=2.5"], "degree"),
+    (["run", "--case", "blast", "--config", "{tmp}/cells.cfg"], "cells"),
+    (["compare", "--case", "linadv_sine", "--meshes", "20,x"], "meshes"),
+    (["convergence", "--case", "linadv_sine", "--meshes", "20,x,40"], "meshes"),
+])
+def test_cli_refuses_bad_mesh_and_unparsable_value(argv, key, tmp_path, capsys):
+    # a zero mesh reaches make_grid's refusal instead of the default mesh,
+    # and a value that does not parse names its key instead of a traceback
+    (tmp_path / "cells.cfg").write_text("[run]\ncells = abc\n")
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
 
 
 def test_cli_snapshot_and_diagnostics(tmp_path):

@@ -21,16 +21,20 @@ short runs:
 - 30 steps of blast at 400 cells in its default configuration, the
   benchmark's middle mesh;
 - direct low_order_subface_fluxes calls on random gas states, with and
-  without slopes, under three boundary kinds.
+  without slopes, under three boundary kinds;
+- direct blend_and_limit_face_flux and scaling_limiter calls on seeded
+  gas states built so that no constraint, density only, pressure only,
+  or both need limiting (the last with both acting on one face or
+  element), so the limiters' rare branches are compared too.
 
 Every step takes the compute_dt step and halves it on StencilStateError,
 as harness.run_case does.  Compared: each accepted step's state, dt and
 StepDiagnostics fields (fnum, alpha, theta, minimum constraints), each
-run's retry count and abort message, and each direct call's fluxes, with
-np.array_equal plus equal np.signbit.  Exits 1 on any mismatch and 2
-when a tree fails to run the matrix.  The constraint behind each halving
-is printed as a note only: trees may test their admissibility
-conditions in different orders.
+run's retry count and abort message, and each direct call's outputs
+(fluxes, thetas, states), with np.array_equal plus equal np.signbit.
+Exits 1 on any mismatch and 2 when a tree fails to run the matrix.  The
+constraint behind each halving is printed as a note only: trees may test
+their admissibility conditions in different orders.
 """
 
 import argparse
@@ -50,6 +54,9 @@ GAS = {"blast": 100, "titarev_toro": 100, "density_ratio": 100, "sedov": 51}
 PAIRINGS = (("gl", "radau"), ("gll", "g2"))
 SHORT, LONG = 30, 150
 MAX_HALVINGS = 12
+BOUNDARIES = ("periodic", "transmissive", "reflective")
+# the constraints (0 density, 1 pressure) a direct limiter call breaks
+BRANCHES = {"none": (), "density": (0,), "pressure": (1,), "both": (0, 1)}
 
 
 def matrix():
@@ -131,27 +138,100 @@ def run_one(case_id, cells, scheme, overrides, steps):
 
 def direct_subface_calls(ncalls=240, seed=7):
     """low_order_subface_fluxes on random gas states, one record per call."""
-    from mdrkfr import blending, core, errors, models
+    from mdrkfr import blending, errors
 
     rng = np.random.default_rng(seed)
-    model = models.Euler()
     records = []
     for i in range(ncalls):
-        kind = ("periodic", "transmissive", "reflective")[i % 3]
+        kind = BOUNDARIES[i % 3]
         limiter = "mh" if i % 2 else "fo"
-        cfg = core.RunConfig(limiter=limiter, boundary=kind)
-        disc = core.make_discretization(core.make_grid(0.0, 1.0, 6), model, cfg)
-        shape = disc.xn.shape
-        rho = 10.0 ** rng.uniform(-3.0, 1.0, shape)
-        p = 10.0 ** rng.uniform(-4.0, 3.0, shape)
-        v = rng.normal(scale=5.0, size=shape) * (rng.random(shape) > 0.1)
+        disc = _gas_disc(kind, limiter)
+        u = _random_gas(disc, rng)
         tau = 10.0 ** rng.uniform(-5.0, -1.0)
-        u = model.conserved(rho, v, p)
         try:
             value = blending.low_order_subface_fluxes(disc, u, tau, limiter == "mh")
         except errors.SolverAbort as exc:
             value = f"{type(exc).__name__}: {exc}"
-        records.append((f"subface/{i}/{kind}/{limiter}", value))
+        records.append((f"direct/subface/{i}/{kind}/{limiter}", value))
+    return records
+
+
+def _gas_disc(kind, limiter, ncells=6):
+    from mdrkfr import core, models
+
+    cfg = core.RunConfig(limiter=limiter, boundary=kind)
+    return core.make_discretization(core.make_grid(0.0, 1.0, ncells), models.Euler(), cfg)
+
+
+def _random_gas(disc, rng):
+    shape = disc.xn.shape
+    rho = 10.0 ** rng.uniform(-3.0, 1.0, shape)
+    p = 10.0 ** rng.uniform(-4.0, 3.0, shape)
+    v = rng.normal(scale=5.0, size=shape) * (rng.random(shape) > 0.1)
+    return disc.model.conserved(rho, v, p)
+
+
+def direct_limiter_calls(ncalls=96, seed=11):
+    """blend_and_limit_face_flux and scaling_limiter on seeded gas states.
+
+    Flux limiter: a small step keeps the low-order face updates
+    admissible, and a kick to the candidate's mass (energy) flux at a
+    random face drives its minus-side density (pressure) negative; about
+    half of the density calls need a pressure correction after the
+    density one.  "both" kicks both fluxes at one face and the energy at
+    another.  Scaling limiter: element-wise states whose nodes all clear
+    a tenth of their mean's values; then one element at rest gets a node
+    with a hundredth of the density, one node elsewhere a negative
+    pressure, and "both" also makes the thin node's pressure negative.
+    """
+    from mdrkfr import blending, errors
+
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(ncalls):
+        kind, branch = BOUNDARIES[i % 3], list(BRANCHES)[i % 4]
+        disc = _gas_disc(kind, "mh" if i % 2 else "fo")
+        ne = disc.grid.ncells
+        u = _random_gas(disc, rng)
+        speed = np.max(disc.model.speed(u, disc.xn))
+        tau = 0.05 * float(np.min(disc.subcells.h)) / speed
+        try:
+            sf = blending.low_order_subface_fluxes(disc, u, tau, i % 2 == 1)
+            low = blending.low_order_face_updates(disc, sf, u, tau)
+            fho = low.flow * (1.0 + 1e-3 * rng.normal(size=low.flow.shape))
+            faces = rng.choice(np.arange(1, ne), size=2, replace=False)
+            kicks = {"density": [(faces[0], 0)], "pressure": [(faces[0], 2)],
+                     "both": [(faces[0], 0), (faces[0], 2), (faces[1], 2)]}.get(branch, [])
+            # the minus-side low-order update with the subcell flux at the face
+            lowm = low.um - low.cm * (low.flow - low.f_int_m)
+            for face, var in kicks:
+                fho[face, var] += 20.0 * abs(lowm[face, var]) / low.cm[face, 0]
+            value = blending.blend_and_limit_face_flux(disc, fho, low, rng.uniform(0.0, 0.5, ne))
+        except errors.SolverAbort as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        records.append((f"direct/flux-limiter/{i}/{kind}/{branch}", value))
+
+        # element-wise levels with nodal spread a limiter leaves alone
+        shape = disc.xn.shape
+        u = disc.model.conserved(
+            10.0 ** rng.uniform(-3.0, 1.0, (ne, 1)) * rng.uniform(0.5, 1.5, shape),
+            rng.normal(scale=5.0, size=(ne, 1)),
+            10.0 ** rng.uniform(-4.0, 3.0, (ne, 1)) * rng.uniform(0.5, 1.5, shape))
+        thin, hot = rng.choice(ne, size=2, replace=False)
+        node = rng.integers(disc.ops.degree + 1, size=2)
+        if 0 in BRANCHES[branch]:
+            u[thin, :, 1] = 0.0
+            u[thin, node[0], 0] = 0.01 * u[thin, :, 0].mean()
+        if 1 in BRANCHES[branch]:
+            rho, m, _ = u[hot, node[1]]
+            u[hot, node[1], 2] = 0.5 * m * m / rho - 0.1 * u[hot, :, 2].mean()
+        if branch == "both":
+            u[thin, node[0], 2] = -0.1 * u[thin, :, 2].mean()
+        try:
+            value = blending.scaling_limiter(disc, u)
+        except errors.SolverAbort as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        records.append((f"direct/scaling-limiter/{i}/{kind}/{branch}", value))
     return records
 
 
@@ -165,7 +245,7 @@ def worker(tree, path):
     with open(path, "wb") as fh:
         for key, case, cells, scheme, overrides, steps in matrix():
             pickle.dump((key, run_one(case, cells, scheme, overrides, steps)), fh)
-        for record in direct_subface_calls():
+        for record in direct_subface_calls() + direct_limiter_calls():
             pickle.dump(record, fh)
 
 
@@ -180,6 +260,8 @@ def _records(path):
 
 def same(a, b):
     """Equal values, arrays compared with array_equal plus signbit."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a, b = np.asarray(a), np.asarray(b)
         if a.shape != b.shape or a.dtype != b.dtype:
@@ -200,10 +282,10 @@ def compare(path_a, path_b):
     for (key_a, out_a), (key_b, out_b) in zip(_records(path_a), _records(path_b)):
         if key_a != key_b:
             raise SystemExit(f"record order differs: {key_a} against {key_b}")
-        if key_a.startswith("subface/"):
+        if key_a.startswith("direct/"):
             counts["direct calls"] += 1
             if not same(out_a, out_b):
-                mismatches.append(f"{key_a}: fluxes differ")
+                mismatches.append(f"{key_a}: outputs differ")
             continue
         counts["runs"] += 1
         counts["halvings"] += out_a["retries"]
