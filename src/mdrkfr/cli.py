@@ -6,25 +6,26 @@ admissibility violation.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 
 import numpy as np
 
-from . import harness, order_conditions, stability
+from . import core, harness, order_conditions, stability
 from .errors import ConfigurationError, SolverAbort
-from .operators import make_operators
+from .operators import CORRECTION_KINDS, POINT_KINDS, make_operators
 
 
 def _add_config_arguments(p):
     p.add_argument("--config", help="key = value configuration file ([run] section)")
     p.add_argument("--override", action="append", default=[], metavar="K=V",
                    help="override a config entry (repeatable)")
-    p.add_argument("--points", choices=("gl", "gll"))
-    p.add_argument("--correction", choices=("radau", "g2"))
-    p.add_argument("--dissipation", choices=("d1", "d2"))
-    p.add_argument("--face-scheme", choices=("ae", "ea"), dest="face_scheme")
-    p.add_argument("--limiter", choices=("none", "fo", "mh"))
+    p.add_argument("--points", choices=POINT_KINDS)
+    p.add_argument("--correction", choices=CORRECTION_KINDS)
+    p.add_argument("--dissipation", choices=stability.DISSIPATION_KINDS)
+    p.add_argument("--face-scheme", choices=core.FACE_SCHEMES, dest="face_scheme")
+    p.add_argument("--limiter", choices=core.LIMITER_KINDS)
     p.add_argument("--cfl", type=float)
     p.add_argument("--safety", type=float)
     p.add_argument("--final-time", type=float, dest="final_time")
@@ -49,8 +50,31 @@ def _cell_count(key, text):
         raise ConfigurationError(f"{key}: {text!r} is not a cell count") from None
 
 
-def _meshes(args):
-    return [_cell_count("meshes", m) for m in args.meshes.split(",")]
+def _meshes(args, case):
+    return harness.check_meshes(case, [_cell_count("meshes", m) for m in args.meshes.split(",")])
+
+
+def _write_limiter_rows(writer, step, t, model, diag):
+    """Sparse stage-two limiter activity: element alphas and face thetas.
+
+    Only elements with a nonzero blending coefficient and faces whose
+    flux was actually pulled toward the subcell flux produce rows.
+    """
+    for e in np.nonzero(diag.alpha2 > 0.0)[0]:
+        writer.writerow([step, f"{t:.9e}", "alpha", int(e),
+                         f"{float(diag.alpha2[e]):.6e}"])
+    if diag.theta2 is not None and diag.theta2.size:
+        for k, name in enumerate(model.constraint_names):
+            for f in np.nonzero(diag.theta2[:, k] < 1.0)[0]:
+                writer.writerow([step, f"{t:.9e}", f"theta_{name}", int(f),
+                                 f"{float(diag.theta2[f, k]):.6e}"])
+
+
+def _write_numbered_snapshot(path, res):
+    """Snapshot named by the step count: out.csv -> out_000007.csv."""
+    stem, dot, ext = path.rpartition(".")
+    name = f"{stem}_{res.steps:06d}.{ext}" if dot else f"{path}_{res.steps:06d}"
+    harness.write_snapshot(name, res.disc, res.field.data, res.field.time)
 
 
 def _cmd_run(args):
@@ -59,26 +83,24 @@ def _cmd_run(args):
     cells = args.cells
     if cells is None:
         cells = _cell_count("cells", extras.get("cells", case.default_cells))
-    writer = None
-    diag_fh = None
-    if args.diagnostics:
-        diag_fh = open(args.diagnostics, "w", newline="")
-        writer = csv.writer(diag_fh)
-        writer.writerow(harness.DIAGNOSTICS_HEADER)
-    hook = None
-    if args.output and cfg.snapshot_every:
-        stem, dot, ext = args.output.rpartition(".")
-        base = stem if dot else args.output
+    snapshots = bool(args.output and cfg.snapshot_every)
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if args.diagnostics:
+            writer = csv.writer(stack.enter_context(open(args.diagnostics, "w", newline="")))
+            writer.writerow(["step", "t", "kind", "id", "value"])
 
-        def hook(step, disc, fld):
-            path = f"{base}_{step:06d}.{ext}" if dot else f"{base}_{step:06d}"
-            harness.write_snapshot(path, disc, fld.data, fld.time)
-    try:
+        def on_step(result, before, diag):
+            if writer is not None and diag.alpha2 is not None:
+                _write_limiter_rows(writer, result.steps - 1, before.time,
+                                    result.disc.model, diag)
+            if snapshots and result.steps % cfg.snapshot_every == 0:
+                _write_numbered_snapshot(args.output, result)
+
         res = harness.run_case(args.case, cfg, cells=cells, scheme=args.scheme,
-                               diagnostics_writer=writer, snapshot_hook=hook)
-    finally:
-        if diag_fh:
-            diag_fh.close()
+                               on_step=on_step)
+    if snapshots:
+        _write_numbered_snapshot(args.output, res)
     reasons = ", ".join(f"{name}: {n}" for name, n in res.retry_reasons.most_common())
     reasons = f" ({reasons})" if reasons else ""
     print(f"case={args.case} cells={cells} steps={res.steps} "
@@ -101,7 +123,7 @@ def _cmd_run(args):
 def _cmd_convergence(args):
     case = harness.build_case(args.case)
     cfg, _ = _build_config(args, case)
-    meshes = _meshes(args)
+    meshes = _meshes(args, case)
     rep = harness.convergence_suite(args.case, meshes, cfg, scheme=args.scheme)
     for var, name in enumerate(case.make_model().var_names):
         print(f"-- {name}")
@@ -143,7 +165,7 @@ def _cmd_compare(args):
     cfg, _ = _build_config(args, case)
     if not case.has_exact:
         raise ConfigurationError(f"case {args.case!r} has no exact solution to compare against")
-    meshes = _meshes(args)
+    meshes = _meshes(args, case)
     print(f"{'cells':>7} {'two-stage L2':>14} {'baseline L2':>14} {'ratio':>7}")
     for nc in meshes:
         res_m = harness.run_case(args.case, cfg, cells=nc, scheme="mdrk")
@@ -165,7 +187,7 @@ def build_parser():
     p = sub.add_parser("run", help="advance one case to its final time")
     p.add_argument("--case", required=True, choices=sorted(harness.CATALOG))
     p.add_argument("--cells", type=int)
-    p.add_argument("--scheme", choices=("mdrk", "rkfr"), default="mdrk")
+    p.add_argument("--scheme", choices=harness.SCHEMES, default="mdrk")
     p.add_argument("--output", help="write final snapshot CSV here")
     p.add_argument("--diagnostics", help="write limiter diagnostics CSV here")
     _add_config_arguments(p)
@@ -174,14 +196,14 @@ def build_parser():
     p = sub.add_parser("convergence", help="mesh-refinement study")
     p.add_argument("--case", required=True, choices=sorted(harness.CATALOG))
     p.add_argument("--meshes", default="20,40,80,160")
-    p.add_argument("--scheme", choices=("mdrk", "rkfr"), default="mdrk")
+    p.add_argument("--scheme", choices=harness.SCHEMES, default="mdrk")
     _add_config_arguments(p)
     p.set_defaults(func=_cmd_convergence)
 
     p = sub.add_parser("stability", help="Fourier CFL limit")
-    p.add_argument("--correction", choices=("radau", "g2"), default="radau")
-    p.add_argument("--dissipation", choices=("d1", "d2"), default="d2")
-    p.add_argument("--points", choices=("gl", "gll"), default="gl")
+    p.add_argument("--correction", choices=CORRECTION_KINDS, default="radau")
+    p.add_argument("--dissipation", choices=stability.DISSIPATION_KINDS, default="d2")
+    p.add_argument("--points", choices=POINT_KINDS, default="gl")
     p.add_argument("--kappa-samples", type=int, default=1024, dest="kappa_samples")
     p.add_argument("--scan", action="store_true", help="also print a sigma scan")
     p.set_defaults(func=_cmd_stability)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blending, stability
+from . import blending, operators, stability
 from .errors import AdmissibilityError, ConfigurationError
 from .models import EquationModel, fold, numerical_flux
 from .operators import ReferenceOperators, gauss_legendre, make_operators
@@ -87,11 +87,11 @@ class RunConfig:
     snapshot_every: int = 0
 
     def validate(self):
-        if self.points not in ("gl", "gll"):
+        if self.points not in operators.POINT_KINDS:
             raise ConfigurationError(f"unknown point kind {self.points!r}")
-        if self.correction not in ("radau", "g2"):
+        if self.correction not in operators.CORRECTION_KINDS:
             raise ConfigurationError(f"unknown correction {self.correction!r}")
-        if self.dissipation not in ("d1", "d2"):
+        if self.dissipation not in stability.DISSIPATION_KINDS:
             raise ConfigurationError(f"unknown dissipation {self.dissipation!r}")
         if self.face_scheme not in FACE_SCHEMES:
             raise ConfigurationError(f"unknown face scheme {self.face_scheme!r}")
@@ -523,16 +523,16 @@ def _bc_flux(disc, x, t):
     return disc.model.flux(np.asarray(disc.boundary.bc_state(x, t), dtype=float), x)
 
 
-def _assemble_face_flux(disc, faces, ud, lam, t, tau):
+def _assemble_face_flux(disc, faces, traces, lam, t, tau):
     """Numerical flux at every face for one stage.
 
-    faces: per-element (left, right) central face values; ud: nodal states
-    whose traces feed the dissipation (the time-averaged solution for the
-    d2 variant, the start-of-step solution for d1).
+    faces: per-element (left, right) central face values; traces: the face
+    traces of the nodal states that feed the dissipation (the time-averaged
+    solution for the d2 variant, the start-of-step solution for d1).
     """
     b = disc.boundary
     fm, fp = b.face_sides(*faces, b.flux_sign)
-    um, up = b.face_sides(*_face_traces(ud, disc.ops), b.state_sign)
+    um, up = b.face_sides(*traces, b.state_sign)
     fnum = numerical_flux(fm, fp, um, up, lam)
     _impose_fluxes(disc, fnum, t, tau)
     return fnum
@@ -612,7 +612,7 @@ def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail)
     if ae:
         faces = face_values_ae(favg, disc.ops)
     ud = uavg if cfg.dissipation == "d2" else u
-    fnum = _assemble_face_flux(disc, faces, ud, lam, t, tau)
+    fnum = _assemble_face_flux(disc, faces, _face_traces(ud, disc.ops), lam, t, tau)
 
     alpha = thetas = None
     if low is not None:
@@ -700,14 +700,11 @@ def mdrk_step(disc, u, t, dt):
 
 def rkfr_rhs(disc, u, t):
     """Classical semi-discrete right-hand side with the corrected flux."""
-    model, ops, b = disc.model, disc.ops, disc.boundary
+    model, ops = disc.model, disc.ops
     f = model.flux(u, disc.xn)
     lam = face_wave_speeds(disc, u)
-    um, up = b.face_sides(*_face_traces(u, ops), b.state_sign)
-    fm = model.flux(um, disc.grid.faces)
-    fp = model.flux(up, disc.grid.faces)
-    fnum = numerical_flux(fm, fp, um, up, lam)
-    _impose_fluxes(disc, fnum, t)
+    traces = _face_traces(u, ops)
+    fnum = _assemble_face_flux(disc, model.flux(traces, disc.xf), traces, lam, t, None)
     dudt = -fr_flux_derivative(f, fnum[:-1], fnum[1:], ops) / disc.dx[:, None, None]
     if model.has_source:
         dudt = dudt + model.source(u, disc.xn, t)

@@ -43,7 +43,7 @@ class StencilStateError(SolverAbort):
     stencil left the model's evaluable domain (e.g. non-positive density).
 
     The time loop treats this as retriable: it halves the step and repeats
-    it, up to max_halvings times (12 by default), before giving up.
+    it, up to harness.MAX_HALVINGS (12) times, before giving up.
     """
 
     def __init__(self, constraint, value, detail=""):

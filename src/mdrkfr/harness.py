@@ -181,6 +181,12 @@ def make_run(case_id, config=None, cells=None):
     return case, disc, initial_field(case, grid, disc.ops)
 
 
+SCHEMES = ("mdrk", "rkfr")
+# a run that needs more steps, or a step that needs more halvings, aborts
+MAX_STEPS = 10 ** 7
+MAX_HALVINGS = 12
+
+
 @dataclass
 class RunResult:
     """Final field plus run-level diagnostics."""
@@ -188,31 +194,31 @@ class RunResult:
     disc: object
     field: core.SolutionField
     steps: int = 0
-    retries: int = 0
     # halvings per StencilStateError.constraint
     retry_reasons: Counter = field(default_factory=Counter)
     min_constraints: np.ndarray = None
     theta_min: float = 1.0
     wall_time: float = 0.0
-    step_records: list = field(default_factory=list)
+
+    @property
+    def retries(self):
+        return sum(self.retry_reasons.values())
 
 
-def run_case(case_id, config=None, cells=None, scheme="mdrk",
-             record_steps=False, diagnostics_writer=None, snapshot_hook=None,
-             max_steps=10 ** 7, max_halvings=12):
+def run_case(case_id, config=None, cells=None, scheme="mdrk", on_step=None):
     """Advance a catalogued case to its final time.
 
-    record_steps keeps per-step means and face fluxes (for conservation
-    tests); diagnostics_writer, when given, receives one row per step with
-    the limiter activity; snapshot_hook(step, disc, field) fires every
-    config.snapshot_every steps (and at the end) when the cadence is set.
+    on_step(result, before, diag), when given, is called after every
+    accepted step: result.field and result.steps already hold the new
+    state and count, before is the SolutionField the step started from and
+    diag the step's StepDiagnostics.
     A stencil failure shrinks the step by half and retries, up to
-    max_halvings times, before the abort propagates; the failures this
+    MAX_HALVINGS times, before the abort propagates; the failures this
     cures scale with the step size, so a bounded number of halvings always
     suffices when the state itself is admissible.  retry_reasons counts the
     halvings by the constraint that failed.
     """
-    if scheme not in ("mdrk", "rkfr"):
+    if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     if scheme == "rkfr":
         base = config if config is not None else case_config(build_case(case_id))
@@ -227,31 +233,19 @@ def run_case(case_id, config=None, cells=None, scheme="mdrk",
     result = RunResult(disc=disc, field=fld)
     tf = disc.config.final_time
     tic = _time.perf_counter()
-    w = disc.ops.weights
     while tf - fld.time > 1e-12 * max(1.0, abs(tf)):
-        if result.steps >= max_steps:
+        if result.steps >= MAX_STEPS:
             raise RuntimeError(f"step budget exhausted at t = {fld.time}")
         dt = core.compute_dt(disc, fld.data, fld.time)
-        for attempt in range(max_halvings + 1):
+        for attempt in range(MAX_HALVINGS + 1):
             try:
                 unew, diag = step_fn(disc, fld.data, fld.time, dt)
                 break
             except StencilStateError as exc:
-                if attempt == max_halvings:
+                if attempt == MAX_HALVINGS:
                     raise
                 dt = 0.5 * dt
-                result.retries += 1
                 result.retry_reasons[exc.constraint] += 1
-        if record_steps:
-            result.step_records.append({
-                "t": fld.time, "dt": dt,
-                "mean_before": np.einsum("p,epv->ev", w, fld.data),
-                "mean_after": np.einsum("p,epv->ev", w, unew),
-                "fnum1": diag.fnum1, "fnum2": diag.fnum2,
-            })
-        if diagnostics_writer is not None and diag.alpha2 is not None:
-            _write_limiter_rows(diagnostics_writer, result.steps, fld.time,
-                                disc.model, diag)
         if diag.min_constraints is not None:
             if result.min_constraints is None:
                 result.min_constraints = diag.min_constraints.copy()
@@ -259,35 +253,13 @@ def run_case(case_id, config=None, cells=None, scheme="mdrk",
                 result.min_constraints = np.minimum(result.min_constraints,
                                                     diag.min_constraints)
         result.theta_min = min(result.theta_min, diag.theta_min)
-        fld = core.SolutionField(fld.grid, unew, fld.time + dt)
+        before = fld
+        fld = result.field = core.SolutionField(fld.grid, unew, fld.time + dt)
         result.steps += 1
-        cadence = disc.config.snapshot_every
-        if snapshot_hook is not None and cadence and result.steps % cadence == 0:
-            snapshot_hook(result.steps, disc, fld)
-    result.field = fld
+        if on_step is not None:
+            on_step(result, before, diag)
     result.wall_time = _time.perf_counter() - tic
-    if snapshot_hook is not None:
-        snapshot_hook(result.steps, disc, fld)
     return result
-
-
-DIAGNOSTICS_HEADER = ["step", "t", "kind", "id", "value"]
-
-
-def _write_limiter_rows(writer, step, t, model, diag):
-    """Sparse per-step limiter activity: element alphas and face thetas.
-
-    Only elements with a nonzero blending coefficient and faces whose
-    flux was actually pulled toward the subcell flux produce rows.
-    """
-    for e in np.nonzero(diag.alpha2 > 0.0)[0]:
-        writer.writerow([step, f"{t:.9e}", "alpha", int(e),
-                         f"{float(diag.alpha2[e]):.6e}"])
-    if diag.theta2 is not None and diag.theta2.size:
-        for k, name in enumerate(model.constraint_names):
-            for f in np.nonzero(diag.theta2[:, k] < 1.0)[0]:
-                writer.writerow([step, f"{t:.9e}", f"theta_{name}", int(f),
-                                 f"{float(diag.theta2[f, k]):.6e}"])
 
 
 @lru_cache(maxsize=None)
@@ -332,6 +304,13 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
+def check_meshes(case, meshes):
+    """Refuse a mesh sequence before any of it runs; returns it as a list."""
+    for nc in meshes:
+        core.make_grid(case.xlo, case.xhi, nc)
+    return list(meshes)
+
+
 def convergence_suite(case_id, meshes, config=None, scheme="mdrk"):
     """Run one case over a mesh sequence and report observed orders."""
     if len(meshes) < 3:
@@ -339,6 +318,7 @@ def convergence_suite(case_id, meshes, config=None, scheme="mdrk"):
     case = build_case(case_id)
     if not case.has_exact:
         raise ConfigurationError(f"case {case_id!r} has no exact solution")
+    check_meshes(case, meshes)
     l2s, linfs, times = [], [], []
     for nc in meshes:
         res = run_case(case_id, config=config, cells=nc, scheme=scheme)

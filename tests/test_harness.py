@@ -193,6 +193,22 @@ def test_run_case_reaches_final_time():
     assert res.steps > 0
 
 
+@pytest.mark.parametrize("scheme", ["mdrk", "rkfr"])
+def test_on_step_sees_every_accepted_step(scheme):
+    # one call per accepted step, after result.field and result.steps moved on
+    cfg = harness.case_config(harness.build_case("linadv_sine"), final_time=0.1)
+    seen = []
+
+    def on_step(result, before, diag):
+        assert before.time + diag.dt == result.field.time
+        assert result.field.data is not before.data
+        seen.append((result.steps, result.field.time))
+
+    res = harness.run_case("linadv_sine", cfg, cells=10, scheme=scheme, on_step=on_step)
+    assert [n for n, _ in seen] == list(range(1, res.steps + 1))
+    assert seen[-1][1] == res.field.time
+
+
 def test_baseline_run_does_not_mutate_shared_config():
     # interleaved baseline/two-stage runs must not leak the baseline CFL
     cfg = harness.case_config(harness.build_case("linadv_sine"), final_time=0.1)
@@ -303,6 +319,15 @@ def test_convergence_requires_three_meshes():
         harness.convergence_suite("linadv_sine", [20, 40])
 
 
+def test_convergence_refuses_bad_mesh_before_running(monkeypatch):
+    def run_case(*args, **kwargs):
+        raise AssertionError("ran before the mesh list was checked")
+
+    monkeypatch.setattr(harness, "run_case", run_case)
+    with pytest.raises(ConfigurationError, match="0 cells"):
+        harness.convergence_suite("linadv_sine", [20, 40, 0])
+
+
 def test_convergence_requires_exact_solution():
     with pytest.raises(ConfigurationError):
         harness.convergence_suite("blast", [100, 200, 400])
@@ -400,14 +425,34 @@ def test_cli_out_of_range_setting_exit_code(key, value):
     (["run", "--case", "blast", "--config", "{tmp}/cells.cfg"], "cells"),
     (["compare", "--case", "linadv_sine", "--meshes", "20,x"], "meshes"),
     (["convergence", "--case", "linadv_sine", "--meshes", "20,x,40"], "meshes"),
+    (["compare", "--case", "linadv_sine", "--meshes", "40,0"], "0 cells"),
+    (["convergence", "--case", "linadv_sine", "--meshes", "40,80,0"], "0 cells"),
 ])
 def test_cli_refuses_bad_mesh_and_unparsable_value(argv, key, tmp_path, capsys):
     # a zero mesh reaches make_grid's refusal instead of the default mesh,
-    # and a value that does not parse names its key instead of a traceback
+    # before any mesh of the list runs or prints, and a value that does not
+    # parse names its key instead of a traceback
     (tmp_path / "cells.cfg").write_text("[run]\ncells = abc\n")
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("configuration error:") and key in err
+
+
+def test_cli_numbered_snapshots(tmp_path, capsys, monkeypatch):
+    # every multiple of snapshot_every and the last step get a numbered
+    # snapshot; the last one is the --output file
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--case", "blast", "--cells", "20", "--final-time", "0.002",
+                     "--limiter", "fo", "--output", "snap.csv",
+                     "--override", "snapshot_every=4"]) == 0
+    steps = int(re.search(r"steps=(\d+)", capsys.readouterr().out).group(1))
+    assert steps % 4 != 0
+    want = {f"snap_{n:06d}.csv" for n in [*range(4, steps + 1, 4), steps]}
+    assert {p.name for p in tmp_path.glob("snap_*.csv")} == want
+    last = (tmp_path / f"snap_{steps:06d}.csv").read_text()
+    assert last == (tmp_path / "snap.csv").read_text()
+    assert (tmp_path / "snap_000004.csv").read_text() != last
 
 
 def test_cli_snapshot_and_diagnostics(tmp_path):

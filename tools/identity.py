@@ -25,22 +25,32 @@ short runs:
 - direct blend_and_limit_face_flux and scaling_limiter calls on seeded
   gas states built so that no constraint, density only, pressure only,
   or both need limiting (the last with both acting on one face or
-  element), so the limiters' rare branches are compared too.
+  element), so the limiters' rare branches are compared too;
+- harness.run_case itself on a few short runs (smooth, baseline and gas,
+  one of them halving often), and one `mdrkfr run` through cli.main with
+  --diagnostics, --output and a snapshot_every cadence.
 
-Every step takes the compute_dt step and halves it on StencilStateError,
-as harness.run_case does.  Compared: each accepted step's state, dt and
-StepDiagnostics fields (fnum, alpha, theta, minimum constraints), each
-run's retry count and abort message, and each direct call's outputs
-(fluxes, thetas, states), with np.array_equal plus equal np.signbit.
-Exits 1 on any mismatch and 2 when a tree fails to run the matrix.  The
-constraint behind each halving is printed as a note only: trees may test
-their admissibility conditions in different orders.
+The matrix runs step themselves: every step takes the compute_dt step
+and halves it on StencilStateError, as harness.run_case does.  Compared:
+each accepted step's state, dt and StepDiagnostics fields (fnum, alpha,
+theta, minimum constraints), each run's retry count and abort message,
+each direct call's outputs (fluxes, thetas, states), each run_case
+result's steps, retries, retry_reasons, min_constraints, theta_min and
+final field, and the exit code, output (without the wall time) and every
+file of the CLI run, byte for byte.  Arrays compare with np.array_equal
+plus equal np.signbit.  Exits 1 on any mismatch and 2 when a tree fails
+to run the matrix.  The constraint behind each halving in the matrix runs
+is printed as a note only: trees may test their admissibility conditions
+in different orders.  Only APIs that every compared tree has are used.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -57,6 +67,18 @@ MAX_HALVINGS = 12
 BOUNDARIES = ("periodic", "transmissive", "reflective")
 # the constraints (0 density, 1 pressure) a direct limiter call breaks
 BRANCHES = {"none": (), "density": (0,), "pressure": (1,), "both": (0, 1)}
+# (case, cells, scheme, config overrides) of the harness.run_case records
+RUN_CASES = (
+    ("linadv_sine", 20, "mdrk", {"final_time": 0.5}),
+    ("source_manufactured", 20, "rkfr", {"final_time": 0.1}),
+    ("blast", 100, "mdrk", {"final_time": 0.004}),
+    ("sedov", 51, "mdrk", {"limiter": "fo", "final_time": 2e-4}),
+    ("density_ratio", 100, "mdrk", {"points": "gll", "correction": "g2",
+                                    "limiter": "fo", "final_time": 0.05}),
+)
+CLI_RUN = ["run", "--case", "sedov", "--cells", "51", "--limiter", "fo",
+           "--final-time", "0.0002", "--diagnostics", "diag.csv", "--output", "snap.csv",
+           "--override", "snapshot_every=7"]
 
 
 def matrix():
@@ -235,6 +257,49 @@ def direct_limiter_calls(ncalls=96, seed=11):
     return records
 
 
+def run_case_records():
+    """harness.run_case results of RUN_CASES, one record per run."""
+    from mdrkfr import errors, harness
+
+    records = []
+    for case_id, cells, scheme, overrides in RUN_CASES:
+        cfg = harness.case_config(harness.build_case(case_id), **overrides)
+        try:
+            res = harness.run_case(case_id, cfg, cells=cells, scheme=scheme)
+            value = {"steps": res.steps, "retries": res.retries,
+                     "retry_reasons": dict(res.retry_reasons),
+                     "min_constraints": res.min_constraints, "theta_min": res.theta_min,
+                     "time": res.field.time, "u": res.field.data}
+        except errors.SolverAbort as exc:
+            value = {"abort": f"{type(exc).__name__}: {exc}"}
+        key = "/".join([case_id, str(cells), scheme]
+                       + [f"{k}={v}" for k, v in sorted(overrides.items())])
+        records.append((f"run_case/{key}", value))
+    return records
+
+
+def cli_record():
+    """Exit code, output without the wall time, and every file of CLI_RUN."""
+    from mdrkfr import cli
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(CLI_RUN)
+            files = {}
+            for name in sorted(os.listdir(tmp)):
+                with open(name, "rb") as fh:
+                    files[name] = fh.read()
+        finally:
+            os.chdir(cwd)
+    value = {"exit code": code, "stdout": re.sub(r"wall=\S+", "", out.getvalue()),
+             "stderr": err.getvalue(), **{f"file {n}": b for n, b in files.items()}}
+    return [("cli/" + " ".join(CLI_RUN), value)]
+
+
 def worker(tree, path):
     src = os.path.realpath(os.path.join(tree, "src"))
     sys.path.insert(0, src)
@@ -245,7 +310,8 @@ def worker(tree, path):
     with open(path, "wb") as fh:
         for key, case, cells, scheme, overrides, steps in matrix():
             pickle.dump((key, run_one(case, cells, scheme, overrides, steps)), fh)
-        for record in direct_subface_calls() + direct_limiter_calls():
+        for record in (direct_subface_calls() + direct_limiter_calls()
+                       + run_case_records() + cli_record()):
             pickle.dump(record, fh)
 
 
@@ -287,6 +353,14 @@ def compare(path_a, path_b):
             if not same(out_a, out_b):
                 mismatches.append(f"{key_a}: outputs differ")
             continue
+        kind = key_a.split("/", 1)[0]
+        if kind in ("run_case", "cli"):
+            counts[f"{kind} runs"] += 1
+            for name in sorted(set(out_a) | set(out_b)):
+                counts["values"] += 1
+                if not same(out_a.get(name), out_b.get(name)):
+                    mismatches.append(f"{key_a}: {name} differs")
+            continue
         counts["runs"] += 1
         counts["halvings"] += out_a["retries"]
         for name in ("retries", "abort"):
@@ -327,7 +401,8 @@ def main(argv=None):
             return 2
         mismatches, counts, notes = compare(*paths)
     print(", ".join(f"{counts[k]} {k}" for k in ("runs", "accepted steps", "halvings",
-                                                 "direct calls", "values"))
+                                                 "direct calls", "run_case runs",
+                                                 "cli runs", "values"))
           + f"; {len(mismatches)} mismatches")
     for line in mismatches[:50]:
         print("MISMATCH", line)
