@@ -215,10 +215,11 @@ class FaceUpdates(NamedTuple):
     cons: np.ndarray
 
 
-def _side_updates(low, flux):
+def _side_updates(low, flux, out=None):
     """The two subcell updates of FaceUpdates low with flux at the face,
-    stacked minus first."""
-    out = np.empty((2,) + flux.shape, dtype=np.result_type(low.um, flux))
+    stacked minus first (written into out when given)."""
+    if out is None:
+        out = np.empty((2,) + flux.shape, dtype=np.result_type(low.um, flux))
     np.subtract(low.um, low.cm * (flux - low.f_int_m), out=out[0])
     np.subtract(low.upl, low.cp * (low.f_int_p - flux), out=out[1])
     return out
@@ -233,21 +234,41 @@ def low_order_face_updates(disc, subface_fluxes, u, tau):
     (Boundary.limited) leaves the admissible set: the limiter pulls the
     flux toward these updates, so no correction can help, but a shorter
     step can.
+
+    tau is one interval or a 1-D array of them.  For an array, the
+    subface fluxes lead with its length, or are one array every interval
+    shares; one FaceUpdates per interval is returned, all checked with one
+    constraints call, and the error names the first failing interval.
+    The error carries stage, that interval's position counted from 1, and
+    face, the face of its lowest failing value.
     """
     model, b = disc.model, disc.boundary
-    flow = subface_fluxes[::disc.ops.degree + 1]
+    taus = np.reshape(tau, -1)
+    fluxes = np.broadcast_to(subface_fluxes, taus.shape + subface_fluxes.shape[-2:])
     um, upl = u[b.cells[:-1], -1], u[b.cells[1:], 0]
-    cm, cp = (tau / b.end_widths)[..., None]
-    f_int_m, f_int_p = subface_fluxes[b.inner_subfaces]
-    low = FaceUpdates(subface_fluxes, flow, um, upl, cm, cp, f_int_m, f_int_p, None)
-    cons = model.constraints(_side_updates(low, flow))
+    sides = np.empty(taus.shape + (2, len(b.cells) - 1, u.shape[-1]),
+                     dtype=np.result_type(u, fluxes))
+    lows = []
+    for sf, tau_k, out in zip(fluxes, taus, sides):
+        flow = sf[::disc.ops.degree + 1]
+        cm, cp = (tau_k / b.end_widths)[..., None]
+        f_int_m, f_int_p = sf[b.inner_subfaces]
+        low = FaceUpdates(sf, flow, um, upl, cm, cp, f_int_m, f_int_p, None)
+        _side_updates(low, flow, out)
+        lows.append(low)
+    cons = model.constraints(sides)
     bad = b.limited[..., None] & ~(cons > 0.0)
     if bad.any():
-        k = int(np.argmax(bad.any(axis=(0, 1))))
+        stage = int(np.argmax(bad.any(axis=(1, 2, 3))))
+        k = int(np.argmax(bad[stage].any(axis=(0, 1))))
+        values = np.where(bad[stage, ..., k], cons[stage, ..., k], np.inf)
+        side, face = np.unravel_index(int(np.argmin(values)), values.shape)
         raise StencilStateError(f"low-order {model.constraint_names[k]}",
-                                float(cons[..., k][bad[..., k]].min()),
-                                detail="subcell update left the admissible set")
-    return low._replace(cons=cons)
+                                float(values[side, face]),
+                                detail="subcell update left the admissible set",
+                                stage=stage + 1, face=int(face))
+    lows = tuple(low._replace(cons=c) for low, c in zip(lows, cons))
+    return lows if np.ndim(tau) else lows[0]
 
 
 def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):

@@ -194,13 +194,23 @@ class Boundary:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def face_sides(self, left, right, sign):
-        """Minus/plus values at the ne+1 faces from per-element traces."""
+    def face_sides(self, faces, traces):
+        """Minus/plus values at the ne+1 faces of the central face fluxes
+        and of the dissipation traces, written into one array.
+
+        Both are per-element (left, right) values of shape (2, ne, nvar);
+        flux ghosts take flux_sign, trace ghosts state_sign.  Returns
+        ((flux minus, flux plus), (trace minus, trace plus)).
+        """
         (sm, em), (sp, ep) = self.traces
-        pair = (left, right)
-        minus = np.concatenate([(pair[sm][em] * sign)[None], right])
-        plus = np.concatenate([left, (pair[sp][ep] * sign)[None]])
-        return minus, plus
+        ne, nvar = faces.shape[1:]
+        minus, plus = np.empty((2, 2, ne + 1, nvar), dtype=np.result_type(faces, traces))
+        for k, (q, sign) in enumerate(((faces, self.flux_sign), (traces, self.state_sign))):
+            minus[k, 1:] = q[1]
+            plus[k, :-1] = q[0]
+            np.multiply(q[sm, em], sign, out=minus[k, 0])
+            np.multiply(q[sp, ep], sign, out=plus[k, -1])
+        return (minus[0], plus[0]), (minus[1], plus[1])
 
 
 def make_boundary(kind, grid, subcells, model, bc_state=None):
@@ -494,9 +504,10 @@ def _mean_speeds(disc, u):
     return fold(np.maximum, np.real(disc.model.speed(means[:, None, :], disc.xn)), 1)
 
 
-def face_wave_speeds(disc, u):
-    """Dissipation coefficient per face from the element-mean states."""
-    s = _mean_speeds(disc, u)[disc.boundary.cells]
+def face_wave_speeds(disc, speeds):
+    """Dissipation coefficient per face from the element-mean wave speeds
+    (_mean_speeds)."""
+    s = speeds[disc.boundary.cells]
     return np.maximum(s[:-1], s[1:])
 
 
@@ -530,9 +541,7 @@ def _assemble_face_flux(disc, faces, traces, lam, t, tau):
     traces of the nodal states that feed the dissipation (the time-averaged
     solution for the d2 variant, the start-of-step solution for d1).
     """
-    b = disc.boundary
-    fm, fp = b.face_sides(*faces, b.flux_sign)
-    um, up = b.face_sides(*traces, b.state_sign)
+    (fm, fp), (um, up) = disc.boundary.face_sides(faces, traces)
     fnum = numerical_flux(fm, fp, um, up, lam)
     _impose_fluxes(disc, fnum, t, tau)
     return fnum
@@ -564,10 +573,46 @@ def validate_admissible(model, u, time=None, step=None, detail=""):
     return vals
 
 
-def compute_dt(disc, u, t):
-    """CFL time step from element-mean wave speeds, clamped to the horizon."""
-    cfg = disc.config
+@dataclass(frozen=True)
+class StepStart:
+    """The inputs of a step that depend on its start state alone.
+
+    Built once per state (step_start) and read by compute_dt and by every
+    halved mdrk_step attempt from that state; the arrays are read-only.
+
+    speeds          wave speed of every element mean (_mean_speeds)
+    lam             dissipation coefficient of every face (face_wave_speeds)
+    subface_fluxes  with limiter fo, the subcell-line Rusanov fluxes, which
+                    read the nodal values only and so not the stage
+                    interval; None otherwise
+    """
+
+    speeds: np.ndarray
+    lam: np.ndarray
+    subface_fluxes: np.ndarray = None
+
+    def __post_init__(self):
+        for value in (self.speeds, self.lam, self.subface_fluxes):
+            if value is not None:
+                value.setflags(write=False)
+
+
+def step_start(disc, u):
+    """The StepStart of nodal state u."""
     speeds = _mean_speeds(disc, u)
+    subface_fluxes = None
+    if disc.config.limiter == "fo":
+        subface_fluxes = blending.low_order_subface_fluxes(disc, u, 0.0, use_slopes=False)
+    return StepStart(speeds, face_wave_speeds(disc, speeds), subface_fluxes)
+
+
+def compute_dt(disc, u, t, start=None):
+    """CFL time step from element-mean wave speeds, clamped to the horizon.
+
+    start is u's StepStart, when the caller has built it.
+    """
+    cfg = disc.config
+    speeds = _mean_speeds(disc, u) if start is None else start.speeds
     remaining = cfg.final_time - t
     smax = float(np.max(speeds))
     if smax <= 0.0:
@@ -632,27 +677,28 @@ def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail)
     return unew, fnum, alpha, thetas, cons
 
 
-def _low_order(disc, u, dt):
+def _low_order(disc, u, dt, start):
     """Both stages' checked low-order face updates, or Nones when unblended.
 
-    They depend on u and the stage interval only, so one subcell pass
-    builds them before any high-order work: a step that has to be halved
-    stops here.
+    They depend on u and the stage interval only, so they are built and
+    checked before any high-order work: a step that has to be halved stops
+    here.  First-order subcell fluxes come from start; MUSCL-Hancock ones
+    are built for both intervals in one pass.
     """
-    limiter = disc.config.limiter
-    if limiter == "none":
+    if disc.config.limiter == "none":
         return None, None
-    taus = (0.5 * dt, dt)
-    subfaces = blending.low_order_subface_fluxes(disc, u, np.array(taus),
-                                                 use_slopes=(limiter == "mh"))
-    return tuple(blending.low_order_face_updates(disc, sf, u, tau)
-                 for sf, tau in zip(subfaces, taus))
+    taus = np.array((0.5 * dt, dt))
+    subfaces = start.subface_fluxes
+    if subfaces is None:
+        subfaces = blending.low_order_subface_fluxes(disc, u, taus, use_slopes=True)
+    return blending.low_order_face_updates(disc, subfaces, u, taus)
 
 
-def mdrk_step(disc, u, t, dt):
+def mdrk_step(disc, u, t, dt, start=None):
     """One full two-stage update from t to t + dt.
 
-    Returns the new nodal array and per-step diagnostics.  Raises
+    start is u's StepStart; without it the step builds its own.  Returns
+    the new nodal array and per-step diagnostics.  Raises
     AdmissibilityError (with location context) if a stage output leaves
     the admissible set, and StencilStateError when intermediate stencil
     states or the low-order subcell updates next to element faces are not
@@ -660,8 +706,10 @@ def mdrk_step(disc, u, t, dt):
     """
     model, ops = disc.model, disc.ops
     ea = disc.config.face_scheme == "ea"
-    lam = face_wave_speeds(disc, u)
-    low1, low2 = _low_order(disc, u, dt)
+    if start is None:
+        start = step_start(disc, u)
+    lam = start.lam
+    low1, low2 = _low_order(disc, u, dt, start)
 
     # stage 1: averages over [t, t + dt/2]
     *avg1, cache = stage1_time_average(model, u, disc.xn, disc.dx, dt, ops, t)
@@ -702,7 +750,7 @@ def rkfr_rhs(disc, u, t):
     """Classical semi-discrete right-hand side with the corrected flux."""
     model, ops = disc.model, disc.ops
     f = model.flux(u, disc.xn)
-    lam = face_wave_speeds(disc, u)
+    lam = face_wave_speeds(disc, _mean_speeds(disc, u))
     traces = _face_traces(u, ops)
     fnum = _assemble_face_flux(disc, model.flux(traces, disc.xf), traces, lam, t, None)
     dudt = -fr_flux_derivative(f, fnum[:-1], fnum[1:], ops) / disc.dx[:, None, None]

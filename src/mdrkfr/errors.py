@@ -44,11 +44,17 @@ class StencilStateError(SolverAbort):
 
     The time loop treats this as retriable: it halves the step and repeats
     it, up to harness.MAX_HALVINGS (12) times, before giving up.
+
+    A failed low-order face-update check also names the stage (1 or 2)
+    and the face (0..ne) of its lowest failing value; other failures
+    leave both None.
     """
 
-    def __init__(self, constraint, value, detail=""):
+    def __init__(self, constraint, value, detail="", stage=None, face=None):
         self.constraint = constraint
         self.value = value
+        self.stage = stage
+        self.face = face
         msg = f"stencil state not evaluable: {constraint} = {value:.6e}"
         if detail:
             msg += f" ({detail})"

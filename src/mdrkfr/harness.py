@@ -226,7 +226,7 @@ def run_case(case_id, config=None, cells=None, scheme="mdrk", on_step=None):
             config = replace(base, cfl=rkfr_default_cfl(base.degree, base.points,
                                                         base.correction))
     case, disc, fld = make_run(case_id, config, cells)
-    step_fn = core.mdrk_step if scheme == "mdrk" else core.rkfr_step
+    mdrk = scheme == "mdrk"
     core.validate_admissible(disc.model, fld.data, time=0.0, step=0,
                              detail="initial condition")
 
@@ -236,10 +236,15 @@ def run_case(case_id, config=None, cells=None, scheme="mdrk", on_step=None):
     while tf - fld.time > 1e-12 * max(1.0, abs(tf)):
         if result.steps >= MAX_STEPS:
             raise RuntimeError(f"step budget exhausted at t = {fld.time}")
-        dt = core.compute_dt(disc, fld.data, fld.time)
+        # what every halved attempt from this state reuses
+        start = core.step_start(disc, fld.data)
+        dt = core.compute_dt(disc, fld.data, fld.time, start)
         for attempt in range(MAX_HALVINGS + 1):
             try:
-                unew, diag = step_fn(disc, fld.data, fld.time, dt)
+                if mdrk:
+                    unew, diag = core.mdrk_step(disc, fld.data, fld.time, dt, start)
+                else:
+                    unew, diag = core.rkfr_step(disc, fld.data, fld.time, dt)
                 break
             except StencilStateError as exc:
                 if attempt == MAX_HALVINGS:

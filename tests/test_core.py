@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,8 +352,10 @@ def test_boundary_ghosts(kind):
     # end element's own trace
     vals_l = np.arange(3 * ne, dtype=float).reshape(ne, 3) + 1.0
     vals_r = vals_l + 100.0
-    for sign, ghost_sign in ((state_sign, b.state_sign), (flux_sign, b.flux_sign)):
-        minus, plus = b.face_sides(vals_l, vals_r, ghost_sign)
+    vals = np.stack([vals_l, vals_r])
+    # the same values as fluxes and as traces; only the ghost signs differ
+    sides = b.face_sides(vals, vals)
+    for sign, (minus, plus) in zip((flux_sign, state_sign), sides):
         assert (minus[1:] == vals_r).all() and (plus[:-1] == vals_l).all()
         assert (minus[0] == (vals_r[-1] if wraps else vals_l[0] * sign)).all()
         assert (plus[-1] == (vals_l[0] if wraps else vals_r[-1] * sign)).all()
@@ -555,10 +559,10 @@ def test_subcell_fluxes_built_once_per_step(monkeypatch, limiter):
 
 
 def test_constraints_evaluated_at_most_12_times_per_step(monkeypatch):
-    # each constraint value is evaluated once per state: four subcell and
-    # face-update checks, then per stage one flux-limiter call, the means
-    # and the nodes in the scaling limiter and the stage check, whose
-    # stage-2 values give the step's minima
+    # each constraint value is evaluated once per state: two subcell checks
+    # and one check of both stages' face updates, then per stage one
+    # flux-limiter call, the means and the nodes in the scaling limiter and
+    # the stage check, whose stage-2 values give the step's minima
     calls = []
     evaluate = models.Euler.constraints
 
@@ -579,7 +583,91 @@ def test_constraints_evaluated_at_most_12_times_per_step(monkeypatch):
             except StencilStateError:
                 dt *= 0.5
         u, t = unew, t + dt
-    assert len(calls) <= 12 * attempts
+    assert len(calls) <= 11 * attempts
+
+
+def _halving_state(**overrides):
+    # density_ratio at 100 cells with blending at the certified CFL: its
+    # first step is halved before it is accepted
+    case = harness.build_case("density_ratio")
+    cfg = harness.case_config(case, final_time=0.05, **overrides)
+    _, disc, fld = harness.make_run("density_ratio", cfg, cells=100)
+    return disc, fld.data
+
+
+def _step_or_abort(*args):
+    try:
+        return core.mdrk_step(*args)
+    except StencilStateError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(points="gll", correction="g2", face_scheme="ae", limiter="fo"),
+    dict(points="gll", correction="g2", face_scheme="ea", limiter="fo"),
+    dict(face_scheme="ea", limiter="mh"),
+])
+def test_reused_step_start_equals_fresh_step(overrides):
+    # the attempts of one state at halved steps read the StepStart built
+    # for its first attempt and give a fresh step's bits
+    disc, u = _halving_state(**overrides)
+    start = core.step_start(disc, u)
+    dt = core.compute_dt(disc, u, 0.0, start)
+    assert dt == core.compute_dt(disc, u, 0.0)
+    outcomes = []
+    for k in range(6):
+        reused = _step_or_abort(disc, u, 0.0, dt / 2 ** k, start)
+        fresh = _step_or_abort(disc, u, 0.0, dt / 2 ** k)
+        outcomes.append(isinstance(reused, str))
+        if outcomes[-1]:
+            assert reused == fresh
+            continue
+        (unew, diag), (unew_f, diag_f) = reused, fresh
+        assert np.array_equal(unew, unew_f)
+        for f in dataclasses.fields(diag):
+            a, b = getattr(diag, f.name), getattr(diag_f, f.name)
+            assert a is None and b is None or np.array_equal(a, b), f.name
+    assert outcomes[0] and not all(outcomes)
+    assert not start.lam.flags.writeable
+
+
+def test_low_order_error_names_stage_and_face(monkeypatch):
+    # the halving error of the face-update check says which stage failed
+    # and at which face its lowest failing constraint value sits
+    failures = []
+    check = blending.low_order_face_updates
+
+    def recorded(disc, subface_fluxes, u, tau):
+        try:
+            return check(disc, subface_fluxes, u, tau)
+        except StencilStateError as exc:
+            failures.append((disc, subface_fluxes, u, tau, exc))
+            raise
+
+    monkeypatch.setattr(blending, "low_order_face_updates", recorded)
+    cfg = harness.case_config(harness.build_case("density_ratio"), points="gll",
+                              correction="g2", limiter="fo", final_time=0.05)
+    harness.run_case("density_ratio", cfg, cells=100)
+    assert len(failures) > 10
+    assert {exc.stage for *_, exc in failures} == {1, 2}
+    for disc, sf, u, taus, exc in failures:
+        model, b = disc.model, disc.boundary
+        k = model.constraint_names.index(exc.constraint.removeprefix("low-order "))
+        # the stages before the failing one pass
+        for tau in taus[:exc.stage - 1]:
+            check(disc, sf, u, tau)
+        tau = taus[exc.stage - 1]
+        sf = np.broadcast_to(sf, taus.shape + sf.shape[-2:])[exc.stage - 1]
+        flow = sf[::disc.ops.degree + 1]
+        f_int_m, f_int_p = sf[b.inner_subfaces]
+        low_m = u[b.cells[:-1], -1] - (tau / b.end_widths[0])[:, None] * (flow - f_int_m)
+        low_p = u[b.cells[1:], 0] - (tau / b.end_widths[1])[:, None] * (f_int_p - flow)
+        cons = model.constraints(np.stack([low_m, low_p]))[..., k]
+        guarded = np.where(b.limited, cons, np.inf)
+        assert exc.value == guarded.min() == guarded[:, exc.face].min() <= 0.0
+        # the message is the one a halving has always printed
+        assert str(exc) == (f"stencil state not evaluable: {exc.constraint} = "
+                            f"{exc.value:.6e} (subcell update left the admissible set)")
 
 
 def test_validate_admissible_returns_checked_values():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mdrkfr import cli, core, harness, models
+from mdrkfr import blending, cli, core, harness, models
 from mdrkfr.errors import ConfigurationError
 
 
@@ -312,6 +312,30 @@ def test_retry_reasons_are_recorded():
     assert res.retries > 0
     assert sum(res.retry_reasons.values()) == res.retries
     assert any(name.startswith("low-order") for name in res.retry_reasons)
+
+
+def test_step_inputs_built_once_per_accepted_state(monkeypatch):
+    # every halved attempt reuses its state's StepStart: one mean-speed
+    # pass and one first-order subcell pass per state, however many
+    # attempts the state takes
+    calls = {"speeds": 0, "subfaces": 0, "attempts": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core, "_mean_speeds", counted("speeds", core._mean_speeds))
+    monkeypatch.setattr(blending, "low_order_subface_fluxes",
+                        counted("subfaces", blending.low_order_subface_fluxes))
+    monkeypatch.setattr(core, "mdrk_step", counted("attempts", core.mdrk_step))
+    cfg = harness.case_config(harness.build_case("density_ratio"), points="gll",
+                              correction="g2", face_scheme="ae", limiter="fo",
+                              final_time=0.05)
+    res = harness.run_case("density_ratio", cfg, cells=100)
+    assert calls["speeds"] == calls["subfaces"] == res.steps
+    assert calls["attempts"] == res.steps + res.retries > res.steps
 
 
 def test_convergence_requires_three_meshes():

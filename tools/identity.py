@@ -26,9 +26,12 @@ short runs:
   gas states built so that no constraint, density only, pressure only,
   or both need limiting (the last with both acting on one face or
   element), so the limiters' rare branches are compared too;
-- harness.run_case itself on a few short runs (smooth, baseline and gas,
-  one of them halving often), and one `mdrkfr run` through cli.main with
-  --diagnostics, --output and a snapshot_every cadence.
+- harness.run_case itself on a few short runs (smooth, baseline and gas),
+  on every gas case under gll/g2/ae/fo (each halves often, and the
+  boundary kinds are reflective, dirichlet and transmissive) and on
+  density_ratio under gl/ea/mh, which halves too; and one `mdrkfr run`
+  through cli.main with --diagnostics, --output and a snapshot_every
+  cadence.
 
 The matrix runs step themselves: every step takes the compute_dt step
 and halves it on StencilStateError, as harness.run_case does.  Compared:
@@ -67,6 +70,9 @@ MAX_HALVINGS = 12
 BOUNDARIES = ("periodic", "transmissive", "reflective")
 # the constraints (0 density, 1 pressure) a direct limiter call breaks
 BRANCHES = {"none": (), "density": (0,), "pressure": (1,), "both": (0, 1)}
+# GLL/g2 points with extrapolated faces and first-order blending, at the
+# default CFL 0.224 x 0.98: about a third of the step attempts are halved
+GLL_AE_FO = {"points": "gll", "correction": "g2", "face_scheme": "ae", "limiter": "fo"}
 # (case, cells, scheme, config overrides) of the harness.run_case records
 RUN_CASES = (
     ("linadv_sine", 20, "mdrk", {"final_time": 0.5}),
@@ -75,6 +81,11 @@ RUN_CASES = (
     ("sedov", 51, "mdrk", {"limiter": "fo", "final_time": 2e-4}),
     ("density_ratio", 100, "mdrk", {"points": "gll", "correction": "g2",
                                     "limiter": "fo", "final_time": 0.05}),
+    ("blast", 50, "mdrk", {**GLL_AE_FO, "final_time": 0.01}),
+    ("titarev_toro", 100, "mdrk", {**GLL_AE_FO, "final_time": 0.5}),
+    ("density_ratio", 100, "mdrk", {**GLL_AE_FO, "final_time": 0.05}),
+    ("sedov", 51, "mdrk", {**GLL_AE_FO, "final_time": 3e-4}),
+    ("density_ratio", 100, "mdrk", {"face_scheme": "ea", "limiter": "mh", "final_time": 0.02}),
 )
 CLI_RUN = ["run", "--case", "sedov", "--cells", "51", "--limiter", "fo",
            "--final-time", "0.0002", "--diagnostics", "diag.csv", "--output", "snap.csv",
