@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AdmissibilityError, StencilStateError
-from .models import fold, rusanov_flux
-from .operators import build_nodeset, legendre
+from .models import fold, numerical_flux
+from .operators import build_nodeset, legendre, node_sums
 
 
 # ----------------------------------------------------------------------
@@ -86,13 +86,21 @@ class SubcellGeometry:
         dx = grid.dx
         self.psub = len(w)
         sub = grid.faces[:-1, None] + dx[:, None] * csum[None, :]
-        self.subfaces = np.concatenate([sub[:, :-1].ravel(), [grid.faces[-1]]])
+        self.subfaces = np.concatenate([sub[:, :-1].ravel(), grid.faces[-1:]])
         self.x = (grid.faces[:-1, None] + dx[:, None] * ops.nodes[None, :]).ravel()
         self.h = (dx[:, None] * w[None, :]).ravel()
+        # every subcell's quadrature weight, its width over its element's
+        self.w = np.tile(w, grid.ncells)
         # node offsets to the subcell's own faces (left is negative)
         self.dl = self.subfaces[:-1] - self.x
         self.dr = self.subfaces[1:] - self.x
         self.length = grid.faces[-1] - grid.faces[0]
+        # (left, right) face positions along the line padded with a ghost
+        # subcell per end, whose outer faces repeat the end faces
+        f, pf = self.subfaces, np.empty((2, len(self.subfaces) + 1))
+        pf[0, 1:] = pf[1, :-1] = f
+        pf[0, 0], pf[1, -1] = f[0], f[-1]
+        self.padded_faces = pf
 
 
 # ----------------------------------------------------------------------
@@ -107,12 +115,20 @@ def minmod3(a, b, c):
     return np.where(agree, sa * mag, 0.0)
 
 
-def _admissible(model, *states):
-    """Rows at which every candidate state satisfies every constraint."""
-    if model.nconstraints == 0:
-        return np.ones(states[0].shape[:-1], dtype=bool)
-    ok = fold(np.logical_and, model.constraints(np.stack(states)) > 0.0)
-    return ok.all(axis=0)
+def _admissible(model, states):
+    """Points at which every candidate state, stacked on axis 1, satisfies
+    every constraint."""
+    return (model.constraints(states) > 0.0).all(axis=(0, 1))
+
+
+def _subface_rusanov(model, traces, x):
+    """Rusanov fluxes at the subfaces of the padded subcell line, (nvar, ...,
+    N-1), from one speed and one flux call on the (left, right) traces of
+    its N subcells stacked on axis 1; x is SubcellGeometry.padded_faces."""
+    x = x.reshape(x.shape[:1] + (1,) * (traces.ndim - 3) + x.shape[1:])
+    s, f = model.speed(traces, x), model.flux(traces, x)
+    return numerical_flux(f[:, 1, ..., :-1], f[:, 0, ..., 1:], traces[:, 1, ..., :-1],
+                          traces[:, 0, ..., 1:], np.maximum(s[1, ..., :-1], s[0, ..., 1:]))
 
 
 def low_order_subface_fluxes(disc, u, tau, use_slopes):
@@ -125,42 +141,45 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     the admissible set, so the scheme degrades to first order exactly at
     the troubled subcells.
 
-    tau is one interval or an array of them; the fluxes then lead with
-    tau's shape, and the reconstruction is built once for all intervals.
-    First-order fluxes do not depend on tau, so every interval shares one
-    (read-only) array.
+    The fluxes are (nvar, ns+1).  tau is one interval or an array of them,
+    whose shape then follows the variable axis; the reconstruction is
+    built once for all intervals, and first-order fluxes, which do not
+    depend on tau, are one (read-only) array every interval shares.  Each
+    subcell's (left, right) face traces are stacked on axis 1.
     """
     model, b = disc.model, disc.boundary
-    nv = u.shape[-1]
-    uf = u.reshape(-1, nv)
-    up = uf[b.subcells]
-    up[[0, -1]] *= b.state_sign
-    xp, dlp, drp = b.sub_x, b.sub_dlv, b.sub_drv
+    uf = u.reshape(u.shape[0], -1)
+    up = np.take(uf, b.subcells, axis=1)
+    up[:, 0] *= b.state_sign
+    up[:, -1] *= b.state_sign
+    offsets = np.stack([b.sub_dl, b.sub_dr])
 
     slopes = np.zeros_like(up)
     if use_slopes:
         gap_l, gap_r = b.sub_gap[:-1], b.sub_gap[1:]
-        d_left = (uf - up[:-2]) / gap_l
-        d_right = (up[2:] - uf) / gap_r
-        d_mid = (up[2:] - up[:-2]) / (gap_l + gap_r)
-        slopes[1:-1] = minmod3(d_left, d_mid, d_right)
-        ok = _admissible(model, up + slopes * dlp, up + slopes * drp)
-        slopes = np.where(ok[:, None], slopes, 0.0)
-    ul = up + slopes * dlp
-    ur = up + slopes * drp
+        d_left = (uf - up[:, :-2]) / gap_l
+        d_right = (up[:, 2:] - uf) / gap_r
+        d_mid = (up[:, 2:] - up[:, :-2]) / (gap_l + gap_r)
+        slopes[:, 1:-1] = minmod3(d_left, d_mid, d_right)
+    traces = up[:, None] + slopes[:, None] * offsets
+    if use_slopes and not (ok := _admissible(model, traces)).all():
+        slopes = np.where(ok, slopes, 0.0)
+        traces = up[:, None] + slopes[:, None] * offsets
 
+    faces = disc.subcells.padded_faces
+    lead = (slice(None),) + (None,) * np.ndim(tau)
     if not use_slopes:
-        flux = rusanov_flux(model, ur[:-1], ul[1:], disc.subcells.subfaces)
-        return np.broadcast_to(flux, np.shape(tau) + flux.shape)
+        flux = _subface_rusanov(model, traces, faces)
+        return np.broadcast_to(flux[lead], flux.shape[:1] + np.shape(tau) + flux.shape[1:])
 
-    dflux = (model.flux(ur, xp + b.sub_dr) - model.flux(ul, xp + b.sub_dl)) / (drp - dlp)
-    step = (0.5 * np.asarray(tau))[..., None, None] * dflux
-    ul_ev, ur_ev = ul - step, ur - step
+    f = model.flux(traces, b.sub_x + offsets)
+    dflux = (f[:, 1] - f[:, 0]) / (b.sub_dr - b.sub_dl)
+    step = (0.5 * np.asarray(tau))[..., None] * dflux[lead]
+    evolved = traces[(slice(None),) + lead] - step[:, None]
     # a slope zeroed after prediction leaves both traces unevolved at the
     # node value
-    ok = _admissible(model, ul_ev, ur_ev)[..., None]
-    ul, ur = np.where(ok, ul_ev, up), np.where(ok, ur_ev, up)
-    return rusanov_flux(model, ur[..., :-1, :], ul[..., 1:, :], disc.subcells.subfaces)
+    evolved = np.where(_admissible(model, evolved), evolved, up[lead][:, None])
+    return _subface_rusanov(model, evolved, faces)
 
 
 def low_order_residual(disc, subface_fluxes, fnum):
@@ -171,22 +190,18 @@ def low_order_residual(disc, subface_fluxes, fnum):
     same one the high-order residual uses.  Scaled so the update reads
     u - (tau/dx) * residual.
     """
-    ne = disc.grid.ncells
-    p = disc.ops.degree + 1
-    nv = subface_fluxes.shape[-1]
-    g = np.empty((ne, p + 1, nv), dtype=subface_fluxes.dtype)
-    g[:, 1:p] = subface_fluxes[: ne * p].reshape(ne, p, nv)[:, 1:]
-    g[:, 0] = fnum[:-1]
-    g[:, p] = fnum[1:]
-    return (g[:, 1:] - g[:, :-1]) / disc.ops.weights[None, :, None]
+    g = np.array(subface_fluxes)
+    # every p-th subface is an element face
+    g[:, ::disc.ops.degree + 1] = fnum
+    return ((g[:, 1:] - g[:, :-1]) / disc.subcells.w).reshape((len(g),) + disc.xn.shape)
 
 
 def blended_update(high, low, alpha):
-    """Convex combination of high- and low-order residuals."""
+    """Convex combination of high- and low-order residuals, alpha per element."""
     # written so that NaN fails it
     if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
         raise ValueError(f"blending coefficient outside [0, 1]: {alpha}")
-    a = alpha[:, None, None]
+    a = np.repeat(alpha, high.shape[-1]).reshape(high.shape[1:])
     return (1.0 - a) * high + a * low
 
 
@@ -201,7 +216,7 @@ class FaceUpdates(NamedTuple):
     values of the minus subcell (last of the left element) and the plus
     subcell (first of the right one), tau over their widths, the subcell
     fluxes at their other faces, and the constraint values of the two
-    updates with flow at the face, stacked minus first.
+    updates with flow at the face, (K, 2, ne+1), minus side first.
     """
 
     subface_fluxes: np.ndarray
@@ -215,13 +230,12 @@ class FaceUpdates(NamedTuple):
     cons: np.ndarray
 
 
-def _side_updates(low, flux, out=None):
+def _side_updates(low, flux):
     """The two subcell updates of FaceUpdates low with flux at the face,
-    stacked minus first (written into out when given)."""
-    if out is None:
-        out = np.empty((2,) + flux.shape, dtype=np.result_type(low.um, flux))
-    np.subtract(low.um, low.cm * (flux - low.f_int_m), out=out[0])
-    np.subtract(low.upl, low.cp * (low.f_int_p - flux), out=out[1])
+    (nvar, 2, ne+1), minus first."""
+    out = np.empty(flux.shape[:1] + (2,) + flux.shape[1:], dtype=np.result_type(low.um, flux))
+    np.subtract(low.um, low.cm * (flux - low.f_int_m), out=out[:, 0])
+    np.subtract(low.upl, low.cp * (low.f_int_p - flux), out=out[:, 1])
     return out
 
 
@@ -236,38 +250,40 @@ def low_order_face_updates(disc, subface_fluxes, u, tau):
     step can.
 
     tau is one interval or a 1-D array of them.  For an array, the
-    subface fluxes lead with its length, or are one array every interval
-    shares; one FaceUpdates per interval is returned, all checked with one
-    constraints call, and the error names the first failing interval.
-    The error carries stage, that interval's position counted from 1, and
+    subface fluxes are (nvar, len(tau), ns+1), or one (nvar, ns+1) array
+    every interval shares; one FaceUpdates per interval is returned.  All
+    intervals are built stacked and checked with one constraints call; the
+    error carries stage, the first failing interval counted from 1, and
     face, the face of its lowest failing value.
     """
     model, b = disc.model, disc.boundary
     taus = np.reshape(tau, -1)
-    fluxes = np.broadcast_to(subface_fluxes, taus.shape + subface_fluxes.shape[-2:])
-    um, upl = u[b.cells[:-1], -1], u[b.cells[1:], 0]
-    sides = np.empty(taus.shape + (2, len(b.cells) - 1, u.shape[-1]),
-                     dtype=np.result_type(u, fluxes))
-    lows = []
-    for sf, tau_k, out in zip(fluxes, taus, sides):
-        flow = sf[::disc.ops.degree + 1]
-        cm, cp = (tau_k / b.end_widths)[..., None]
-        f_int_m, f_int_p = sf[b.inner_subfaces]
-        low = FaceUpdates(sf, flow, um, upl, cm, cp, f_int_m, f_int_p, None)
-        _side_updates(low, flow, out)
-        lows.append(low)
+    sf = subface_fluxes if subface_fluxes.ndim == 3 else subface_fluxes[:, None]
+    flow = sf[..., ::disc.ops.degree + 1]
+    f_int = sf[..., b.inner_subfaces]
+    # flux differences across the two end subcells, tau over their widths
+    dm, dp = flow - f_int[:, :, 0], f_int[:, :, 1] - flow
+    c = taus[:, None, None] / b.end_widths
+    um, upl = u[:, b.cells[:-1], -1], u[:, b.cells[1:], 0]
+    sides = np.empty(u.shape[:1] + (len(taus), 2) + flow.shape[-1:],
+                     dtype=np.result_type(u, sf))
+    np.subtract(um[:, None], c[:, 0] * dm, out=sides[:, :, 0])
+    np.subtract(upl[:, None], c[:, 1] * dp, out=sides[:, :, 1])
     cons = model.constraints(sides)
-    bad = b.limited[..., None] & ~(cons > 0.0)
+    bad = b.limited & ~(cons > 0.0)
     if bad.any():
-        stage = int(np.argmax(bad.any(axis=(1, 2, 3))))
-        k = int(np.argmax(bad[stage].any(axis=(0, 1))))
-        values = np.where(bad[stage, ..., k], cons[stage, ..., k], np.inf)
+        stage = int(np.argmax(bad.any(axis=(0, 2, 3))))
+        k = int(np.argmax(bad[:, stage].any(axis=(1, 2))))
+        values = np.where(bad[k, stage], cons[k, stage], np.inf)
         side, face = np.unravel_index(int(np.argmin(values)), values.shape)
         raise StencilStateError(f"low-order {model.constraint_names[k]}",
                                 float(values[side, face]),
                                 detail="subcell update left the admissible set",
                                 stage=stage + 1, face=int(face))
-    lows = tuple(low._replace(cons=c) for low, c in zip(lows, cons))
+    # a shared subface flux array serves every interval
+    lows = tuple(FaceUpdates(sf[:, j], flow[:, j], um, upl, c[i, 0], c[i, 1], f_int[:, j, 0],
+                             f_int[:, j, 1], cons[:, i])
+                 for i, j in enumerate(np.minimum(np.arange(len(taus)), sf.shape[1] - 1)))
     return lows if np.ndim(tau) else lows[0]
 
 
@@ -288,8 +304,8 @@ def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):
     computes and, for a finite flow, fcur itself, so the next constraint
     reuses the values.
 
-    Returns the corrected fluxes and the per-face, per-constraint theta
-    factors (all ones where no correction fired).
+    Returns the corrected fluxes and the (ne+1, K) per-face, per-constraint
+    theta factors (all ones where no correction fired).
     """
     model, b = disc.model, disc.boundary
     ne = disc.grid.ncells
@@ -297,24 +313,23 @@ def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):
     a = alpha[b.cells]
     af = 0.5 * (a[:-1] + a[1:])
     af[b.imposed] = 0.0
-    fcur = (1.0 - af[:, None]) * fnum_ho + af[:, None] * flow
+    fcur = (1.0 - af) * fnum_ho + af * flow
     thetas = np.ones((ne + 1, model.nconstraints))
-    # minus and plus sides stacked on axis 0; ghost sides at non-periodic
-    # ends are left out by b.limited
+    # ghost sides at non-periodic ends are left out by b.limited
     eps = 0.1 * low.cons
     cons = None
     for k in range(model.nconstraints):
         if cons is None:
             cons = model.constraints(_side_updates(low, fcur))
-        pk = cons[..., k]
-        ck = low.cons[..., k]
-        need = b.limited & ~(pk >= eps[..., k])
+        pk = cons[k]
+        ck = low.cons[k]
+        need = b.limited & ~(pk >= eps[k])
         if not need.any():
             fcur = fcur + 0.0 * flow
             continue
-        ratio = np.divide(eps[..., k] - ck, pk - ck, out=np.ones(need.shape), where=need)
+        ratio = np.divide(eps[k] - ck, pk - ck, out=np.ones(need.shape), where=need)
         theta = np.clip(np.abs(ratio), 0.0, 1.0).min(axis=0)
-        fcur = theta[:, None] * fcur + (1.0 - theta[:, None]) * flow
+        fcur = theta * fcur + (1.0 - theta) * flow
         thetas[:, k] = theta
         cons = None
     return fcur, thetas
@@ -336,12 +351,11 @@ def scaling_limiter(disc, u):
     model = disc.model
     if model.nconstraints == 0:
         return u
-    w = disc.ops.weights
-    mean = np.einsum("p,epv->ev", w, u)
+    mean = node_sums(disc.ops.weights, u)
     cmean = model.constraints(mean)
     cons = None
     for k, name in enumerate(model.constraint_names):
-        pbar = cmean[:, k]
+        pbar = cmean[k]
         if not (pbar > 0.0).all():
             e = int(np.argmin(pbar))
             raise AdmissibilityError(f"mean {name}", float(pbar[e]), element=e,
@@ -349,13 +363,13 @@ def scaling_limiter(disc, u):
         eps = 0.1 * pbar
         if cons is None:
             cons = model.constraints(u)
-        pj = cons[..., k]
+        pj = cons[k]
         need = ~(pj >= eps[:, None])
         if not need.any():
             continue
         ratio = np.divide(pbar[:, None] - eps[:, None], pbar[:, None] - pj,
                           out=np.ones(need.shape), where=need)
         theta = fold(np.minimum, np.clip(ratio, 0.0, 1.0), 1)
-        u = mean[:, None, :] + theta[:, None, None] * (u - mean[:, None, :])
+        u = mean[..., None] + theta[:, None] * (u - mean[..., None])
         cons = None
     return u

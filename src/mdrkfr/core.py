@@ -8,21 +8,28 @@ correction functions and collocated, so one step needs two residual
 assemblies regardless of the order.
 
 Conventions used throughout:
-    u        nodal solution, shape (ne, N+1, nvar)
+    u        nodal solution, variable-major (nvar, ne, N+1), so u[0], u[1],
+             ... are contiguous and each formula runs one long inner loop
     u1       dt * du/dt approximation at the nodes
     F        time-averaged flux over [t, t + dt/2] (first stage)
     Fs       time-averaged flux over [t, t + dt]   (second stage)
-    faces    ne+1 element boundaries; face i sits between elements i-1, i
+    faces    ne+1 element boundaries; face i sits between elements i-1, i;
+             face values are (nvar, ne+1), element face traces (nvar, 2, ne)
+
+The public layout is (ne, N+1, nvar): SolutionField.data and what
+step_start, compute_dt, mdrk_step and rkfr_step take and return; only
+those four convert (variable_major, element_major).
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import blending, operators, stability
 from .errors import AdmissibilityError, ConfigurationError
 from .models import EquationModel, fold, numerical_flux
-from .operators import ReferenceOperators, gauss_legendre, make_operators
+from .operators import ReferenceOperators, gauss_legendre, make_operators, node_sums
 
 BOUNDARY_KINDS = ("periodic", "transmissive", "reflective", "dirichlet_outflow",
                   "dirichlet")
@@ -156,19 +163,14 @@ class Boundary:
                  trace 0 is an element's left-face trace, 1 its right-face one
     subcells     subcell indices of the padded subcell line, ghosts at the ends
     sub_x, sub_dl, sub_dr   node positions and face offsets along that line
-    sub_gap, sub_dlv, sub_drv   node gaps (x[i+1] - x[i]) and face offsets
-                 of that line repeated across the variables, so the subcell
-                 pass multiplies same-shape arrays in one long inner loop
-                 instead of one short loop per subcell
-    state_sign, flux_sign   factors applied to ghost states and fluxes
-    limited      (minus, plus) masks over faces: whether the low-order
-                 update of the subcell on that side is kept admissible by
-                 the interface flux limiter (not ghosts, not imposed faces)
+    sub_gap      node gaps x[i+1] - x[i] along that line
+    state_sign, flux_sign   (nvar,) factors applied to ghost states and fluxes
+    limited      (minus, plus) masks over faces: whether the interface flux
+                 limiter keeps that side's subcell update admissible (not
+                 ghosts, not imposed faces)
     end_widths   (minus, plus) widths of the subcells next to every face:
-                 the last subcell of the left element, w[-1] * dx, and the
-                 first of the right one, w[0] * dx
-    inner_subfaces   (minus, plus) indices into the subface line of those
-                 two subcells' other faces
+                 w[-1] * dx of the left element, w[0] * dx of the right one
+    inner_subfaces   (minus, plus) subface indices of their other faces
     imposed      indices of the imposed faces
     """
 
@@ -179,8 +181,6 @@ class Boundary:
     sub_dl: np.ndarray
     sub_dr: np.ndarray
     sub_gap: np.ndarray
-    sub_dlv: np.ndarray
-    sub_drv: np.ndarray
     state_sign: np.ndarray
     flux_sign: np.ndarray
     limited: np.ndarray
@@ -198,18 +198,18 @@ class Boundary:
         """Minus/plus values at the ne+1 faces of the central face fluxes
         and of the dissipation traces, written into one array.
 
-        Both are per-element (left, right) values of shape (2, ne, nvar);
-        flux ghosts take flux_sign, trace ghosts state_sign.  Returns
-        ((flux minus, flux plus), (trace minus, trace plus)).
+        Both are element face traces, (nvar, 2, ne); flux ghosts take
+        flux_sign, trace ghosts state_sign.  Returns ((flux minus, flux
+        plus), (trace minus, trace plus)), each (nvar, ne+1).
         """
         (sm, em), (sp, ep) = self.traces
-        ne, nvar = faces.shape[1:]
-        minus, plus = np.empty((2, 2, ne + 1, nvar), dtype=np.result_type(faces, traces))
+        nvar, _, ne = faces.shape
+        minus, plus = np.empty((2, 2, nvar, ne + 1), dtype=np.result_type(faces, traces))
         for k, (q, sign) in enumerate(((faces, self.flux_sign), (traces, self.state_sign))):
-            minus[k, 1:] = q[1]
-            plus[k, :-1] = q[0]
-            np.multiply(q[sm, em], sign, out=minus[k, 0])
-            np.multiply(q[sp, ep], sign, out=plus[k, -1])
+            minus[k, :, 1:] = q[:, 1]
+            plus[k, :, :-1] = q[:, 0]
+            np.multiply(q[:, sm, em], sign, out=minus[k, :, 0])
+            np.multiply(q[:, sp, ep], sign, out=plus[k, :, -1])
         return (minus[0], plus[0]), (minus[1], plus[1])
 
 
@@ -243,13 +243,12 @@ def make_boundary(kind, grid, subcells, model, bc_state=None):
         limited[0, 0] = limited[1, -1] = False
         if kind == "reflective":
             state_sign, flux_sign = model.reflect_state(ones), model.reflect_flux(ones)
-    wide = [np.repeat(a[:, None], model.nvar, axis=1) for a in (np.diff(sub_x), sub_dl, sub_dr)]
     # the subcells next to every face; subface j is the left face of subcell j
     p = subcells.psub
     end_cells = np.stack([p * cells[:-1] + p - 1, p * cells[1:]])
     inner_subfaces = end_cells + np.array([[0], [1]])
-    return Boundary(cells, traces, sub, sub_x, sub_dl, sub_dr, *wide, state_sign, flux_sign,
-                    limited, subcells.h[end_cells], inner_subfaces,
+    return Boundary(cells, traces, sub, sub_x, sub_dl, sub_dr, np.diff(sub_x), state_sign,
+                    flux_sign, limited, subcells.h[end_cells], inner_subfaces,
                     np.array(imposed, dtype=int), bc_state)
 
 
@@ -267,11 +266,14 @@ class Discretization:
     xn: np.ndarray = field(init=False)
     xf: np.ndarray = field(init=False)
     dx: np.ndarray = field(init=False)
+    dxn: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.xn = self.grid.nodes(self.ops)
         self.xf = np.stack([self.grid.faces[:-1], self.grid.faces[1:]])
         self.dx = self.grid.dx
+        # element widths at the nodes, so per-element factors run long loops
+        self.dxn = np.repeat(self.dx, self.ops.degree + 1).reshape(self.xn.shape)
 
 
 def make_discretization(grid, model, config, bc_state=None):
@@ -285,48 +287,36 @@ def make_discretization(grid, model, config, bc_state=None):
 
 
 # ----------------------------------------------------------------------
-# elementwise building blocks
+# layout conversion and elementwise building blocks
 
 
-def _node_major(q):
-    """(ne, p, nvar) values as a contiguous (p, ne * nvar) array, one row
-    per node."""
-    return q.transpose(1, 0, 2).reshape(q.shape[1], -1)
+def variable_major(u):
+    """A (ne, p, nvar) state as the solver's contiguous (nvar, ne, p) array."""
+    return np.ascontiguousarray(u.transpose(-1, *range(u.ndim - 1)))
 
 
-def _element_major(a, ne):
-    """Inverse of _node_major: a contiguous (ne, p, nvar) array."""
-    return np.ascontiguousarray(a.reshape(a.shape[0], ne, -1).transpose(1, 0, 2))
-
-
-def _d_products(d_matrix, q):
-    """D q of a system, node-major (_node_major), summed as einsum sums it:
-    from zero, in node order."""
-    qt = _node_major(q)
-    out = np.zeros((d_matrix.shape[0], qt.shape[1]), dtype=np.result_type(d_matrix, q))
-    for k in range(d_matrix.shape[1]):
-        out += d_matrix[:, k, None] * qt[k]
-    return out
+def element_major(q):
+    """Variable-major (nvar, ...) values as a new C-contiguous (..., nvar)."""
+    return q.transpose(*range(1, q.ndim), 0).copy()
 
 
 def apply_d(d_matrix, q):
-    """D q along the node axis: np.einsum("pq,eqv->epv", d_matrix, q).
+    """D q along the node axis of variable-major q, bit for bit what
+    np.einsum("pq,eqv->epv", d_matrix, q) gives with the variable last.
 
-    Both branches give einsum's own numbers, bit for bit.  For systems
-    einsum sums the products from zero in node order; the loop repeats
-    that on a node-major copy, where every product is one long inner loop
-    instead of one per node and element along the short variable axis,
-    and returns a contiguous array.  For one variable einsum sums in
-    matmul's order and is the fastest form.
+    For systems that einsum sums from zero in node order, as einsum over
+    a node-major copy does with long inner loops; for one variable it
+    sums in matmul's order and is called itself, on the same memory.
     """
-    if q.shape[-1] == 1:
-        return np.einsum("pq,eqv->epv", d_matrix, q)
-    return _element_major(_d_products(d_matrix, q), q.shape[0])
+    if q.shape[0] == 1:
+        return np.einsum("pq,eqv->epv", d_matrix, q.reshape(q.shape[1:] + (1,))).reshape(q.shape)
+    qt = np.ascontiguousarray(q.transpose(2, 0, 1))
+    return np.ascontiguousarray(np.einsum("jp,pvn->vnj", d_matrix, qt))
 
 
 def local_solution_derivative(u, f, dx, dt, d_matrix, s=None):
-    """u1 = -(dt/dx) D f (+ dt s): the scaled local solution time derivative."""
-    u1 = -(dt / dx)[:, None, None] * apply_d(d_matrix, f)
+    """u1 = -(dt/dx) D f (+ dt s), dx at the nodes (Discretization.dxn)."""
+    u1 = -(dt / dx) * apply_d(d_matrix, f)
     if s is not None:
         u1 = u1 + dt * s
     return u1
@@ -340,28 +330,17 @@ def flux_time_derivative(eval_fn, u, u1):
     sample time to use.  Exact whenever the composition is a polynomial of
     degree <= 4 in the path parameter.
     """
-    return (-eval_fn(u + 2.0 * u1, 2) + 8.0 * eval_fn(u + u1, 1)
-            - 8.0 * eval_fn(u - u1, -1) + eval_fn(u - 2.0 * u1, -2)) / 12.0
-
-
-@dataclass
-class StageCache:
-    """Intermediates of stage one that stage two reuses unchanged."""
-
-    f: np.ndarray
-    f1: np.ndarray
-    u1: np.ndarray
-    s: np.ndarray = None
-    s1: np.ndarray = None
-    # extrapolate-then-average face flux, its increment and fallback mask,
-    # side-first like the face traces
-    face_f: np.ndarray = None
-    face_f1: np.ndarray = None
-    face_bad: np.ndarray = None
+    w = 2.0 * u1
+    fp2, fp1 = eval_fn(u + w, 2), eval_fn(u + u1, 1)  # 8 fp1 - fp2 is -fp2 + 8 fp1 bitwise
+    return (8.0 * fp1 - fp2 - 8.0 * eval_fn(u - u1, -1) + eval_fn(u - w, -2)) / 12.0
 
 
 def stage1_time_average(model, u, xn, dx, dt, ops, t=0.0):
-    """First-stage averaged flux F = f + f1/4 and solution u + u1/4."""
+    """First-stage averaged flux F = f + f1/4 and solution u + u1/4.
+
+    The cache holds what stage two reuses unchanged: f, f1, u1, s, s1, and,
+    with ea faces, face_f, face_f1 and face_bad (face_values_ea_stage1).
+    """
     f = model.flux(u, xn)
     s = model.source(u, xn, t) if model.has_source else None
     u1 = local_solution_derivative(u, f, dx, dt, ops.D, s)
@@ -369,7 +348,7 @@ def stage1_time_average(model, u, xn, dx, dt, ops, t=0.0):
     s1 = None
     if model.has_source:
         s1 = flux_time_derivative(lambda v, k: model.source(v, xn, t + k * dt), u, u1)
-    cache = StageCache(f=f, f1=f1, u1=u1, s=s, s1=s1)
+    cache = SimpleNamespace(f=f, f1=f1, u1=u1, s=s, s1=s1)
     favg = f + 0.25 * f1
     uavg = u + 0.25 * u1
     savg = s + 0.25 * s1 if model.has_source else None
@@ -392,24 +371,19 @@ def stage2_time_average(model, u, ustar, cache, xn, dx, dt, ops, t=0.0):
     return favg, uavg, savg, us1
 
 
-def _face_traces(q, ops):
-    """Left- and right-face traces of every element, stacked side-first
-    (shape (2, ne, nvar)) so they unpack as a (left, right) pair."""
-    out = np.empty((2,) + q.shape[:1] + q.shape[2:], dtype=np.result_type(ops.VL, q))
-    np.einsum("p,epv->ev", ops.VL, q, out=out[0])
-    np.einsum("p,epv->ev", ops.VR, q, out=out[1])
-    return out
-
-
 def face_values_ae(favg, ops):
-    """Extrapolate the nodal averaged flux to both faces of every element."""
-    return _face_traces(favg, ops)
+    """Extrapolate the nodal averaged flux to both faces of every element.
+
+    Face traces, here and throughout, are (nvar, 2, ne) with [:, 0] and
+    [:, 1] the (left, right) pair: node_sums of the rows of ops.V.
+    """
+    return node_sums(ops.V, favg)
 
 
 def _evaluable(model, u):
-    ok = fold(np.logical_and, np.isfinite(u))
+    ok = np.isfinite(u).all(axis=0)
     if model.nvar > 1:
-        ok &= np.real(u[..., 0]) > 0.0
+        ok &= np.real(u[0]) > 0.0
     return ok
 
 
@@ -422,24 +396,25 @@ def _ea_states(model, u, u1, ops):
     run over every face; callers overwrite those faces with the
     flux-extrapolation value afterwards.
     """
-    ua, u1a = _face_traces(u, ops), _face_traces(u1, ops)
-    stencil = np.empty((5,) + ua.shape, dtype=np.result_type(ua, u1a))
-    stencil[0] = ua
-    np.add(ua, u1a, out=stencil[1])
-    np.subtract(ua, u1a, out=stencil[2])
-    np.add(ua, 2.0 * u1a, out=stencil[3])
-    np.subtract(ua, 2.0 * u1a, out=stencil[4])
+    ua, u1a = node_sums(ops.V, u), node_sums(ops.V, u1)
+    stencil = np.empty(ua.shape[:1] + (5,) + ua.shape[1:], dtype=np.result_type(ua, u1a))
+    stencil[:, 0] = ua
+    np.add(ua, u1a, out=stencil[:, 1])
+    np.subtract(ua, u1a, out=stencil[:, 2])
+    np.multiply(u1a, 2.0, out=stencil[:, 4])
+    np.add(ua, stencil[:, 4], out=stencil[:, 3])
+    np.subtract(ua, stencil[:, 4], out=stencil[:, 4])
     bad = ~_evaluable(model, stencil).all(axis=0)
     if bad.any():
-        ua = np.where(bad[..., None], np.stack([u[:, 0], u[:, -1]]), ua)
-        u1a = np.where(bad[..., None], 0.0, u1a)
+        ua = np.where(bad, np.stack([u[..., 0], u[..., -1]], axis=1), ua)
+        u1a = np.where(bad, 0.0, u1a)
     return ua, u1a, bad
 
 
 def _fall_back(value, bad, favg, ops):
     """Extrapolated nodal averaged flux at the faces marked bad."""
     if bad.any():
-        value = np.where(bad[..., None], _face_traces(favg, ops), value)
+        value = np.where(bad, node_sums(ops.V, favg), value)
     return value
 
 
@@ -452,8 +427,8 @@ def face_values_ea_stage1(model, u, u1, ops, xf, favg):
     fall back to extrapolating the nodal averaged flux instead (the two
     constructions coincide on nodesets that include the endpoints).
     xf holds the (2, ne) left/right face coordinates of every element.
-    Returns the (2, ne, nvar) face values, then the face flux, its
-    increment and the fallback mask, which stage two reuses.
+    Returns the (nvar, 2, ne) face values, then the face flux, its
+    increment and the (2, ne) fallback mask, which stage two reuses.
     """
     ua, u1a, bad = _ea_states(model, u, u1, ops)
     fa = model.flux(ua, xf)
@@ -477,21 +452,25 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops, traces=None):
     """Derivative of the corrected (continuous) flux at the solution points.
 
     fnum_left/fnum_right are the numerical fluxes at each element's own
-    faces, shape (ne, nvar); traces are favg's (left, right) face traces
-    when the caller has them (_face_traces).  For systems the correction
-    terms are added node-major, on the D products' own layout.
+    faces, shape (nvar, ne); traces are favg's face traces when the caller
+    has them (face_values_ae).  For systems it is one einsum of ops.DB over
+    the node-major values and the face jumps: D f from zero in node order,
+    then + bL jump_l + bR jump_r, as the broadcast formula sums it.
     """
-    if traces is None:
-        traces = _face_traces(favg, ops)
-    jump_l = fnum_left - traces[0]
-    jump_r = fnum_right - traces[1]
-    if favg.shape[-1] == 1:
+    nvar, ne, p = favg.shape
+    if nvar == 1:
+        if traces is None:
+            traces = node_sums(ops.V, favg)
         return (apply_d(ops.D, favg)
-                + ops.bL[None, :, None] * jump_l[:, None, :]
-                + ops.bR[None, :, None] * jump_r[:, None, :])
-    return _element_major(_d_products(ops.D, favg)
-                          + ops.bL[:, None] * jump_l.reshape(-1)
-                          + ops.bR[:, None] * jump_r.reshape(-1), favg.shape[0])
+                + ops.bL * (fnum_left - traces[:, 0])[..., None]
+                + ops.bR * (fnum_right - traces[:, 1])[..., None])
+    x = np.empty((p + 2, nvar, ne), dtype=np.result_type(favg, fnum_left))
+    x[:p] = favg.transpose(2, 0, 1)
+    if traces is None:
+        traces = np.einsum("jp,pvn->vjn", ops.V, x[:p])
+    np.subtract(fnum_left, traces[:, 0], out=x[p])
+    np.subtract(fnum_right, traces[:, 1], out=x[p + 1])
+    return np.ascontiguousarray(np.einsum("jk,kvn->vnj", ops.DB, x))
 
 
 # ----------------------------------------------------------------------
@@ -500,13 +479,12 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops, traces=None):
 
 def _mean_speeds(disc, u):
     """Wave speed of each element's mean state, maximised over its nodes."""
-    means = np.einsum("p,epv->ev", disc.ops.weights, u)
-    return fold(np.maximum, np.real(disc.model.speed(means[:, None, :], disc.xn)), 1)
+    means = node_sums(disc.ops.weights, u)
+    return fold(np.maximum, np.real(disc.model.speed(means[..., None], disc.xn)), 1)
 
 
 def face_wave_speeds(disc, speeds):
-    """Dissipation coefficient per face from the element-mean wave speeds
-    (_mean_speeds)."""
+    """Dissipation coefficient per face from the element-mean wave speeds."""
     s = speeds[disc.boundary.cells]
     return np.maximum(s[:-1], s[1:])
 
@@ -522,20 +500,18 @@ def _impose_fluxes(disc, fnum, t, tau=None):
     [t, t + tau] by three-point Gauss quadrature; the semi-discrete
     baseline passes none and gets the flux at t.
     """
+    model, state = disc.model, disc.boundary.bc_state
     for i in disc.boundary.imposed:
         x = disc.grid.faces[i]
         if tau is None:
-            fnum[i] = _bc_flux(disc, x, t)
+            fnum[:, i] = model.flux(np.asarray(state(x, t), dtype=float), x)
         else:
-            fnum[i] = sum(w * _bc_flux(disc, x, t + tau * th) for th, w in _STAGE_QUAD)
-
-
-def _bc_flux(disc, x, t):
-    return disc.model.flux(np.asarray(disc.boundary.bc_state(x, t), dtype=float), x)
+            fnum[:, i] = sum(w * model.flux(np.asarray(state(x, t + tau * th), dtype=float), x)
+                             for th, w in _STAGE_QUAD)
 
 
 def _assemble_face_flux(disc, faces, traces, lam, t, tau):
-    """Numerical flux at every face for one stage.
+    """Numerical flux at every face for one stage, shape (nvar, ne+1).
 
     faces: per-element (left, right) central face values; traces: the face
     traces of the nodal states that feed the dissipation (the time-averaged
@@ -553,19 +529,18 @@ def _assemble_face_flux(disc, faces, traces, lam, t, tau):
 
 def validate_admissible(model, u, time=None, step=None, detail=""):
     """Raise with located diagnostics when a nodal state is inadmissible.
-
-    Returns the constraint values it checked, None for a model without
-    constraints.
-    """
+    Returns the (K, ne, p) constraint values it checked, None for a model
+    without constraints."""
     if not np.isfinite(u).all():
-        e, p = np.unravel_index(int(np.argmin(np.isfinite(u).all(axis=-1))), u.shape[:2])
+        finite = np.isfinite(u).all(axis=0)
+        e, p = np.unravel_index(int(np.argmin(finite)), finite.shape)
         raise AdmissibilityError("finite", float("nan"), element=int(e), node=int(p),
                                  time=time, step=step, detail=detail or "non-finite state")
     if model.nconstraints == 0:
         return None
     vals = model.constraints(u)
     for k, name in enumerate(model.constraint_names):
-        col = vals[..., k]
+        col = vals[k]
         if (col <= 0.0).any():
             e, p = np.unravel_index(int(np.argmin(col)), col.shape)
             raise AdmissibilityError(name, float(col[e, p]), element=int(e),
@@ -580,45 +555,52 @@ class StepStart:
     Built once per state (step_start) and read by compute_dt and by every
     halved mdrk_step attempt from that state; the arrays are read-only.
 
+    u               the state, variable-major
     speeds          wave speed of every element mean (_mean_speeds)
     lam             dissipation coefficient of every face (face_wave_speeds)
     subface_fluxes  with limiter fo, the subcell-line Rusanov fluxes, which
-                    read the nodal values only and so not the stage
-                    interval; None otherwise
+                    read the nodal values only, not tau; None otherwise
     """
 
+    u: np.ndarray
     speeds: np.ndarray
     lam: np.ndarray
     subface_fluxes: np.ndarray = None
 
     def __post_init__(self):
-        for value in (self.speeds, self.lam, self.subface_fluxes):
+        for value in (self.u, self.speeds, self.lam, self.subface_fluxes):
             if value is not None:
                 value.setflags(write=False)
 
 
 def step_start(disc, u):
-    """The StepStart of nodal state u."""
-    speeds = _mean_speeds(disc, u)
+    """The StepStart of nodal state u, given as (ne, p, nvar)."""
+    uv = variable_major(u)
+    speeds = _mean_speeds(disc, uv)
     subface_fluxes = None
     if disc.config.limiter == "fo":
-        subface_fluxes = blending.low_order_subface_fluxes(disc, u, 0.0, use_slopes=False)
-    return StepStart(speeds, face_wave_speeds(disc, speeds), subface_fluxes)
+        subface_fluxes = blending.low_order_subface_fluxes(disc, uv, 0.0, use_slopes=False)
+    return StepStart(uv, speeds, face_wave_speeds(disc, speeds), subface_fluxes)
 
 
 def compute_dt(disc, u, t, start=None):
     """CFL time step from element-mean wave speeds, clamped to the horizon.
 
-    start is u's StepStart, when the caller has built it.
+    u is (ne, p, nvar); start is its StepStart, when the caller has built
+    it.  A mean speed that is not finite and non-negative (NaN from an
+    inadmissible mean) raises an AdmissibilityError naming its element.
     """
     cfg = disc.config
-    speeds = _mean_speeds(disc, u) if start is None else start.speeds
-    remaining = cfg.final_time - t
-    smax = float(np.max(speeds))
-    if smax <= 0.0:
-        return remaining
+    speeds = _mean_speeds(disc, variable_major(u)) if start is None else start.speeds
+    # written so that NaN fails it
+    ok = (speeds >= 0.0) & (speeds < np.inf)
+    if not ok.all():
+        e = int(np.argmin(ok))
+        raise AdmissibilityError("mean wave speed", float(speeds[e]), element=e, time=t,
+                                 detail="the time step needs finite element-mean wave speeds")
+    # all speeds zero: a huge step, clamped to the horizon
     dt = cfg.safety * cfg.resolved_cfl() * float(np.min(disc.dx / np.maximum(speeds, 1e-300)))
-    return min(dt, remaining)
+    return min(dt, cfg.final_time - t)
 
 
 # ----------------------------------------------------------------------
@@ -629,11 +611,11 @@ def compute_dt(disc, u, t, start=None):
 class StepDiagnostics:
     """Per-step record used by conservation and limiter tests."""
 
-    fnum1: np.ndarray = None
+    fnum1: np.ndarray = None    # (ne+1, nvar) face fluxes of each stage
     fnum2: np.ndarray = None
     alpha1: np.ndarray = None
     alpha2: np.ndarray = None
-    theta1: np.ndarray = None   # per-face, per-constraint flux-limiter factors
+    theta1: np.ndarray = None   # (ne+1, K) per-face, per-constraint flux-limiter factors
     theta2: np.ndarray = None
     theta_min: float = 1.0
     min_constraints: np.ndarray = None
@@ -657,7 +639,7 @@ def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail)
     if ae:
         faces = face_values_ae(favg, disc.ops)
     ud = uavg if cfg.dissipation == "d2" else u
-    fnum = _assemble_face_flux(disc, faces, _face_traces(ud, disc.ops), lam, t, tau)
+    fnum = _assemble_face_flux(disc, faces, node_sums(disc.ops.V, ud), lam, t, tau)
 
     alpha = thetas = None
     if low is not None:
@@ -665,10 +647,11 @@ def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail)
         fnum, thetas = blending.blend_and_limit_face_flux(disc, fnum, low, alpha)
         r_low = blending.low_order_residual(disc, low.subface_fluxes, fnum)
     # extrapolated faces are the traces the residual needs
-    residual = fr_flux_derivative(favg, fnum[:-1], fnum[1:], disc.ops, faces if ae else None)
+    residual = fr_flux_derivative(favg, fnum[:, :-1], fnum[:, 1:], disc.ops,
+                                  faces if ae else None)
     if alpha is not None:
         residual = blending.blended_update(residual, r_low, alpha)
-    unew = u - (tau / disc.dx)[:, None, None] * residual
+    unew = u - (tau / disc.dxn) * residual
     if savg is not None:
         unew = unew + tau * savg
     if alpha is not None:
@@ -697,22 +680,23 @@ def _low_order(disc, u, dt, start):
 def mdrk_step(disc, u, t, dt, start=None):
     """One full two-stage update from t to t + dt.
 
-    start is u's StepStart; without it the step builds its own.  Returns
-    the new nodal array and per-step diagnostics.  Raises
-    AdmissibilityError (with location context) if a stage output leaves
-    the admissible set, and StencilStateError when intermediate stencil
-    states or the low-order subcell updates next to element faces are not
-    admissible; the caller may retry the latter with a smaller step.
+    u is (ne, p, nvar) and start its StepStart, whose variable-major copy
+    of u the step reads; without it the step builds its own.  Returns the
+    new nodal array, a new (ne, p, nvar) array, and per-step diagnostics.
+    Raises AdmissibilityError (with location context) if a stage output
+    leaves the admissible set, and StencilStateError when intermediate
+    stencil states or the low-order subcell updates next to element faces
+    are not admissible; the caller may retry the latter with a smaller step.
     """
     model, ops = disc.model, disc.ops
     ea = disc.config.face_scheme == "ea"
     if start is None:
         start = step_start(disc, u)
-    lam = start.lam
+    u, lam = start.u, start.lam
     low1, low2 = _low_order(disc, u, dt, start)
 
     # stage 1: averages over [t, t + dt/2]
-    *avg1, cache = stage1_time_average(model, u, disc.xn, disc.dx, dt, ops, t)
+    *avg1, cache = stage1_time_average(model, u, disc.xn, disc.dxn, dt, ops, t)
     faces1 = None
     if ea:
         faces1, cache.face_f, cache.face_f1, cache.face_bad = face_values_ea_stage1(
@@ -721,7 +705,7 @@ def mdrk_step(disc, u, t, dt, start=None):
                                           t, "after first stage")
 
     # stage 2: averages over [t, t + dt]
-    *avg2, us1 = stage2_time_average(model, u, ustar, cache, disc.xn, disc.dx, dt, ops, t)
+    *avg2, us1 = stage2_time_average(model, u, ustar, cache, disc.xn, disc.dxn, dt, ops, t)
     faces2 = None
     if ea:
         faces2 = face_values_ea_stage2(model, ustar, us1, cache, ops, disc.xf, avg2[0])
@@ -730,16 +714,12 @@ def mdrk_step(disc, u, t, dt, start=None):
 
     mins = None
     if cons is not None:
-        # one long reduction per constraint, not one short one per node
-        mins = np.array([cons[..., k].min() for k in range(model.nconstraints)])
-    theta_min = 1.0
-    for th in (th1, th2):
-        if th is not None and th.size:
-            theta_min = min(theta_min, float(th.min()))
-    diag = StepDiagnostics(fnum1=fnum1, fnum2=fnum2, alpha1=alpha1, alpha2=alpha2,
+        mins = cons.reshape(len(cons), -1).min(axis=1)
+    theta_min = min([1.0] + [float(th.min()) for th in (th1, th2) if th is not None and th.size])
+    diag = StepDiagnostics(fnum1=fnum1.T, fnum2=fnum2.T, alpha1=alpha1, alpha2=alpha2,
                            theta1=th1, theta2=th2, theta_min=theta_min,
                            min_constraints=mins, dt=dt)
-    return unew, diag
+    return element_major(unew), diag
 
 
 # ----------------------------------------------------------------------
@@ -747,24 +727,25 @@ def mdrk_step(disc, u, t, dt, start=None):
 
 
 def rkfr_rhs(disc, u, t):
-    """Classical semi-discrete right-hand side with the corrected flux."""
+    """Classical semi-discrete right-hand side with the corrected flux, of
+    variable-major u."""
     model, ops = disc.model, disc.ops
     f = model.flux(u, disc.xn)
     lam = face_wave_speeds(disc, _mean_speeds(disc, u))
-    traces = _face_traces(u, ops)
+    traces = node_sums(ops.V, u)
     fnum = _assemble_face_flux(disc, model.flux(traces, disc.xf), traces, lam, t, None)
-    dudt = -fr_flux_derivative(f, fnum[:-1], fnum[1:], ops) / disc.dx[:, None, None]
+    dudt = -fr_flux_derivative(f, fnum[:, :-1], fnum[:, 1:], ops) / disc.dxn
     if model.has_source:
         dudt = dudt + model.source(u, disc.xn, t)
     return dudt
 
 
 def rkfr_step(disc, u, t, dt):
-    """Advance the baseline integrator by one step."""
+    """Advance the baseline integrator by one step; u is (ne, p, nvar)."""
     from . import ssprk
 
     if disc.config.limiter != "none":
         raise ConfigurationError("the Runge-Kutta baseline runs unlimited")
-    unew = ssprk.step(lambda v, tv: rkfr_rhs(disc, v, tv), u, t, dt)
+    unew = ssprk.step(lambda v, tv: rkfr_rhs(disc, v, tv), variable_major(u), t, dt)
     validate_admissible(disc.model, unew, time=t + dt, detail="baseline step")
-    return unew, StepDiagnostics(dt=dt)
+    return element_major(unew), StepDiagnostics(dt=dt)

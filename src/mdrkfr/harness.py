@@ -51,7 +51,7 @@ class CaseSpec:
 def _blast_initial(x):
     x = np.asarray(x, dtype=float)
     p = np.where(x < 0.1, 1000.0, np.where(x > 0.9, 100.0, 0.01))
-    return models.Euler().conserved(np.ones_like(x), np.zeros_like(x), p)
+    return core.element_major(models.Euler().conserved(np.ones_like(x), np.zeros_like(x), p))
 
 
 def _titarev_toro_initial(x):
@@ -59,14 +59,14 @@ def _titarev_toro_initial(x):
     rho = np.where(x <= -4.5, 1.515695, 1.0 + 0.1 * np.sin(20.0 * np.pi * x))
     v = np.where(x <= -4.5, 0.523346, 0.0)
     p = np.where(x <= -4.5, 1.805, 1.0)
-    return models.Euler().conserved(rho, v, p)
+    return core.element_major(models.Euler().conserved(rho, v, p))
 
 
 def _density_ratio_initial(x):
     x = np.asarray(x, dtype=float)
     rho = np.where(x < 0.3, 1000.0, 1.0)
     p = np.where(x < 0.3, 1000.0, 1.0)
-    return models.Euler().conserved(rho, np.zeros_like(x), p)
+    return core.element_major(models.Euler().conserved(rho, np.zeros_like(x), p))
 
 
 def _sedov_cellwise(xc, dx):
@@ -227,7 +227,7 @@ def run_case(case_id, config=None, cells=None, scheme="mdrk", on_step=None):
                                                         base.correction))
     case, disc, fld = make_run(case_id, config, cells)
     mdrk = scheme == "mdrk"
-    core.validate_admissible(disc.model, fld.data, time=0.0, step=0,
+    core.validate_admissible(disc.model, core.variable_major(fld.data), time=0.0, step=0,
                              detail="initial condition")
 
     result = RunResult(disc=disc, field=fld)

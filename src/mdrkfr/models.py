@@ -1,10 +1,11 @@
 """Conservation-law models: fluxes, wave speeds, admissibility constraints.
 
-All model functions are vectorised: states have shape (..., nvar) and the
-coordinate argument broadcasts against the leading axes.  Scalar models
-carry nvar = 1 and no admissibility constraints; the gas-dynamics model has
-the usual two (density, then pressure, ordered so the second is concave
-once the first is positive).
+All model functions are vectorised over variable-leading states, shape
+(nvar, ...), and return fluxes (nvar, ...), constraint values (K, ...) and
+speeds (...); the coordinate argument broadcasts against the trailing
+axes.  Scalar models carry nvar = 1 and no admissibility constraints; the
+gas-dynamics model has the usual two (density, then pressure, ordered so
+the second is concave once the first is positive).
 """
 
 import numpy as np
@@ -38,24 +39,12 @@ class EquationModel:
         raise NotImplementedError
 
     def constraints(self, u):
-        """Values of the admissibility constraints, shape (..., K)."""
-        return np.zeros(u.shape[:-1] + (0,))
-
-    def max_face_speed(self, um, up, x):
-        """Dissipation coefficient at a face from the two adjacent states."""
-        return np.maximum(self.speed(um, x), self.speed(up, x))
+        """Values of the admissibility constraints, shape (K, ...)."""
+        return np.zeros((0,) + u.shape[1:])
 
     def indicator_quantity(self, u):
         """Scalar field fed to the smoothness indicator."""
-        return u[..., 0]
-
-    def reflect_state(self, u):
-        """Mirror a state across a solid wall."""
-        return u
-
-    def reflect_flux(self, f):
-        """Mirror a flux across a solid wall."""
-        return -f
+        return u[0]
 
 
 class LinearAdvection(EquationModel):
@@ -69,7 +58,7 @@ class LinearAdvection(EquationModel):
         return self.a * u
 
     def speed(self, u, x):
-        return np.broadcast_to(abs(self.a), np.broadcast_shapes(u.shape[:-1], np.shape(x))).copy()
+        return np.broadcast_to(abs(self.a), np.broadcast_shapes(u.shape[1:], np.shape(x))).copy()
 
 
 class VariableAdvection(EquationModel):
@@ -80,11 +69,11 @@ class VariableAdvection(EquationModel):
         self.a_of_x = a_of_x
 
     def flux(self, u, x):
-        return np.asarray(self.a_of_x(np.asarray(x)))[..., None] * u
+        return np.asarray(self.a_of_x(np.asarray(x))) * u
 
     def speed(self, u, x):
         a = np.abs(np.asarray(self.a_of_x(np.asarray(x))))
-        return np.broadcast_to(a, np.broadcast_shapes(u.shape[:-1], np.shape(x))).copy()
+        return np.broadcast_to(a, np.broadcast_shapes(u.shape[1:], np.shape(x))).copy()
 
 
 class Burgers(EquationModel):
@@ -94,7 +83,7 @@ class Burgers(EquationModel):
         return 0.5 * u * u
 
     def speed(self, u, x):
-        return np.broadcast_to(np.abs(u[..., 0]), np.broadcast_shapes(u.shape[:-1], np.shape(x))).copy()
+        return np.broadcast_to(np.abs(u[0]), np.broadcast_shapes(u.shape[1:], np.shape(x))).copy()
 
 
 class Euler(EquationModel):
@@ -111,64 +100,63 @@ class Euler(EquationModel):
         self.gamma = gamma
 
     def primitive(self, u):
-        rho = u[..., 0]
-        v = u[..., 1] / rho
-        p = (self.gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] * v)
+        rho = u[0]
+        v = u[1] / rho
+        p = (self.gamma - 1.0) * (u[2] - 0.5 * u[1] * v)
         return rho, v, p
 
     def conserved(self, rho, v, p):
         rho, v, p = np.broadcast_arrays(rho, v, p)
         e = p / (self.gamma - 1.0) + 0.5 * rho * v * v
-        return np.stack([rho, rho * v, e], axis=-1)
+        return np.stack([rho, rho * v, e])
 
     def pressure(self, u):
-        return (self.gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0])
+        return (self.gamma - 1.0) * (u[2] - 0.5 * u[1] ** 2 / u[0])
 
     def flux(self, u, x):
-        rho = u[..., 0]
+        rho = u[0]
         # NaN fails the first test (the minimum is NaN), +inf the second
         if rho.size and not (rho.min() > 0.0 and rho.max() < np.inf):
             bad = float(np.min(rho)) if np.all(np.isfinite(rho)) else float("nan")
             raise StencilStateError("density", bad,
                                     detail="primitive recovery needs positive density")
-        v = u[..., 1] / rho
-        p = (self.gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] * v)
-        out = np.empty(p.shape + (3,), dtype=p.dtype)
-        out[..., 0] = u[..., 1]
-        out[..., 1] = p + u[..., 1] * v
-        out[..., 2] = (u[..., 2] + p) * v
+        v = u[1] / rho
+        p = (self.gamma - 1.0) * (u[2] - 0.5 * u[1] * v)
+        out = np.empty((3,) + p.shape, dtype=p.dtype)
+        out[0] = u[1]
+        np.add(p, u[1] * v, out=out[1, ...])
+        np.multiply(u[2] + p, v, out=out[2, ...])
         return out
 
     def speed(self, u, x):
         rho, v, p = self.primitive(u)
         return np.broadcast_to(np.abs(v) + np.sqrt(self.gamma * p / rho),
-                               np.broadcast_shapes(u.shape[:-1], np.shape(x))).copy()
+                               np.broadcast_shapes(u.shape[1:], np.shape(x))).copy()
 
     def constraints(self, u):
-        p = self.pressure(u)
-        out = np.empty(p.shape + (2,), dtype=p.dtype)
-        out[..., 0] = u[..., 0]
-        out[..., 1] = p
+        out = np.empty((2,) + u.shape[1:], dtype=u.dtype)
+        out[0] = u[0]
+        out[1] = self.pressure(u)
         return out
 
     def indicator_quantity(self, u):
-        return u[..., 0] * self.pressure(u)
+        return u[0] * self.pressure(u)
 
+    # reflective walls are defined for this model only
     def reflect_state(self, u):
-        return u * np.array([1.0, -1.0, 1.0])
+        return np.stack([u[0], -u[1], u[2]])
 
     def reflect_flux(self, f):
-        return f * np.array([-1.0, 1.0, -1.0])
+        return np.stack([-f[0], f[1], -f[2]])
 
 
 def fold(ufunc, a, axis=-1):
     """ufunc.reduce(a, axis) as one elementwise ufunc call per slice of a.
 
-    For a short axis (variables, constraints, nodes) a reduction runs one C
-    inner loop per row, a few elements long; combining whole slices keeps
-    every inner loop as long as the other axes.  Only for ufuncs whose
-    result does not depend on the order (logical_and, minimum, maximum),
-    where both forms give the same values.  A one-long axis gives a view.
+    Over a short axis (the nodes of (element, node) values) a reduction
+    runs one C inner loop per row; whole slices keep every inner loop long.
+    Only for order-free ufuncs (logical_and, minimum, maximum), where both
+    forms give the same values.  A one-long axis gives a view.
     """
     lead = (slice(None),) * (axis % a.ndim)
     out = a[lead + (0,)]
@@ -179,13 +167,7 @@ def fold(ufunc, a, axis=-1):
 
 def numerical_flux(f_minus, f_plus, diss_minus, diss_plus, lam):
     """Central average of the face fluxes plus jump penalty on the traces."""
-    return 0.5 * (f_minus + f_plus) - 0.5 * lam[..., None] * (diss_plus - diss_minus)
-
-
-def rusanov_flux(model, ul, ur, x):
-    """Central flux plus local max-wave-speed penalty on the state jump."""
-    lam = model.max_face_speed(ul, ur, x)
-    return numerical_flux(model.flux(ul, x), model.flux(ur, x), ul, ur, lam)
+    return 0.5 * (f_minus + f_plus) - 0.5 * lam * (diss_plus - diss_minus)
 
 
 def varadv_x2_speed(x):
@@ -222,18 +204,20 @@ MS_K = 2.0 * np.pi
 
 
 def manufactured_state(x, t, gamma=1.4):
+    """The exact state at x, variable last like every stored field."""
     w = MS_K * (np.asarray(x, dtype=float) - MS_V * t)
     rho = MS_RHO0 + MS_RHO_AMP * np.sin(w)
     p = MS_P0 + MS_P_AMP * np.sin(w)
-    return Euler(gamma).conserved(rho, np.full_like(rho, MS_V), p)
+    u = Euler(gamma).conserved(rho, np.full_like(rho, MS_V), p)
+    return np.ascontiguousarray(np.moveaxis(u, 0, -1))
 
 
 def manufactured_source(u, x, t):
     w = MS_K * (np.asarray(x, dtype=float) - MS_V * t)
     forcing = MS_K * MS_P_AMP * np.cos(w)
-    out = np.zeros(forcing.shape + (3,))
-    out[..., 1] = forcing
-    out[..., 2] = MS_V * forcing
+    out = np.zeros((3,) + forcing.shape)
+    out[1] = forcing
+    out[2] = MS_V * forcing
     return out
 
 

@@ -226,7 +226,9 @@ def build_d1(d, bl, br, vl, vr):
 
 @dataclass(frozen=True)
 class ReferenceOperators:
-    """Immutable bundle of all reference-element operators."""
+    """Immutable bundle of all reference-element operators.  V is (VL, VR)
+    stacked; DB is [D | bL | bR], the corrected flux derivative as one
+    matrix over the nodal values and the two face jumps."""
 
     nodeset: NodeSet
     correction: str
@@ -236,9 +238,11 @@ class ReferenceOperators:
     bL: np.ndarray
     bR: np.ndarray
     D1: np.ndarray
+    V: np.ndarray
+    DB: np.ndarray
 
     def __post_init__(self):
-        for a in (self.D, self.VL, self.VR, self.bL, self.bR, self.D1):
+        for a in (self.D, self.VL, self.VR, self.bL, self.bR, self.D1, self.V, self.DB):
             a.setflags(write=False)
 
     @property
@@ -254,6 +258,22 @@ class ReferenceOperators:
         return self.nodeset.weights
 
 
+def node_sums(v, q):
+    """Node-axis sums of variable-major q, (nvar, ne, p), weighted by the
+    vector v, (nvar, ne), or by each row of a (m, p) v, (nvar, m, ne).
+
+    Bit for bit np.einsum("p,epv->ev", row, q) with the variable last,
+    which for systems sums from zero in node order, as einsum over a
+    node-major (p, nvar, ne) copy does with long inner loops; for one
+    variable einsum sums otherwise and runs on the same memory.
+    """
+    nvar, ne, p = q.shape
+    if nvar == 1:
+        return np.einsum("jp,epv->vje" if v.ndim == 2 else "p,epv->ve", v, q.reshape(ne, p, 1))
+    qt = np.ascontiguousarray(q.transpose(2, 0, 1))
+    return np.einsum("jp,pvn->vjn" if v.ndim == 2 else "p,pvn->vn", v, qt)
+
+
 @lru_cache(maxsize=None)
 def make_operators(degree=3, kind="gl", correction="radau"):
     """Build (and cache) the full operator set for one discretization."""
@@ -261,5 +281,5 @@ def make_operators(degree=3, kind="gl", correction="radau"):
     d = build_diff_matrix(ns)
     vl, vr = build_face_vandermonde(ns)
     bl, br = build_correction_derivatives(ns, correction)
-    return ReferenceOperators(ns, correction, d, vl, vr, bl, br,
-                              build_d1(d, bl, br, vl, vr))
+    return ReferenceOperators(ns, correction, d, vl, vr, bl, br, build_d1(d, bl, br, vl, vr),
+                              np.stack([vl, vr]), np.hstack([d, bl[:, None], br[:, None]]))

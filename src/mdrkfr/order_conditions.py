@@ -92,7 +92,7 @@ def semidiscrete_operator(cells=8, points="gl", correction="radau"):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        a[:, j] = core.rkfr_rhs(disc, e.reshape(cells, p, 1), 0.0).ravel()
+        a[:, j] = core.rkfr_rhs(disc, e.reshape(1, cells, p), 0.0).ravel()
     return a, disc
 
 

@@ -225,18 +225,18 @@ def test_criterion_10_limiter_algebra():
 
     # scaling limiter on a handmade troubled element
     p_nodes = np.array([1.4, 1.2, -0.1, 1.5])
-    bad = model.conserved(np.ones(4), np.zeros(4), p_nodes)[None]
-    mean_before = np.einsum("p,pv->v", w, bad[0])
+    bad = model.conserved(np.ones(4), np.zeros(4), p_nodes)[:, None]
+    mean_before = np.einsum("p,vp->v", w, bad[:, 0])
     limited = blending.scaling_limiter(disc, bad)
-    mean_drift = float(np.abs(np.einsum("p,pv->v", w, limited[0]) - mean_before).max())
+    mean_drift = float(np.abs(np.einsum("p,vp->v", w, limited[:, 0]) - mean_before).max())
     floor = 0.1 * model.pressure(mean_before)
-    min_p = float(model.pressure(limited[0]).min())
+    min_p = float(model.pressure(limited[:, 0]).min())
     print(f"criterion 10: blended-mean defect {worst_mean:.3e}, "
           f"scaling mean drift {mean_drift:.3e}, min p {min_p:.3e} >= {floor:.3e}")
     assert worst_mean < 1e-13
     assert mean_drift < 1e-14
     assert min_p >= floor - 1e-12
-    assert np.all(model.constraints(limited[0]) > 0.0)
+    assert np.all(model.constraints(limited[:, 0]) > 0.0)
 
 
 def test_criterion_11_source_terms():

@@ -10,6 +10,11 @@ from mdrkfr.errors import AdmissibilityError, ConfigurationError, StencilStateEr
 from mdrkfr.operators import make_operators
 
 
+# the solver's inside runs on variable-major (nvar, ne, p) arrays; states
+# built here with the variable last go in and come out through these
+vm, em = core.variable_major, core.element_major
+
+
 def make_disc(ncells=10, model=None, bc_state=None, **cfg_kw):
     cfg_kw.setdefault("final_time", 1.0)
     cfg = core.RunConfig(**cfg_kw)
@@ -33,7 +38,7 @@ def test_apply_d_is_einsum_bit_for_bit(points, correction, nvar, ne):
     q[rng.random(q.shape) < 0.2] = 0.0
     q[rng.random(q.shape) < 0.2] = -0.0
     expected = np.einsum("pq,eqv->epv", d_matrix, q)
-    out = core.apply_d(d_matrix, q)
+    out = em(core.apply_d(d_matrix, vm(q)))
     assert np.array_equal(out, expected)
     assert np.array_equal(np.signbit(out), np.signbit(expected))
 
@@ -64,10 +69,12 @@ def test_fr_flux_derivative_is_broadcast_formula_bit_for_bit(points, correction,
     favg = _signed_values(rng, (ne, 4, nvar))
     fnum = _signed_values(rng, (ne + 1, nvar))
     expected = _broadcast_fr_flux_derivative(favg, fnum[:-1], fnum[1:], ops)
+    fv, fn = vm(favg), vm(fnum)
     # traces made inside, and handed over as an ae stage does
-    for traces in (None, core.face_values_ae(favg, ops)):
-        out = core.fr_flux_derivative(favg, fnum[:-1], fnum[1:], ops, traces)
+    for traces in (None, core.face_values_ae(fv, ops)):
+        out = core.fr_flux_derivative(fv, fn[:, :-1], fn[:, 1:], ops, traces)
         assert out.flags.c_contiguous
+        out = em(out)
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
 
@@ -81,29 +88,30 @@ state_values = st.one_of(special_floats, st.floats(-50.0, 50.0))
                      min_size=1, max_size=12),
        split=st.integers(0, 12))
 def test_admissibility_masks_equal_np_all(rows, split):
-    # the masks fold the short variable and constraint axes slice by slice;
-    # np.all over those axes is the reference
+    # the masks reduce the variable and constraint axes; np.all over the
+    # per-state values is the reference
     u = np.array(rows)
     other = np.roll(u, split, axis=0)
     gas, scalar = models.Euler(), models.Burgers()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for states in ((u,), (u, other), (u[None], other[None])):
-            expected = np.all(gas.constraints(np.stack(states)) > 0.0, axis=(0, -1))
-            assert np.array_equal(blending._admissible(gas, *states), expected)
-            assert np.array_equal(blending._admissible(scalar, *states),
+            stacked = vm(np.stack(states))
+            expected = np.all([gas.constraints(vm(q)) > 0.0 for q in states], axis=(0, 1))
+            assert np.array_equal(blending._admissible(gas, stacked), expected)
+            assert np.array_equal(blending._admissible(scalar, stacked[:1]),
                                   np.ones(states[0].shape[:-1], dtype=bool))
         stencil = np.stack([u, other])
         expected = np.isfinite(stencil).all(axis=-1) & (stencil[..., 0] > 0.0)
-        assert np.array_equal(core._evaluable(gas, stencil), expected)
-        assert np.array_equal(core._evaluable(scalar, stencil[..., :1]),
+        assert np.array_equal(core._evaluable(gas, vm(stencil)), expected)
+        assert np.array_equal(core._evaluable(scalar, vm(stencil[..., :1])),
                               np.isfinite(stencil[..., 0]))
 
 
 def test_local_derivative_constant_data():
     disc = make_disc()
-    u = np.full((10, 4, 1), 3.0)
+    u = vm(np.full((10, 4, 1), 3.0))
     f = disc.model.flux(u, disc.xn)
-    u1 = core.local_solution_derivative(u, f, disc.dx, 0.01, disc.ops.D)
+    u1 = core.local_solution_derivative(u, f, disc.dxn, 0.01, disc.ops.D)
     assert np.allclose(u1, 0.0, atol=1e-14)
 
 
@@ -111,20 +119,20 @@ def test_local_derivative_polynomial_exact():
     # degree-3 data is differentiated exactly by the nodal operator
     disc = make_disc(ncells=1)
     xi = disc.ops.nodes
-    u = (xi ** 3 - 0.5 * xi)[None, :, None]
+    u = vm((xi ** 3 - 0.5 * xi)[None, :, None])
     f = disc.model.flux(u, disc.xn)  # flux = u for unit advection
     dt = 0.02
-    u1 = core.local_solution_derivative(u, f, disc.dx, dt, disc.ops.D)
+    u1 = em(core.local_solution_derivative(u, f, disc.dxn, dt, disc.ops.D))
     expected = -dt * (3 * xi ** 2 - 0.5)[None, :, None]  # dx = 1
     assert np.allclose(u1, expected, atol=1e-13)
 
 
 def test_local_derivative_with_source():
     disc = make_disc()
-    u = np.full((10, 4, 1), 3.0)
+    u = vm(np.full((10, 4, 1), 3.0))
     f = np.zeros_like(u)
     s = np.ones_like(u)
-    u1 = core.local_solution_derivative(u, f, disc.dx, 0.25, disc.ops.D, s)
+    u1 = core.local_solution_derivative(u, f, disc.dxn, 0.25, disc.ops.D, s)
     assert np.allclose(u1, 0.25, atol=1e-15)
 
 
@@ -152,9 +160,9 @@ def test_flux_time_derivative_zero_increment():
 
 def test_stage1_constant_state():
     disc = make_disc()
-    u = np.full((10, 4, 1), 2.0)
+    u = vm(np.full((10, 4, 1), 2.0))
     favg, uavg, savg, cache = core.stage1_time_average(
-        disc.model, u, disc.xn, disc.dx, 0.01, disc.ops)
+        disc.model, u, disc.xn, disc.dxn, 0.01, disc.ops)
     assert np.allclose(favg, disc.model.flux(u, disc.xn))
     assert np.allclose(uavg, u)
     assert savg is None
@@ -167,24 +175,24 @@ def test_stage1_matches_spectral_form():
     u = rng.normal(size=(10, 4, 1))
     dt = 0.004
     sigma = dt / disc.dx[0]
-    favg, uavg, _, _ = core.stage1_time_average(disc.model, u, disc.xn,
-                                                disc.dx, dt, disc.ops)
+    favg, uavg, _, _ = core.stage1_time_average(disc.model, vm(u), disc.xn,
+                                                disc.dxn, dt, disc.ops)
     t1 = np.eye(4) - sigma / 4 * disc.ops.D
     expected = np.einsum("pq,eqv->epv", t1, u)
-    assert np.allclose(favg, expected, atol=1e-13)
-    assert np.allclose(uavg, expected, atol=1e-13)
+    assert np.allclose(em(favg), expected, atol=1e-13)
+    assert np.allclose(em(uavg), expected, atol=1e-13)
 
 
 def test_stage2_collapses_for_steady_stage():
     # with u* = u the averaged flux reduces to f + f1/2
     disc = make_disc(model=models.Burgers())
     rng = np.random.default_rng(4)
-    u = rng.normal(size=(10, 4, 1)) + 2.0
+    u = vm(rng.normal(size=(10, 4, 1)) + 2.0)
     dt = 0.003
     _, _, _, cache = core.stage1_time_average(disc.model, u, disc.xn,
-                                              disc.dx, dt, disc.ops)
+                                              disc.dxn, dt, disc.ops)
     favg2, _, _, _ = core.stage2_time_average(disc.model, u, u, cache,
-                                              disc.xn, disc.dx, dt, disc.ops)
+                                              disc.xn, disc.dxn, dt, disc.ops)
     assert np.allclose(favg2, cache.f + 0.5 * cache.f1, atol=1e-13)
 
 
@@ -200,8 +208,9 @@ def test_stage1_against_dense_time_integral():
     u0 = (0.5 + 0.3 * xi)[None, :, None]
     dt = 0.01
 
-    favg, _, _, _ = core.stage1_time_average(model, u0, disc.xn, disc.dx,
+    favg, _, _, _ = core.stage1_time_average(model, vm(u0), disc.xn, disc.dxn,
                                              dt, disc.ops)
+    favg = em(favg)
 
     # oracle: integrate du/dt = -D f(u) (single element, free boundaries)
     def rhs(v):
@@ -235,25 +244,25 @@ def test_stage1_against_dense_time_integral():
 
 def test_face_values_ae_constant():
     disc = make_disc()
-    favg = np.full((10, 4, 1), 3.3)
-    fl, fr = core.face_values_ae(favg, disc.ops)
+    favg = vm(np.full((10, 4, 1), 3.3))
+    fl, fr = np.moveaxis(core.face_values_ae(favg, disc.ops), 1, 0)
     assert np.allclose(fl, 3.3) and np.allclose(fr, 3.3)
 
 
 def test_face_values_ae_gll_picks_nodes():
     disc = make_disc(points="gll", correction="g2")
     rng = np.random.default_rng(5)
-    favg = rng.normal(size=(10, 4, 1))
-    fl, fr = core.face_values_ae(favg, disc.ops)
-    assert (fl == favg[:, 0]).all() and (fr == favg[:, -1]).all()
+    favg = vm(rng.normal(size=(10, 4, 1)))
+    fl, fr = np.moveaxis(core.face_values_ae(favg, disc.ops), 1, 0)
+    assert (fl == favg[..., 0]).all() and (fr == favg[..., -1]).all()
 
 
 def test_face_values_ae_extrapolates_cubic():
     disc = make_disc(ncells=1)
     xi = disc.ops.nodes
     q = np.polynomial.Polynomial([0.2, -1.0, 0.7, 1.5])
-    favg = q(xi)[None, :, None]
-    fl, fr = core.face_values_ae(favg, disc.ops)
+    favg = vm(q(xi)[None, :, None])
+    fl, fr = np.moveaxis(core.face_values_ae(favg, disc.ops), 1, 0)
     assert fl[0, 0] == pytest.approx(q(0.0), abs=1e-14)
     assert fr[0, 0] == pytest.approx(q(1.0), abs=1e-14)
 
@@ -265,28 +274,29 @@ def test_ea_fallback_face():
     model, ops = disc.model, disc.ops
     rho = np.ones((4, 4))
     rho[1] = [1.0, 1.0, 1.0, 0.05]
+    # model states are variable-major; face values (nvar, side, element)
     u = model.conserved(rho, 0.5 + 0.2 * np.sin(2 * np.pi * disc.xn), np.ones_like(rho))
-    assert core.face_values_ae(u, ops)[1][1, 0] < 0.0
+    assert core.face_values_ae(u, ops)[0, 1, 1] < 0.0
     dt = 1e-3
-    favg1, _, _, cache = core.stage1_time_average(model, u, disc.xn, disc.dx, dt, ops)
+    favg1, _, _, cache = core.stage1_time_average(model, u, disc.xn, disc.dxn, dt, ops)
     faces1, cache.face_f, cache.face_f1, cache.face_bad = core.face_values_ea_stage1(
         model, u, cache.u1, ops, disc.xf, favg1)
     expected = np.zeros((2, 4), dtype=bool)
     expected[1, 1] = True
     assert np.array_equal(cache.face_bad, expected)
     ae1 = core.face_values_ae(favg1, ops)
-    assert np.array_equal(faces1[1, 1], ae1[1, 1])
-    assert not np.allclose(faces1[0, 1], ae1[0, 1], rtol=0.0, atol=1e-12)
+    assert np.array_equal(faces1[:, 1, 1], ae1[:, 1, 1])
+    assert not np.allclose(faces1[:, 0, 1], ae1[:, 0, 1], rtol=0.0, atol=1e-12)
 
     # uniform stage-two states are evaluable at every face, yet the face
     # that fell back in stage one falls back again
     ustar = model.conserved(np.ones((4, 4)), np.full((4, 4), 0.5), np.ones((4, 4)))
     favg2, _, _, us1 = core.stage2_time_average(model, u, ustar, cache, disc.xn,
-                                                disc.dx, dt, ops)
+                                                disc.dxn, dt, ops)
     faces2 = core.face_values_ea_stage2(model, ustar, us1, cache, ops, disc.xf, favg2)
     ae2 = core.face_values_ae(favg2, ops)
-    assert np.array_equal(faces2[1, 1], ae2[1, 1])
-    assert not np.allclose(faces2[0, 1], ae2[0, 1], rtol=0.0, atol=1e-12)
+    assert np.array_equal(faces2[:, 1, 1], ae2[:, 1, 1])
+    assert not np.allclose(faces2[:, 0, 1], ae2[:, 0, 1], rtol=0.0, atol=1e-12)
 
 
 def test_numerical_flux_consistency():
@@ -305,9 +315,9 @@ def test_numerical_flux_dissipation_sign():
 
 def test_fr_flux_derivative_constant():
     disc = make_disc()
-    favg = np.full((10, 4, 1), 2.0)
-    fnum = np.full((11, 1), 2.0)
-    r = core.fr_flux_derivative(favg, fnum[:-1], fnum[1:], disc.ops)
+    favg = vm(np.full((10, 4, 1), 2.0))
+    fnum = vm(np.full((11, 1), 2.0))
+    r = core.fr_flux_derivative(favg, fnum[:, :-1], fnum[:, 1:], disc.ops)
     assert np.allclose(r, 0.0, atol=1e-13)
 
 
@@ -317,7 +327,8 @@ def test_fr_flux_derivative_telescopes():
     rng = np.random.default_rng(6)
     favg = rng.normal(size=(10, 4, 1))
     fnum = rng.normal(size=(11, 1))
-    r = core.fr_flux_derivative(favg, fnum[:-1], fnum[1:], disc.ops)
+    fn = vm(fnum)
+    r = em(core.fr_flux_derivative(vm(favg), fn[:, :-1], fn[:, 1:], disc.ops))
     sums = np.einsum("p,epv->ev", disc.ops.weights, r)
     assert np.allclose(sums, fnum[1:] - fnum[:-1], atol=1e-13)
 
@@ -326,10 +337,10 @@ def test_fr_flux_derivative_single_element_exact():
     disc = make_disc(ncells=1)
     xi = disc.ops.nodes
     q = np.polynomial.Polynomial([0.3, 1.1, -0.4, 0.9])
-    favg = q(xi)[None, :, None]
+    favg = vm(q(xi)[None, :, None])
     fnum_l = np.array([[q(0.0)]])
     fnum_r = np.array([[q(1.0)]])
-    r = core.fr_flux_derivative(favg, fnum_l, fnum_r, disc.ops)
+    r = em(core.fr_flux_derivative(favg, fnum_l, fnum_r, disc.ops))
     assert np.allclose(r[0, :, 0], q.deriv()(xi), atol=1e-12)
 
 
@@ -354,8 +365,9 @@ def test_boundary_ghosts(kind):
     vals_r = vals_l + 100.0
     vals = np.stack([vals_l, vals_r])
     # the same values as fluxes and as traces; only the ghost signs differ
-    sides = b.face_sides(vals, vals)
+    sides = b.face_sides(vm(vals), vm(vals))
     for sign, (minus, plus) in zip((flux_sign, state_sign), sides):
+        minus, plus = minus.T, plus.T
         assert (minus[1:] == vals_r).all() and (plus[:-1] == vals_l).all()
         assert (minus[0] == (vals_r[-1] if wraps else vals_l[0] * sign)).all()
         assert (plus[-1] == (vals_l[0] if wraps else vals_r[-1] * sign)).all()
@@ -402,7 +414,7 @@ def test_reflective_wall_zero_mass_flux():
     disc = core.make_discretization(grid, m, cfg)
     rho = np.ones((8, 4))
     p = np.where(disc.xn < 0.5, 10.0, 1.0)
-    u = m.conserved(rho, np.zeros_like(rho), p)
+    u = em(m.conserved(rho, np.zeros_like(rho), p))
     _, diag = core.mdrk_step(disc, u, 0.0, 1e-4)
     assert abs(diag.fnum2[0, 0]) < 1e-13 and abs(diag.fnum2[-1, 0]) < 1e-13
     assert abs(diag.fnum2[0, 2]) < 1e-13 and abs(diag.fnum2[-1, 2]) < 1e-13
@@ -457,8 +469,79 @@ def test_compute_dt_zero_speed_caps_at_horizon():
     assert core.compute_dt(disc, u, 0.2) == pytest.approx(0.5)
 
 
+def test_compute_dt_refuses_nan_mean_speed():
+    # element 3's mean pressure is negative, so its mean sound speed is NaN;
+    # the step is refused there, with or without a StepStart, instead of
+    # becoming a NaN step
+    m = models.Euler()
+    disc = make_disc(ncells=6, model=m, final_time=1.0)
+    u = np.tile(m.conserved(1.0, 0.0, 1.0), (6, 4, 1))
+    u[3, :, 2] = -1.0
+    with np.errstate(invalid="ignore"):
+        start = core.step_start(disc, u)
+        for given in (None, start):
+            with pytest.raises(AdmissibilityError) as err:
+                core.compute_dt(disc, u, 0.25, given)
+            assert err.value.constraint == "mean wave speed"
+            assert err.value.element == 3 and np.isnan(err.value.value)
+            assert err.value.time == 0.25
+
+
 # ----------------------------------------------------------------------
 # full steps
+
+
+def _fresh_public(out, *inputs):
+    return (out.flags.c_contiguous and out.flags.owndata
+            and not any(np.shares_memory(out, a) for a in inputs))
+
+
+@pytest.mark.parametrize("step", [core.mdrk_step, core.rkfr_step])
+def test_steps_keep_the_public_layout_on_certificate_unit_vectors(step):
+    # the benchmark certifies the CFL with steps applied to (8, 4, 1) unit
+    # vectors; every step takes and returns (ne, p, nvar), as new arrays
+    cfg = core.RunConfig(points="gll", correction="g2", cfl=0.2, boundary="periodic")
+    disc = core.make_discretization(core.make_grid(0.0, 1.0, 8), models.LinearAdvection(1.0),
+                                    cfg)
+    columns = []
+    for j in range(32):
+        unit = np.zeros(32)
+        unit[j] = 1.0
+        out, diag = step(disc, unit.reshape(8, 4, 1), 0.0, 0.2 * float(disc.dx[0]))
+        assert out.shape == (8, 4, 1) and _fresh_public(out, unit)
+        columns.append(out.ravel())
+    # unit-speed advection: each column keeps the mass of its unit vector
+    w = np.tile(disc.ops.weights, 8)
+    assert np.allclose(w @ np.array(columns).T, w, atol=1e-14)
+
+
+def test_steps_and_runs_keep_the_public_layout_for_systems():
+    m = models.Euler()
+    disc = make_disc(ncells=12, model=m, limiter="fo", boundary="reflective")
+    p = np.where(disc.xn < 0.5, 10.0, 1.0)
+    u = em(m.conserved(np.ones_like(p), np.zeros_like(p), p))
+    start = core.step_start(disc, u)
+    out, diag = core.mdrk_step(disc, u, 0.0, 1e-4, start)
+    assert out.shape == (12, 4, 3) and _fresh_public(out, u, start.u)
+    assert not start.u.flags.writeable and np.array_equal(em(start.u), u)
+    assert diag.fnum1.shape == diag.fnum2.shape == (13, 3)
+    assert diag.theta1.shape == diag.theta2.shape == (13, 2)
+    assert diag.alpha1.shape == diag.alpha2.shape == (12,)
+    assert diag.min_constraints.shape == (2,)
+
+    seen = []
+    res = harness.run_case("blast", harness.case_config(harness.build_case("blast"),
+                                                        final_time=5e-4),
+                           cells=50, on_step=lambda r, before, d: seen.append(d))
+    assert res.field.data.shape == (50, 4, 3) and res.field.data.flags.c_contiguous
+    assert res.min_constraints.shape == (2,)
+    for d in seen:
+        assert d.fnum2.shape == (51, 3) and d.theta2.shape == (51, 2)
+        assert d.alpha2.shape == (50,)
+    res = harness.run_case("linadv_sine", cells=10, scheme="rkfr",
+                           config=harness.case_config(harness.build_case("linadv_sine"),
+                                                      final_time=0.05))
+    assert res.field.data.shape == (10, 4, 1) and res.field.data.flags.c_contiguous
 
 
 def test_step_preserves_constant_state():
@@ -516,7 +599,7 @@ def test_step_mean_update_identity():
         disc = make_disc(ncells=12, model=m, boundary=kind, limiter="mh",
                          bc_state=lambda x, t: m.conserved(1.0, 0.1, 1.0))
         p = np.where((disc.xn < 0.05) | (disc.xn > 0.95), 10.0, 1.0)
-        u = m.conserved(np.ones_like(p), 0.1 * np.ones_like(p), p)
+        u = em(m.conserved(np.ones_like(p), 0.1 * np.ones_like(p), p))
         after, expected, diag = _mean_update(disc, u, 1e-3)
         assert np.allclose(after, expected, rtol=1e-14, atol=1e-13), kind
         assert diag.alpha2[0] > 0.0 and diag.alpha2[-1] > 0.0, kind
@@ -526,7 +609,7 @@ def _blast_jump(limiter):
     m = models.Euler()
     disc = make_disc(ncells=8, model=m, boundary="reflective", limiter=limiter)
     p = np.where(disc.xn < 0.5, 1000.0, 0.01)
-    return disc, m.conserved(np.ones_like(p), np.zeros_like(p), p)
+    return disc, em(m.conserved(np.ones_like(p), np.zeros_like(p), p))
 
 
 @pytest.mark.parametrize("limiter", ["fo", "mh"])
@@ -651,18 +734,19 @@ def test_low_order_error_names_stage_and_face(monkeypatch):
     assert len(failures) > 10
     assert {exc.stage for *_, exc in failures} == {1, 2}
     for disc, sf, u, taus, exc in failures:
+        # variable-major: u (nvar, ne, p), sf (nvar, [interval,] subface)
         model, b = disc.model, disc.boundary
         k = model.constraint_names.index(exc.constraint.removeprefix("low-order "))
         # the stages before the failing one pass
         for tau in taus[:exc.stage - 1]:
-            check(disc, sf, u, tau)
+            check(disc, sf if sf.ndim == 2 else sf[:, 0], u, tau)
         tau = taus[exc.stage - 1]
-        sf = np.broadcast_to(sf, taus.shape + sf.shape[-2:])[exc.stage - 1]
-        flow = sf[::disc.ops.degree + 1]
-        f_int_m, f_int_p = sf[b.inner_subfaces]
-        low_m = u[b.cells[:-1], -1] - (tau / b.end_widths[0])[:, None] * (flow - f_int_m)
-        low_p = u[b.cells[1:], 0] - (tau / b.end_widths[1])[:, None] * (f_int_p - flow)
-        cons = model.constraints(np.stack([low_m, low_p]))[..., k]
+        sf = sf if sf.ndim == 2 else sf[:, exc.stage - 1]
+        flow = sf[:, ::disc.ops.degree + 1]
+        f_int_m, f_int_p = sf[:, b.inner_subfaces[0]], sf[:, b.inner_subfaces[1]]
+        low_m = u[:, b.cells[:-1], -1] - (tau / b.end_widths[0]) * (flow - f_int_m)
+        low_p = u[:, b.cells[1:], 0] - (tau / b.end_widths[1]) * (f_int_p - flow)
+        cons = model.constraints(np.stack([low_m, low_p], axis=1))[k]
         guarded = np.where(b.limited, cons, np.inf)
         assert exc.value == guarded.min() == guarded[:, exc.face].min() <= 0.0
         # the message is the one a halving has always printed
@@ -672,9 +756,9 @@ def test_low_order_error_names_stage_and_face(monkeypatch):
 
 def test_validate_admissible_returns_checked_values():
     m = models.Euler()
-    u = np.tile(m.conserved(1.0, 0.5, 2.0), (4, 3, 1))
+    u = vm(np.tile(m.conserved(1.0, 0.5, 2.0), (4, 3, 1)))
     assert np.array_equal(core.validate_admissible(m, u), m.constraints(u))
-    assert core.validate_admissible(models.Burgers(), np.ones((4, 3, 1))) is None
+    assert core.validate_admissible(models.Burgers(), vm(np.ones((4, 3, 1)))) is None
 
 
 @pytest.mark.parametrize("limiter", ["none", "fo", "mh"])
@@ -683,9 +767,9 @@ def test_step_min_constraints_are_the_new_state_minima(limiter):
     disc = make_disc(ncells=16, model=m, limiter=limiter)
     rho = 1.0 + 0.5 * np.sin(2 * np.pi * disc.xn)
     u = m.conserved(rho, np.full_like(rho, 0.3), 1.0 + 0.2 * np.cos(2 * np.pi * disc.xn))
-    unew, diag = core.mdrk_step(disc, u, 0.0, 1e-3)
-    cons = m.constraints(unew)
-    assert np.array_equal(diag.min_constraints, cons.reshape(-1, 2).min(axis=0))
+    unew, diag = core.mdrk_step(disc, em(u), 0.0, 1e-3)
+    cons = m.constraints(vm(unew))
+    assert np.array_equal(diag.min_constraints, cons.reshape(2, -1).min(axis=1))
     _, diag = core.mdrk_step(make_disc(ncells=16), np.sin(disc.xn)[..., None], 0.0, 1e-3)
     assert diag.min_constraints is None
 
@@ -698,7 +782,7 @@ def test_admissibility_abort_carries_location():
     u = np.tile(m.conserved(1.0, 0.0, 1.0), (6, 4, 1))
     u[3, 2, 2] = -0.01  # makes pressure negative at one node
     with pytest.raises(AdmissibilityError) as err:
-        core.validate_admissible(m, u, time=0.5)
+        core.validate_admissible(m, vm(u), time=0.5)
     assert err.value.constraint == "pressure"
     assert err.value.element == 3 and err.value.node == 2
 

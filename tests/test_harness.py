@@ -25,7 +25,7 @@ def test_case_setups_match_documented_values():
     assert blast.final_time == pytest.approx(0.038)
     assert blast.default_cells == 400
     u = blast.initial(np.array([0.05, 0.5, 0.95]))
-    p = models.Euler().pressure(u)
+    p = models.Euler().pressure(u.T)
     assert np.allclose(p, [1000.0, 0.01, 100.0])
 
     sedov = harness.build_case("sedov")

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdrkfr.blending import _subface_rusanov
 from mdrkfr.errors import ConfigurationError, StencilStateError
 from mdrkfr.models import (Burgers, Euler, LinearAdvection, VariableAdvection,
-                           exact_solution, fold, rusanov_flux, varadv_x2_speed)
+                           exact_solution, fold, varadv_x2_speed)
 
 finite_floats = st.floats(-50.0, 50.0)
 positive_floats = st.floats(0.01, 50.0)
 
 
 def euler_state(rho, v, p, gamma=1.4):
+    # variable-leading, (3,) + the shape of rho
     return Euler(gamma).conserved(np.asarray(rho), np.asarray(v), np.asarray(p))
 
 
@@ -33,38 +35,38 @@ def test_variable_advection_flux():
                          ids=["zero", "negative", "nan", "inf", "minus-inf"])
 def test_euler_flux_requires_positive_density(rho):
     u = euler_state(1.0, 0.0, 1.0)
-    u[..., 0] = rho
+    u[0] = rho
     with pytest.raises(StencilStateError):
         Euler().flux(u, 0.0)
 
 
 def test_euler_flux_guard_reports_minimum_or_nan():
     u = euler_state(np.ones(4), np.zeros(4), np.ones(4))
-    u[1, 0], u[2, 0] = -0.5, -0.2
+    u[0, 1], u[0, 2] = -0.5, -0.2
     with pytest.raises(StencilStateError) as err:
         Euler().flux(u, 0.0)
     assert err.value.value == -0.5
-    u[3, 0] = np.inf
+    u[0, 3] = np.inf
     with pytest.raises(StencilStateError) as err:
         Euler().flux(u, 0.0)
     assert np.isnan(err.value.value)
 
 
 def test_euler_flux_of_no_states():
-    assert Euler().flux(np.zeros((0, 3)), 0.0).shape == (0, 3)
+    assert Euler().flux(np.zeros((3, 0)), 0.0).shape == (3, 0)
 
 
 def _stacked_flux(u, gamma=1.4):
     # the formulas as once written with np.stack, kept as the reference
-    rho = u[..., 0]
-    v = u[..., 1] / rho
-    p = (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] * v)
-    return np.stack([u[..., 1], p + u[..., 1] * v, (u[..., 2] + p) * v], axis=-1)
+    rho = u[0]
+    v = u[1] / rho
+    p = (gamma - 1.0) * (u[2] - 0.5 * u[1] * v)
+    return np.stack([u[1], p + u[1] * v, (u[2] + p) * v])
 
 
 def _stacked_constraints(u, gamma=1.4):
-    p = (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0])
-    return np.stack([u[..., 0], p], axis=-1)
+    p = (gamma - 1.0) * (u[2] - 0.5 * u[1] ** 2 / u[0])
+    return np.stack([u[0], p])
 
 
 def _bitwise_equal(a, b):
@@ -77,10 +79,39 @@ def _bitwise_equal(a, b):
                        min_size=1, max_size=12))
 def test_euler_outputs_equal_stacked_formulas(states):
     u = euler_state(*np.array(states).T)
-    for shape in (u.shape, (1,) + u.shape, (3,)):
-        w = u.reshape(shape) if shape != (3,) else u[0]
+    for shape in (u.shape, (3, 1) + u.shape[1:], (3,)):
+        w = u.reshape(shape) if shape != (3,) else u[:, 0]
         assert _bitwise_equal(Euler().flux(w, 0.0), _stacked_flux(w))
         assert _bitwise_equal(Euler().constraints(w), _stacked_constraints(w))
+
+
+@settings(max_examples=30, deadline=None)
+@given(states=st.lists(st.tuples(positive_floats, finite_floats, positive_floats),
+                       min_size=1, max_size=12),
+       x=st.floats(-1.0, 1.0))
+def test_euler_methods_on_variable_leading_states_equal_nodewise(states, x):
+    # each method on a (3, ne, p) state gives, at every node, its value on
+    # that node's (3,) state taken alone
+    m = Euler()
+    u = euler_state(*np.array(states).T).reshape(3, -1, 1)
+    u = np.concatenate([u, 1.5 * u], axis=2)
+    nodes = [(e, q) for e in range(u.shape[1]) for q in range(u.shape[2])]
+    methods = {
+        "flux": lambda w: m.flux(w, x),
+        "speed": lambda w: m.speed(w, x),
+        "constraints": m.constraints,
+        "pressure": m.pressure,
+        "indicator_quantity": m.indicator_quantity,
+        "reflect_state": m.reflect_state,
+        "reflect_flux": m.reflect_flux,
+        "primitive": lambda w: np.stack(m.primitive(w)),
+        "conserved": lambda w: m.conserved(*m.primitive(w)),
+    }
+    for name, fn in methods.items():
+        whole = fn(u)
+        assert whole.shape[-2:] == u.shape[1:], name
+        for e, q in nodes:
+            assert _bitwise_equal(whole[..., e, q], fn(u[:, e, q])), (name, e, q)
 
 
 @pytest.mark.parametrize("ufunc", [np.logical_and, np.minimum, np.maximum])
@@ -100,6 +131,14 @@ def test_fold_equals_reduce(ufunc, axis, length):
     out = fold(ufunc, a, axis)
     assert out.shape == expected.shape and out.dtype == expected.dtype
     assert np.array_equal(out, expected, equal_nan=True)
+
+
+def rusanov_flux(model, ul, ur, x):
+    # the subcell pass's two-state flux at one subface: the right trace of
+    # the subcell before it is ul, the left trace of the one after it ur
+    ul, ur = np.asarray(ul, dtype=float), np.asarray(ur, dtype=float)
+    traces = np.stack([np.stack([ur, ur], axis=-1), np.stack([ul, ul], axis=-1)], axis=1)
+    return _subface_rusanov(model, traces, np.full((2, 2), float(x)))[:, 0]
 
 
 def test_rusanov_consistency_scalar():

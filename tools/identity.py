@@ -42,9 +42,17 @@ result's steps, retries, retry_reasons, min_constraints, theta_min and
 final field, and the exit code, output (without the wall time) and every
 file of the CLI run, byte for byte.  Arrays compare with np.array_equal
 plus equal np.signbit.  Exits 1 on any mismatch and 2 when a tree fails
-to run the matrix.  The constraint behind each halving in the matrix runs
-is printed as a note only: trees may test their admissibility conditions
-in different orders.  Only APIs that every compared tree has are used.
+to run the matrix.
+
+The direct calls reach inside the solver, whose state layout may differ
+between the trees: (ne, p, nvar) with the variable last, or variable-major
+(nvar, ne, p) in a package whose core has variable_major.  The tool builds
+every state with the variable last, hands it to each tree in that tree's
+layout, and records every output with the variable last again (_Layout),
+so both trees are compared on the same values.  The constraint behind
+each halving in the matrix runs is printed as a note only: trees may test
+their admissibility conditions in different orders.  Only APIs that every
+compared tree has are used.
 """
 
 import argparse
@@ -169,20 +177,52 @@ def run_one(case_id, cells, scheme, overrides, steps):
     return out
 
 
+class _Layout:
+    """The imported package's state layout, for the direct calls.
+
+    A package whose core has variable_major runs its solver on
+    variable-major (nvar, ...) values; otherwise the variable is last.
+    solver() turns a variable-last array into the package's layout and
+    record() turns a package array (or model state) back, so states are
+    built and recorded with the variable last.  face_updates() gives a
+    FaceUpdates's flow, um, cm and f_int_m with the variable last and cm
+    as an (ne+1, 1) column.
+    """
+
+    def __init__(self):
+        from mdrkfr import core
+
+        self.variable_major = hasattr(core, "variable_major")
+
+    def solver(self, a):
+        return np.ascontiguousarray(np.moveaxis(a, -1, 0)) if self.variable_major else a
+
+    def record(self, a):
+        return np.moveaxis(a, 0, -1) if self.variable_major else a
+
+    def face_updates(self, low):
+        if not self.variable_major:
+            return low.flow, low.um, low.cm, low.f_int_m
+        return (self.record(low.flow), self.record(low.um), low.cm[:, None],
+                self.record(low.f_int_m))
+
+
 def direct_subface_calls(ncalls=240, seed=7):
     """low_order_subface_fluxes on random gas states, one record per call."""
     from mdrkfr import blending, errors
 
+    layout = _Layout()
     rng = np.random.default_rng(seed)
     records = []
     for i in range(ncalls):
         kind = BOUNDARIES[i % 3]
         limiter = "mh" if i % 2 else "fo"
         disc = _gas_disc(kind, limiter)
-        u = _random_gas(disc, rng)
+        u = _random_gas(layout, disc, rng)
         tau = 10.0 ** rng.uniform(-5.0, -1.0)
         try:
-            value = blending.low_order_subface_fluxes(disc, u, tau, limiter == "mh")
+            value = layout.record(blending.low_order_subface_fluxes(
+                disc, layout.solver(u), tau, limiter == "mh"))
         except errors.SolverAbort as exc:
             value = f"{type(exc).__name__}: {exc}"
         records.append((f"direct/subface/{i}/{kind}/{limiter}", value))
@@ -196,12 +236,12 @@ def _gas_disc(kind, limiter, ncells=6):
     return core.make_discretization(core.make_grid(0.0, 1.0, ncells), models.Euler(), cfg)
 
 
-def _random_gas(disc, rng):
+def _random_gas(layout, disc, rng):
     shape = disc.xn.shape
     rho = 10.0 ** rng.uniform(-3.0, 1.0, shape)
     p = 10.0 ** rng.uniform(-4.0, 3.0, shape)
     v = rng.normal(scale=5.0, size=shape) * (rng.random(shape) > 0.1)
-    return disc.model.conserved(rho, v, p)
+    return layout.record(disc.model.conserved(rho, v, p))
 
 
 def direct_limiter_calls(ncalls=96, seed=11):
@@ -219,37 +259,42 @@ def direct_limiter_calls(ncalls=96, seed=11):
     """
     from mdrkfr import blending, errors
 
+    layout = _Layout()
     rng = np.random.default_rng(seed)
     records = []
     for i in range(ncalls):
         kind, branch = BOUNDARIES[i % 3], list(BRANCHES)[i % 4]
         disc = _gas_disc(kind, "mh" if i % 2 else "fo")
         ne = disc.grid.ncells
-        u = _random_gas(disc, rng)
-        speed = np.max(disc.model.speed(u, disc.xn))
+        u = _random_gas(layout, disc, rng)
+        us = layout.solver(u)
+        speed = np.max(disc.model.speed(us, disc.xn))
         tau = 0.05 * float(np.min(disc.subcells.h)) / speed
         try:
-            sf = blending.low_order_subface_fluxes(disc, u, tau, i % 2 == 1)
-            low = blending.low_order_face_updates(disc, sf, u, tau)
-            fho = low.flow * (1.0 + 1e-3 * rng.normal(size=low.flow.shape))
+            sf = blending.low_order_subface_fluxes(disc, us, tau, i % 2 == 1)
+            low = blending.low_order_face_updates(disc, sf, us, tau)
+            flow, um, cm, f_int_m = layout.face_updates(low)
+            fho = flow * (1.0 + 1e-3 * rng.normal(size=flow.shape))
             faces = rng.choice(np.arange(1, ne), size=2, replace=False)
             kicks = {"density": [(faces[0], 0)], "pressure": [(faces[0], 2)],
                      "both": [(faces[0], 0), (faces[0], 2), (faces[1], 2)]}.get(branch, [])
             # the minus-side low-order update with the subcell flux at the face
-            lowm = low.um - low.cm * (low.flow - low.f_int_m)
+            lowm = um - cm * (flow - f_int_m)
             for face, var in kicks:
-                fho[face, var] += 20.0 * abs(lowm[face, var]) / low.cm[face, 0]
-            value = blending.blend_and_limit_face_flux(disc, fho, low, rng.uniform(0.0, 0.5, ne))
+                fho[face, var] += 20.0 * abs(lowm[face, var]) / cm[face, 0]
+            fnum, thetas = blending.blend_and_limit_face_flux(
+                disc, layout.solver(fho), low, rng.uniform(0.0, 0.5, ne))
+            value = (layout.record(fnum), thetas)
         except errors.SolverAbort as exc:
             value = f"{type(exc).__name__}: {exc}"
         records.append((f"direct/flux-limiter/{i}/{kind}/{branch}", value))
 
         # element-wise levels with nodal spread a limiter leaves alone
         shape = disc.xn.shape
-        u = disc.model.conserved(
+        u = layout.record(disc.model.conserved(
             10.0 ** rng.uniform(-3.0, 1.0, (ne, 1)) * rng.uniform(0.5, 1.5, shape),
             rng.normal(scale=5.0, size=(ne, 1)),
-            10.0 ** rng.uniform(-4.0, 3.0, (ne, 1)) * rng.uniform(0.5, 1.5, shape))
+            10.0 ** rng.uniform(-4.0, 3.0, (ne, 1)) * rng.uniform(0.5, 1.5, shape)))
         thin, hot = rng.choice(ne, size=2, replace=False)
         node = rng.integers(disc.ops.degree + 1, size=2)
         if 0 in BRANCHES[branch]:
@@ -261,7 +306,7 @@ def direct_limiter_calls(ncalls=96, seed=11):
         if branch == "both":
             u[thin, node[0], 2] = -0.1 * u[thin, :, 2].mean()
         try:
-            value = blending.scaling_limiter(disc, u)
+            value = layout.record(blending.scaling_limiter(disc, layout.solver(u)))
         except errors.SolverAbort as exc:
             value = f"{type(exc).__name__}: {exc}"
         records.append((f"direct/scaling-limiter/{i}/{kind}/{branch}", value))
