@@ -126,7 +126,7 @@ def _subface_rusanov(model, traces, x):
     N-1), from one speed and one flux call on the (left, right) traces of
     its N subcells stacked on axis 1; x is SubcellGeometry.padded_faces."""
     x = x.reshape(x.shape[:1] + (1,) * (traces.ndim - 3) + x.shape[1:])
-    s, f = model.speed(traces, x), model.flux(traces, x)
+    s, f = np.broadcast_to(model.speed(traces, x), traces.shape[1:]), model.flux(traces, x)
     return numerical_flux(f[:, 1, ..., :-1], f[:, 0, ..., 1:], traces[:, 1, ..., :-1],
                           traces[:, 0, ..., 1:], np.maximum(s[1, ..., :-1], s[0, ..., 1:]))
 

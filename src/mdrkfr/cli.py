@@ -148,8 +148,7 @@ def _cmd_stability(args):
 
 
 def _cmd_order_check(args):
-    res = order_conditions.check_order_conditions(
-        order_conditions.PRODUCTION_COEFFICIENTS)
+    res = order_conditions.check_order_conditions(core.PRODUCTION_COEFFICIENTS)
     print("order-condition residuals (exact rational arithmetic):")
     for name, value in res._asdict().items():
         print(f"  {name}: {value}")

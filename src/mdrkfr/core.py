@@ -7,6 +7,11 @@ increments.  The stage-averaged flux is made continuous across elements by
 correction functions and collocated, so one step needs two residual
 assemblies regardless of the order.
 
+Both stages run one body, the stage loop of mdrk_step with time_average
+and face_values_ea, which reads every interval and weight from
+STAGE_ROWS.  Those are derived at import from PRODUCTION_COEFFICIENTS,
+the tableau whose order conditions order_conditions checks exactly.
+
 Conventions used throughout:
     u        nodal solution, variable-major (nvar, ne, N+1), so u[0], u[1],
              ... are contiguous and each formula runs one long inner loop
@@ -21,8 +26,10 @@ step_start, compute_dt, mdrk_step and rkfr_step take and return; only
 those four convert (variable_major, element_major).
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from fractions import Fraction
 
 import numpy as np
 
@@ -287,6 +294,64 @@ def make_discretization(grid, model, config, bc_state=None):
 
 
 # ----------------------------------------------------------------------
+# the two-stage tableau
+
+
+@dataclass(frozen=True)
+class MdrkCoefficients:
+    """Tableau of the two-stage, two-derivative update."""
+
+    a21: Fraction
+    a21_hat: Fraction
+    b1: Fraction
+    b2: Fraction
+    b1_hat: Fraction
+    b2_hat: Fraction
+
+
+PRODUCTION_COEFFICIENTS = MdrkCoefficients(
+    a21=Fraction(1, 2), a21_hat=Fraction(1, 8),
+    b1=Fraction(1), b2=Fraction(0),
+    b1_hat=Fraction(1, 6), b2_hat=Fraction(1, 3))
+
+
+# one stage in floats: its interval over dt (the sum of its a), the weights
+# a / tau of the stage values, and the weights a_hat / tau of their
+# increments as integer numerators over their least common denominator
+StageRow = namedtuple("StageRow", "tau weights numerators denominator")
+
+
+def stage_rows(c):
+    """The StageRows of tableau c: (a21; a21_hat), then (b1, b2; b1_hat, b2_hat)."""
+    rows = []
+    for a, a_hat in (((c.a21,), (c.a21_hat,)), ((c.b1, c.b2), (c.b1_hat, c.b2_hat))):
+        tau = sum(a)
+        incs = [x / tau for x in a_hat]
+        d = math.lcm(*(x.denominator for x in incs))
+        rows.append(StageRow(float(tau), tuple(float(x / tau) for x in a),
+                             tuple(float(x * d) for x in incs), float(d)))
+    return tuple(rows)
+
+
+STAGE_ROWS = stage_rows(PRODUCTION_COEFFICIENTS)
+
+
+def combine(row, pieces, name):
+    """sum w v + (sum n v1) / d by one row over the stages' pieces[name] (v)
+    and pieces[name + "1"] (v1), skipping zero terms and unit factors, so
+    stage two is f + (f1 + 2 fs1) / 6 bit for bit (README, Numerical notes)."""
+    value = increment = None
+    for w, n, p in zip(row.weights, row.numerators, pieces):
+        if w:
+            v = p[name] if w == 1.0 else w * p[name]
+            value = v if value is None else value + v
+        if n:
+            v = p[name + "1"] if n == 1.0 else n * p[name + "1"]
+            increment = v if increment is None else increment + v
+    return value + increment / row.denominator
+
+
+# ----------------------------------------------------------------------
 # layout conversion and elementwise building blocks
 
 
@@ -335,40 +400,25 @@ def flux_time_derivative(eval_fn, u, u1):
     return (8.0 * fp1 - fp2 - 8.0 * eval_fn(u - u1, -1) + eval_fn(u - w, -2)) / 12.0
 
 
-def stage1_time_average(model, u, xn, dx, dt, ops, t=0.0):
-    """First-stage averaged flux F = f + f1/4 and solution u + u1/4.
+def time_average(model, state, pieces, xn, dx, dt, ops, t=0.0):
+    """The next stage's averaged flux, solution and source (None without one).
 
-    The cache holds what stage two reuses unchanged: f, f1, u1, s, s1, and,
-    with ea faces, face_f, face_f1 and face_bad (face_values_ea_stage1).
+    The stage evaluates f, f1 = dt df/dt, u1 = dt du/dt and, with a source,
+    s and s1 at its start state, which lives at time t.  It appends them,
+    with the state as u, in one dict to pieces, the list of the step's
+    earlier stages, and combines every stage's by its row of STAGE_ROWS.
     """
-    f = model.flux(u, xn)
-    s = model.source(u, xn, t) if model.has_source else None
-    u1 = local_solution_derivative(u, f, dx, dt, ops.D, s)
-    f1 = flux_time_derivative(lambda v, k: model.flux(v, xn), u, u1)
+    f = model.flux(state, xn)
+    s = model.source(state, xn, t) if model.has_source else None
+    u1 = local_solution_derivative(state, f, dx, dt, ops.D, s)
+    f1 = flux_time_derivative(lambda v, k: model.flux(v, xn), state, u1)
     s1 = None
     if model.has_source:
-        s1 = flux_time_derivative(lambda v, k: model.source(v, xn, t + k * dt), u, u1)
-    cache = SimpleNamespace(f=f, f1=f1, u1=u1, s=s, s1=s1)
-    favg = f + 0.25 * f1
-    uavg = u + 0.25 * u1
-    savg = s + 0.25 * s1 if model.has_source else None
-    return favg, uavg, savg, cache
-
-
-def stage2_time_average(model, u, ustar, cache, xn, dx, dt, ops, t=0.0):
-    """Second-stage averages; stage-one f, f1, u1 are reused unchanged."""
-    ts = t + 0.5 * dt
-    fs = model.flux(ustar, xn)
-    ss = model.source(ustar, xn, ts) if model.has_source else None
-    us1 = local_solution_derivative(ustar, fs, dx, dt, ops.D, ss)
-    fs1 = flux_time_derivative(lambda v, k: model.flux(v, xn), ustar, us1)
-    favg = cache.f + (cache.f1 + 2.0 * fs1) / 6.0
-    uavg = u + (cache.u1 + 2.0 * us1) / 6.0
-    savg = None
-    if model.has_source:
-        ss1 = flux_time_derivative(lambda v, k: model.source(v, xn, ts + k * dt), ustar, us1)
-        savg = cache.s + (cache.s1 + 2.0 * ss1) / 6.0
-    return favg, uavg, savg, us1
+        s1 = flux_time_derivative(lambda v, k: model.source(v, xn, t + k * dt), state, u1)
+    pieces.append({"f": f, "f1": f1, "u": state, "u1": u1, "s": s, "s1": s1})
+    row = STAGE_ROWS[len(pieces) - 1]
+    savg = combine(row, pieces, "s") if model.has_source else None
+    return combine(row, pieces, "f"), combine(row, pieces, "u"), savg
 
 
 def face_values_ae(favg, ops):
@@ -387,16 +437,22 @@ def _evaluable(model, u):
     return ok
 
 
-def _ea_states(model, u, u1, ops):
-    """Face traces of u and its increment, with the mask of faces that fall back.
+def face_values_ea(model, state, pieces, ops, xf, favg):
+    """The current stage's (nvar, 2, ne) face fluxes, built directly at the faces.
 
-    Wherever any of the five stencil states would not be evaluable (e.g.
-    non-positive density after extrapolation), the trace is replaced by the
-    admissible adjacent node value with zero increment, so the stencil can
-    run over every face; callers overwrite those faces with the
-    flux-extrapolation value afterwards.
+    The stage state and its increment u1 (pieces[-1], the stage's entry)
+    are extrapolated first; the same five-point stencil used at the
+    solution points then runs at the (2, ne) face coordinates xf, and the
+    stage's row combines the face pieces of every stage so far.  Where any
+    of a face's five stencil states is not evaluable (e.g. non-positive
+    density after extrapolation) in this or an earlier stage, the face
+    takes the extrapolated nodal averaged flux favg instead (the two
+    constructions coincide on nodesets that include the endpoints); its
+    stencil runs on the adjacent node value with zero increment.  The face
+    flux, its increment and the (2, ne) fallback mask go into pieces[-1].
     """
-    ua, u1a = node_sums(ops.V, u), node_sums(ops.V, u1)
+    stage, row = pieces[-1], STAGE_ROWS[len(pieces) - 1]
+    ua, u1a = node_sums(ops.V, state), node_sums(ops.V, stage["u1"])
     stencil = np.empty(ua.shape[:1] + (5,) + ua.shape[1:], dtype=np.result_type(ua, u1a))
     stencil[:, 0] = ua
     np.add(ua, u1a, out=stencil[:, 1])
@@ -406,46 +462,24 @@ def _ea_states(model, u, u1, ops):
     np.subtract(ua, stencil[:, 4], out=stencil[:, 4])
     bad = ~_evaluable(model, stencil).all(axis=0)
     if bad.any():
-        ua = np.where(bad, np.stack([u[..., 0], u[..., -1]], axis=1), ua)
+        ua = np.where(bad, np.stack([state[..., 0], state[..., -1]], axis=1), ua)
         u1a = np.where(bad, 0.0, u1a)
-    return ua, u1a, bad
-
-
-def _fall_back(value, bad, favg, ops):
-    """Extrapolated nodal averaged flux at the faces marked bad."""
+    # stage two weighs its own face flux by b2 = 0, so nothing reads it
+    if row.weights[-1]:
+        stage["face_f"] = model.flux(ua, xf)
+    stage["face_f1"] = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
+    stage["face_bad"] = bad
+    for earlier in pieces[:-1]:
+        bad = bad | earlier["face_bad"]
+    value = combine(row, pieces, "face_f")
     if bad.any():
         value = np.where(bad, node_sums(ops.V, favg), value)
     return value
 
 
-def face_values_ea_stage1(model, u, u1, ops, xf, favg):
-    """Stage-one face fluxes built directly at the faces.
-
-    The solution and its increment are extrapolated first; the same
-    five-point stencil used at the solution points is then applied at the
-    face coordinate.  Faces whose extrapolated states are not evaluable
-    fall back to extrapolating the nodal averaged flux instead (the two
-    constructions coincide on nodesets that include the endpoints).
-    xf holds the (2, ne) left/right face coordinates of every element.
-    Returns the (nvar, 2, ne) face values, then the face flux, its
-    increment and the (2, ne) fallback mask, which stage two reuses.
-    """
-    ua, u1a, bad = _ea_states(model, u, u1, ops)
-    fa = model.flux(ua, xf)
-    f1a = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
-    return _fall_back(fa + 0.25 * f1a, bad, favg, ops), fa, f1a, bad
-
-
-def face_values_ea_stage2(model, ustar, us1, cache, ops, xf, favg2):
-    """Stage-two face fluxes; stage-one face flux pieces are reused.
-
-    Faces that fell back in stage one, or whose stage-two extrapolated
-    states are not evaluable, use the flux extrapolation again.
-    """
-    ua, u1a, bad = _ea_states(model, ustar, us1, ops)
-    fs1a = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
-    value = cache.face_f + (cache.face_f1 + 2.0 * fs1a) / 6.0
-    return _fall_back(value, bad | cache.face_bad, favg2, ops)
+# the benchmark's layer spans still name the per-stage functions these replaced
+stage1_time_average = stage2_time_average = time_average
+face_values_ea_stage1 = face_values_ea_stage2 = face_values_ea
 
 
 def fr_flux_derivative(favg, fnum_left, fnum_right, ops, traces=None):
@@ -480,7 +514,8 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops, traces=None):
 def _mean_speeds(disc, u):
     """Wave speed of each element's mean state, maximised over its nodes."""
     means = node_sums(disc.ops.weights, u)
-    return fold(np.maximum, np.real(disc.model.speed(means[..., None], disc.xn)), 1)
+    speeds = np.broadcast_to(disc.model.speed(means[..., None], disc.xn), disc.xn.shape)
+    return fold(np.maximum, np.real(speeds), 1)
 
 
 def face_wave_speeds(disc, speeds):
@@ -622,55 +657,17 @@ class StepDiagnostics:
     dt: float = 0.0
 
 
-def _stage(disc, u, averages, faces, lam, t, tau, low, alpha_from, time, detail):
-    """One stage: u - (tau/dx) * residual + tau * source, checked.
-
-    averages is the stage's (favg, uavg, savg); faces are its
-    extrapolate-then-average face values, or None to extrapolate favg.
-    low is the stage's checked blending.FaceUpdates, or None with blending
-    off.  With blending on, the residual is the alpha-blend of the high-
-    and low-order residuals and the update passes the scaling limiter;
-    with it off, alpha and thetas are None.  Returns (u_new, fnum, alpha,
-    thetas, constraint values of u_new).
-    """
-    cfg = disc.config
-    favg, uavg, savg = averages
-    ae = faces is None
-    if ae:
-        faces = face_values_ae(favg, disc.ops)
-    ud = uavg if cfg.dissipation == "d2" else u
-    fnum = _assemble_face_flux(disc, faces, node_sums(disc.ops.V, ud), lam, t, tau)
-
-    alpha = thetas = None
-    if low is not None:
-        alpha = blending.smoothness_alpha(disc, alpha_from)
-        fnum, thetas = blending.blend_and_limit_face_flux(disc, fnum, low, alpha)
-        r_low = blending.low_order_residual(disc, low.subface_fluxes, fnum)
-    # extrapolated faces are the traces the residual needs
-    residual = fr_flux_derivative(favg, fnum[:, :-1], fnum[:, 1:], disc.ops,
-                                  faces if ae else None)
-    if alpha is not None:
-        residual = blending.blended_update(residual, r_low, alpha)
-    unew = u - (tau / disc.dxn) * residual
-    if savg is not None:
-        unew = unew + tau * savg
-    if alpha is not None:
-        unew = blending.scaling_limiter(disc, unew)
-    cons = validate_admissible(disc.model, unew, time=time, detail=detail)
-    return unew, fnum, alpha, thetas, cons
-
-
 def _low_order(disc, u, dt, start):
-    """Both stages' checked low-order face updates, or Nones when unblended.
+    """Every stage's checked low-order face updates, or Nones when unblended.
 
     They depend on u and the stage interval only, so they are built and
     checked before any high-order work: a step that has to be halved stops
     here.  First-order subcell fluxes come from start; MUSCL-Hancock ones
-    are built for both intervals in one pass.
+    are built for all intervals in one pass.
     """
     if disc.config.limiter == "none":
-        return None, None
-    taus = np.array((0.5 * dt, dt))
+        return (None,) * len(STAGE_ROWS)
+    taus = np.array([row.tau * dt for row in STAGE_ROWS])
     subfaces = start.subface_fluxes
     if subfaces is None:
         subfaces = blending.low_order_subface_fluxes(disc, u, taus, use_slopes=True)
@@ -688,38 +685,51 @@ def mdrk_step(disc, u, t, dt, start=None):
     stencil states or the low-order subcell updates next to element faces
     are not admissible; the caller may retry the latter with a smaller step.
     """
-    model, ops = disc.model, disc.ops
-    ea = disc.config.face_scheme == "ea"
+    model, ops, cfg = disc.model, disc.ops, disc.config
     if start is None:
         start = step_start(disc, u)
     u, lam = start.u, start.lam
-    low1, low2 = _low_order(disc, u, dt, start)
+    lows = _low_order(disc, u, dt, start)
 
-    # stage 1: averages over [t, t + dt/2]
-    *avg1, cache = stage1_time_average(model, u, disc.xn, disc.dxn, dt, ops, t)
-    faces1 = None
-    if ea:
-        faces1, cache.face_f, cache.face_f1, cache.face_bad = face_values_ea_stage1(
-            model, u, cache.u1, ops, disc.xf, avg1[0])
-    ustar, fnum1, alpha1, th1, _ = _stage(disc, u, avg1, faces1, lam, t, 0.5 * dt, low1, u,
-                                          t, "after first stage")
+    # each stage starts from state, at time ts, and sets state to the checked
+    # u - (tau/dx) residual + tau source; unblended, alpha and theta are None
+    pieces, state, ts, stages = [], u, t, []
+    for k, (row, low) in enumerate(zip(STAGE_ROWS, lows)):
+        tau = row.tau * dt
+        favg, uavg, savg = time_average(model, state, pieces, disc.xn, disc.dxn, dt, ops, ts)
+        if cfg.face_scheme == "ea":
+            faces, traces = face_values_ea(model, state, pieces, ops, disc.xf, favg), None
+        else:
+            # extrapolated faces are the traces the residual needs
+            faces = traces = face_values_ae(favg, ops)
+        ud = uavg if cfg.dissipation == "d2" else u
+        fnum = _assemble_face_flux(disc, faces, node_sums(ops.V, ud), lam, t, tau)
+        alpha = theta = None
+        if low is not None:
+            alpha = blending.smoothness_alpha(disc, state)
+            fnum, theta = blending.blend_and_limit_face_flux(disc, fnum, low, alpha)
+            r_low = blending.low_order_residual(disc, low.subface_fluxes, fnum)
+        residual = fr_flux_derivative(favg, fnum[:, :-1], fnum[:, 1:], ops, traces)
+        if alpha is not None:
+            residual = blending.blended_update(residual, r_low, alpha)
+        state = u - (tau / disc.dxn) * residual
+        if savg is not None:
+            state = state + tau * savg
+        if alpha is not None:
+            state = blending.scaling_limiter(disc, state)
+        # a failed stage-one check is reported at the step's start time
+        cons = validate_admissible(model, state, time=t + tau if k else t,
+                                   detail=f"after {('first', 'second')[k]} stage")
+        stages.append((fnum.T, alpha, theta))
+        ts = t + tau
+    (fnum1, alpha1, th1), (fnum2, alpha2, th2) = stages
 
-    # stage 2: averages over [t, t + dt]
-    *avg2, us1 = stage2_time_average(model, u, ustar, cache, disc.xn, disc.dxn, dt, ops, t)
-    faces2 = None
-    if ea:
-        faces2 = face_values_ea_stage2(model, ustar, us1, cache, ops, disc.xf, avg2[0])
-    unew, fnum2, alpha2, th2, cons = _stage(disc, u, avg2, faces2, lam, t, dt, low2, ustar,
-                                            t + dt, "after second stage")
-
-    mins = None
-    if cons is not None:
-        mins = cons.reshape(len(cons), -1).min(axis=1)
+    mins = None if cons is None else cons.reshape(len(cons), -1).min(axis=1)
     theta_min = min([1.0] + [float(th.min()) for th in (th1, th2) if th is not None and th.size])
-    diag = StepDiagnostics(fnum1=fnum1.T, fnum2=fnum2.T, alpha1=alpha1, alpha2=alpha2,
+    diag = StepDiagnostics(fnum1=fnum1, fnum2=fnum2, alpha1=alpha1, alpha2=alpha2,
                            theta1=th1, theta2=th2, theta_min=theta_min,
                            min_constraints=mins, dt=dt)
-    return element_major(unew), diag
+    return element_major(state), diag
 
 
 # ----------------------------------------------------------------------

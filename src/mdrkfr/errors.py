@@ -43,7 +43,7 @@ class StencilStateError(SolverAbort):
     stencil left the model's evaluable domain (e.g. non-positive density).
 
     The time loop treats this as retriable: it halves the step and repeats
-    it, up to harness.MAX_HALVINGS (12) times, before giving up.
+    it, up to harness.MAX_HALVINGS times, before giving up.
 
     A failed low-order face-update check also names the stage (1 or 2)
     and the face (0..ne) of its lowest failing value; other failures

@@ -404,12 +404,15 @@ def ingest_reference(path):
             if len(vals) != len(names) + 1:
                 raise ConfigurationError(
                     f"{path}:{lineno}: expected {len(names) + 1} columns, got {len(vals)}")
+            if not np.isfinite(vals).all():
+                raise ConfigurationError(f"{path}:{lineno}: entries must be finite, got {line!r}")
             xs.append(vals[0])
             rows.append(vals[1:])
     if not rows:
         raise ConfigurationError(f"{path}: no data rows")
     x = np.asarray(xs)
-    if np.any(np.diff(x) < 0):
+    # written so that NaN fails it
+    if not (np.diff(x) >= 0).all():
         raise ConfigurationError(f"{path}: x column must be ascending")
     return Reference(x, np.asarray(rows), names)
 

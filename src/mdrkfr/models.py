@@ -1,11 +1,13 @@
 """Conservation-law models: fluxes, wave speeds, admissibility constraints.
 
 All model functions are vectorised over variable-leading states, shape
-(nvar, ...), and return fluxes (nvar, ...), constraint values (K, ...) and
-speeds (...); the coordinate argument broadcasts against the trailing
-axes.  Scalar models carry nvar = 1 and no admissibility constraints; the
-gas-dynamics model has the usual two (density, then pressure, ordered so
-the second is concave once the first is positive).
+(nvar, ...), and return fluxes (nvar, ...) and constraint values (K, ...);
+the coordinate argument broadcasts against the trailing axes.  A speed
+keeps the shape its inputs give it, a scalar for linear advection, and a
+caller that needs every point broadcasts it.  Scalar models carry nvar = 1
+and no admissibility constraints; the gas-dynamics model has the usual two
+(density, then pressure, ordered so the second is concave once the first
+is positive).
 """
 
 import numpy as np
@@ -58,7 +60,7 @@ class LinearAdvection(EquationModel):
         return self.a * u
 
     def speed(self, u, x):
-        return np.broadcast_to(abs(self.a), np.broadcast_shapes(u.shape[1:], np.shape(x))).copy()
+        return abs(self.a)
 
 
 class VariableAdvection(EquationModel):
@@ -72,8 +74,7 @@ class VariableAdvection(EquationModel):
         return np.asarray(self.a_of_x(np.asarray(x))) * u
 
     def speed(self, u, x):
-        a = np.abs(np.asarray(self.a_of_x(np.asarray(x))))
-        return np.broadcast_to(a, np.broadcast_shapes(u.shape[1:], np.shape(x))).copy()
+        return np.abs(np.asarray(self.a_of_x(np.asarray(x))))
 
 
 class Burgers(EquationModel):
@@ -83,7 +84,7 @@ class Burgers(EquationModel):
         return 0.5 * u * u
 
     def speed(self, u, x):
-        return np.broadcast_to(np.abs(u[0]), np.broadcast_shapes(u.shape[1:], np.shape(x))).copy()
+        return np.abs(u[0])
 
 
 class Euler(EquationModel):
@@ -95,8 +96,9 @@ class Euler(EquationModel):
 
     def __init__(self, gamma=1.4, source=None):
         super().__init__(source)
-        if gamma <= 1.0:
-            raise ConfigurationError(f"adiabatic constant must exceed 1, got {gamma}")
+        # written so that NaN fails it
+        if not 1.0 < gamma < np.inf:
+            raise ConfigurationError(f"adiabatic constant must lie in (1, inf), got {gamma}")
         self.gamma = gamma
 
     def primitive(self, u):
@@ -111,7 +113,8 @@ class Euler(EquationModel):
         return np.stack([rho, rho * v, e])
 
     def pressure(self, u):
-        return (self.gamma - 1.0) * (u[2] - 0.5 * u[1] ** 2 / u[0])
+        # a float64 scalar's ** 2 calls pow, which can round unlike an array's square
+        return (self.gamma - 1.0) * (u[2] - 0.5 * (u[1] * u[1]) / u[0])
 
     def flux(self, u, x):
         rho = u[0]
@@ -130,8 +133,7 @@ class Euler(EquationModel):
 
     def speed(self, u, x):
         rho, v, p = self.primitive(u)
-        return np.broadcast_to(np.abs(v) + np.sqrt(self.gamma * p / rho),
-                               np.broadcast_shapes(u.shape[1:], np.shape(x))).copy()
+        return np.abs(v) + np.sqrt(self.gamma * p / rho)
 
     def constraints(self, u):
         out = np.empty((2,) + u.shape[1:], dtype=u.dtype)

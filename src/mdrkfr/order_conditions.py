@@ -1,14 +1,15 @@
 """Algebraic and empirical accuracy checks for the two-stage coefficients.
 
-The five order conditions are polynomial identities in the tableau
-entries, so the residuals are evaluated in exact rational arithmetic.
-The empirical side runs single steps of the full solver on smooth
-advection data under coupled space-time refinement and fits the local
-error slope, which must approach five (one-step error of a fourth-order
-scheme).
+The tableau itself, core.PRODUCTION_COEFFICIENTS, lives with the solver,
+which steps by the float rows core.STAGE_ROWS derived from it.  The five
+order conditions are polynomial identities in the tableau entries, so
+the residuals are evaluated in exact rational arithmetic.  The empirical
+side applies single two-stage steps, taken by the same rows, to the
+solver's semi-discrete advection operator on smooth data and fits the
+local error slope, which must approach five (one-step error of a
+fourth-order scheme).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -17,24 +18,6 @@ import numpy as np
 from . import core
 from .errors import ConfigurationError
 from .models import LinearAdvection
-
-
-@dataclass(frozen=True)
-class MdrkCoefficients:
-    """Tableau of the two-stage, two-derivative update."""
-
-    a21: Fraction
-    a21_hat: Fraction
-    b1: Fraction
-    b2: Fraction
-    b1_hat: Fraction
-    b2_hat: Fraction
-
-
-PRODUCTION_COEFFICIENTS = MdrkCoefficients(
-    a21=Fraction(1, 2), a21_hat=Fraction(1, 8),
-    b1=Fraction(1), b2=Fraction(0),
-    b1_hat=Fraction(1, 6), b2_hat=Fraction(1, 3))
 
 
 class OrderConditionResiduals(NamedTuple):
@@ -49,7 +32,7 @@ class OrderConditionResiduals(NamedTuple):
         return all(r == 0 for r in self)
 
 
-def check_order_conditions(c: MdrkCoefficients) -> OrderConditionResiduals:
+def check_order_conditions(c: core.MdrkCoefficients) -> OrderConditionResiduals:
     """Residuals of the five conditions plus the derived-stage consistency.
 
     All zero exactly for the production coefficients; each residual is the
@@ -65,16 +48,19 @@ def check_order_conditions(c: MdrkCoefficients) -> OrderConditionResiduals:
 
 
 def mdrk_ode_step(rhs, u, dt):
-    """One two-stage update of the system u' = rhs(u).
+    """One two-stage update of the system u' = rhs(u), by core.STAGE_ROWS.
 
     The temporal derivative of the right-hand side is replaced by the same
     five-point stencil the flux machinery uses, so this exercises both the
     tableau and the derivative approximation.
     """
-    r1 = core.flux_time_derivative(lambda v, k: rhs(v), u, dt * rhs(u))
-    ustar = u + 0.5 * dt * rhs(u) + 0.125 * dt * r1
-    r1s = core.flux_time_derivative(lambda v, k: rhs(v), ustar, dt * rhs(ustar))
-    return u + dt * rhs(u) + dt * (r1 + 2.0 * r1s) / 6.0
+    pieces, state = [], u
+    for row in core.STAGE_ROWS:
+        r = rhs(state)
+        r1 = core.flux_time_derivative(lambda v, k: rhs(v), state, dt * r)
+        pieces.append({"r": r, "r1": r1})
+        state = u + row.tau * dt * core.combine(row, pieces, "r")
+    return state
 
 
 def semidiscrete_operator(cells=8, points="gl", correction="radau"):

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from mdrkfr import blending, core, harness, models, stability
+from mdrkfr.core import PRODUCTION_COEFFICIENTS
 from mdrkfr.errors import AdmissibilityError, SolverAbort
 from mdrkfr.operators import make_operators
-from mdrkfr.order_conditions import (PRODUCTION_COEFFICIENTS,
-                                     check_order_conditions,
-                                     one_step_order_scan)
+from mdrkfr.order_conditions import check_order_conditions, one_step_order_scan
 
 
 def case_cfg(case_id, **kw):

@@ -258,8 +258,7 @@ def test_blended_means_match_high_order_means():
     out_blend, diag = core.mdrk_step(disc, em(u), 0.0, dt)
 
     # rebuild the unblended update with the same (limited) face fluxes
-    favg1, uavg1, _, cache = core.stage1_time_average(
-        disc.model, u, disc.xn, disc.dxn, dt, disc.ops)
+    favg1, uavg1, _ = core.time_average(disc.model, u, [], disc.xn, disc.dxn, dt, disc.ops)
     u = em(u)
     w = disc.ops.weights
     mean_high_stage1 = (np.einsum("p,epv->ev", w, u)

@@ -161,8 +161,7 @@ def test_flux_time_derivative_zero_increment():
 def test_stage1_constant_state():
     disc = make_disc()
     u = vm(np.full((10, 4, 1), 2.0))
-    favg, uavg, savg, cache = core.stage1_time_average(
-        disc.model, u, disc.xn, disc.dxn, 0.01, disc.ops)
+    favg, uavg, savg = core.time_average(disc.model, u, [], disc.xn, disc.dxn, 0.01, disc.ops)
     assert np.allclose(favg, disc.model.flux(u, disc.xn))
     assert np.allclose(uavg, u)
     assert savg is None
@@ -175,8 +174,7 @@ def test_stage1_matches_spectral_form():
     u = rng.normal(size=(10, 4, 1))
     dt = 0.004
     sigma = dt / disc.dx[0]
-    favg, uavg, _, _ = core.stage1_time_average(disc.model, vm(u), disc.xn,
-                                                disc.dxn, dt, disc.ops)
+    favg, uavg, _ = core.time_average(disc.model, vm(u), [], disc.xn, disc.dxn, dt, disc.ops)
     t1 = np.eye(4) - sigma / 4 * disc.ops.D
     expected = np.einsum("pq,eqv->epv", t1, u)
     assert np.allclose(em(favg), expected, atol=1e-13)
@@ -189,11 +187,10 @@ def test_stage2_collapses_for_steady_stage():
     rng = np.random.default_rng(4)
     u = vm(rng.normal(size=(10, 4, 1)) + 2.0)
     dt = 0.003
-    _, _, _, cache = core.stage1_time_average(disc.model, u, disc.xn,
-                                              disc.dxn, dt, disc.ops)
-    favg2, _, _, _ = core.stage2_time_average(disc.model, u, u, cache,
-                                              disc.xn, disc.dxn, dt, disc.ops)
-    assert np.allclose(favg2, cache.f + 0.5 * cache.f1, atol=1e-13)
+    pieces = []
+    core.time_average(disc.model, u, pieces, disc.xn, disc.dxn, dt, disc.ops)
+    favg2, _, _ = core.time_average(disc.model, u, pieces, disc.xn, disc.dxn, dt, disc.ops)
+    assert np.allclose(favg2, pieces[0]["f"] + 0.5 * pieces[0]["f1"], atol=1e-13)
 
 
 def test_stage1_against_dense_time_integral():
@@ -208,8 +205,7 @@ def test_stage1_against_dense_time_integral():
     u0 = (0.5 + 0.3 * xi)[None, :, None]
     dt = 0.01
 
-    favg, _, _, _ = core.stage1_time_average(model, vm(u0), disc.xn, disc.dxn,
-                                             dt, disc.ops)
+    favg, _, _ = core.time_average(model, vm(u0), [], disc.xn, disc.dxn, dt, disc.ops)
     favg = em(favg)
 
     # oracle: integrate du/dt = -D f(u) (single element, free boundaries)
@@ -278,12 +274,12 @@ def test_ea_fallback_face():
     u = model.conserved(rho, 0.5 + 0.2 * np.sin(2 * np.pi * disc.xn), np.ones_like(rho))
     assert core.face_values_ae(u, ops)[0, 1, 1] < 0.0
     dt = 1e-3
-    favg1, _, _, cache = core.stage1_time_average(model, u, disc.xn, disc.dxn, dt, ops)
-    faces1, cache.face_f, cache.face_f1, cache.face_bad = core.face_values_ea_stage1(
-        model, u, cache.u1, ops, disc.xf, favg1)
+    pieces = []
+    favg1, _, _ = core.time_average(model, u, pieces, disc.xn, disc.dxn, dt, ops)
+    faces1 = core.face_values_ea(model, u, pieces, ops, disc.xf, favg1)
     expected = np.zeros((2, 4), dtype=bool)
     expected[1, 1] = True
-    assert np.array_equal(cache.face_bad, expected)
+    assert np.array_equal(pieces[0]["face_bad"], expected)
     ae1 = core.face_values_ae(favg1, ops)
     assert np.array_equal(faces1[:, 1, 1], ae1[:, 1, 1])
     assert not np.allclose(faces1[:, 0, 1], ae1[:, 0, 1], rtol=0.0, atol=1e-12)
@@ -291,9 +287,8 @@ def test_ea_fallback_face():
     # uniform stage-two states are evaluable at every face, yet the face
     # that fell back in stage one falls back again
     ustar = model.conserved(np.ones((4, 4)), np.full((4, 4), 0.5), np.ones((4, 4)))
-    favg2, _, _, us1 = core.stage2_time_average(model, u, ustar, cache, disc.xn,
-                                                disc.dxn, dt, ops)
-    faces2 = core.face_values_ea_stage2(model, ustar, us1, cache, ops, disc.xf, favg2)
+    favg2, _, _ = core.time_average(model, ustar, pieces, disc.xn, disc.dxn, dt, ops)
+    faces2 = core.face_values_ea(model, ustar, pieces, ops, disc.xf, favg2)
     ae2 = core.face_values_ae(favg2, ops)
     assert np.array_equal(faces2[:, 1, 1], ae2[:, 1, 1])
     assert not np.allclose(faces2[:, 0, 1], ae2[:, 0, 1], rtol=0.0, atol=1e-12)
@@ -619,7 +614,7 @@ def test_low_order_failure_stops_before_high_order_work(monkeypatch, limiter):
     def high_order_work(*args, **kwargs):
         raise AssertionError("stage one started")
 
-    monkeypatch.setattr(core, "stage1_time_average", high_order_work)
+    monkeypatch.setattr(core, "time_average", high_order_work)
     disc, u = _blast_jump(limiter)
     with pytest.raises(StencilStateError, match="low-order"):
         core.mdrk_step(disc, u, 0.0, 1e-2)

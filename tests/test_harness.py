@@ -118,6 +118,15 @@ def test_reference_parse_errors(tmp_path):
         harness.ingest_reference(path)
 
 
+@pytest.mark.parametrize("rows", ["0,1\nnan,2\n1,3\n", "0,1\n1,inf\n", "0,1\n1,-inf\n"])
+def test_reference_refuses_non_finite_entries(tmp_path, rows):
+    # a NaN x passes an ascending test written as "no negative difference"
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("x,u\n" + rows)
+    with pytest.raises(ConfigurationError, match=":3: entries must be finite"):
+        harness.ingest_reference(path)
+
+
 def test_snapshot_determinism(tmp_path):
     res1 = harness.run_case("linadv_sine", cells=10,
                             config=harness.case_config(

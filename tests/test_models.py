@@ -65,7 +65,8 @@ def _stacked_flux(u, gamma=1.4):
 
 
 def _stacked_constraints(u, gamma=1.4):
-    p = (gamma - 1.0) * (u[2] - 0.5 * u[1] ** 2 / u[0])
+    # u[1] * u[1] is what an array's ** 2 computes; a scalar's ** 2 calls pow
+    p = (gamma - 1.0) * (u[2] - 0.5 * (u[1] * u[1]) / u[0])
     return np.stack([u[0], p])
 
 
@@ -251,6 +252,13 @@ def test_exact_unknown_case():
 def test_euler_gamma_validation():
     with pytest.raises(ConfigurationError):
         Euler(gamma=0.9)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_euler_gamma_refuses_non_finite(gamma):
+    # NaN passes a range test written as gamma <= 1
+    with pytest.raises(ConfigurationError, match=r"must lie in \(1, inf\)"):
+        Euler(gamma=gamma)
 
 
 def test_speed_bounds():

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mdrkfr import core
+from mdrkfr.core import PRODUCTION_COEFFICIENTS, MdrkCoefficients
 from mdrkfr.errors import ConfigurationError
-from mdrkfr.order_conditions import (MdrkCoefficients, PRODUCTION_COEFFICIENTS,
-                                     check_order_conditions, mdrk_ode_step,
+from mdrkfr.order_conditions import (check_order_conditions, mdrk_ode_step,
                                      one_step_order_scan)
 
 
@@ -70,3 +72,21 @@ def test_scalar_nonlinear_ode_order_five():
         errs.append(abs(out[0] - 1.0 / (1.0 - dt)))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     assert slope == pytest.approx(5.0, abs=0.2)
+
+
+def test_solver_stage_rows_follow_the_tableau():
+    # every interval and weight the step reads equals the tableau's, exactly
+    c = PRODUCTION_COEFFICIENTS
+    stages = (((c.a21,), (c.a21_hat,)), ((c.b1, c.b2), (c.b1_hat, c.b2_hat)))
+    assert len(core.STAGE_ROWS) == len(stages)
+    for row, (a, a_hat) in zip(core.STAGE_ROWS, stages):
+        tau = sum(a)
+        assert Fraction(row.tau) == tau
+        assert [Fraction(w) for w in row.weights] == [x / tau for x in a]
+        d = Fraction(row.denominator)
+        assert [Fraction(n) / d for n in row.numerators] == [x / tau for x in a_hat]
+        numerators = [int(n) for n in row.numerators]
+        assert numerators == list(row.numerators)
+        assert math.gcd(*numerators, int(d)) == 1
+    # f + f1 / 4 over [t, t + dt/2], then f + (f1 + 2 fs1) / 6 over [t, t + dt]
+    assert core.STAGE_ROWS == ((0.5, (1.0,), (1.0,), 4.0), (1.0, (1.0, 0.0), (1.0, 2.0), 6.0))
