@@ -108,11 +108,10 @@ class SubcellGeometry:
 
 
 def minmod3(a, b, c):
-    """Componentwise minmod of three slope candidates."""
-    sa = np.sign(a)
-    agree = (sa == np.sign(b)) & (sa == np.sign(c))
-    mag = np.minimum(np.abs(a), np.minimum(np.abs(b), np.abs(c)))
-    return np.where(agree, sa * mag, 0.0)
+    """Componentwise minmod of three slope candidates, bit for bit the sign
+    and magnitude form with signed zeros and infinities; a NaN propagates."""
+    return (np.maximum(np.minimum(np.minimum(a, b), c), 0.0)
+            + np.minimum(np.maximum(np.maximum(a, b), c), 0.0))
 
 
 def _admissible(model, states):
@@ -123,10 +122,11 @@ def _admissible(model, states):
 
 def _subface_rusanov(model, traces, x):
     """Rusanov fluxes at the subfaces of the padded subcell line, (nvar, ...,
-    N-1), from one speed and one flux call on the (left, right) traces of
-    its N subcells stacked on axis 1; x is SubcellGeometry.padded_faces."""
+    N-1), from one speed_and_flux call on the (left, right) traces of its N
+    subcells stacked on axis 1; x is SubcellGeometry.padded_faces."""
     x = x.reshape(x.shape[:1] + (1,) * (traces.ndim - 3) + x.shape[1:])
-    s, f = np.broadcast_to(model.speed(traces, x), traces.shape[1:]), model.flux(traces, x)
+    s, f = model.speed_and_flux(traces, x)
+    s = np.broadcast_to(s, traces.shape[1:])
     return numerical_flux(f[:, 1, ..., :-1], f[:, 0, ..., 1:], traces[:, 1, ..., :-1],
                           traces[:, 0, ..., 1:], np.maximum(s[1, ..., :-1], s[0, ..., 1:]))
 
@@ -152,19 +152,17 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     up = np.take(uf, b.subcells, axis=1)
     up[:, 0] *= b.state_sign
     up[:, -1] *= b.state_sign
-    offsets = np.stack([b.sub_dl, b.sub_dr])
 
     slopes = np.zeros_like(up)
     if use_slopes:
-        gap_l, gap_r = b.sub_gap[:-1], b.sub_gap[1:]
-        d_left = (uf - up[:, :-2]) / gap_l
-        d_right = (up[:, 2:] - uf) / gap_r
-        d_mid = (up[:, 2:] - up[:, :-2]) / (gap_l + gap_r)
+        d_left = (uf - up[:, :-2]) / b.sub_gaps[0]
+        d_right = (up[:, 2:] - uf) / b.sub_gaps[1]
+        d_mid = (up[:, 2:] - up[:, :-2]) / b.sub_gaps[2]
         slopes[:, 1:-1] = minmod3(d_left, d_mid, d_right)
-    traces = up[:, None] + slopes[:, None] * offsets
+    traces = up[:, None] + slopes[:, None] * b.sub_offsets
     if use_slopes and not (ok := _admissible(model, traces)).all():
         slopes = np.where(ok, slopes, 0.0)
-        traces = up[:, None] + slopes[:, None] * offsets
+        traces = up[:, None] + slopes[:, None] * b.sub_offsets
 
     faces = disc.subcells.padded_faces
     lead = (slice(None),) + (None,) * np.ndim(tau)
@@ -172,13 +170,14 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
         flux = _subface_rusanov(model, traces, faces)
         return np.broadcast_to(flux[lead], flux.shape[:1] + np.shape(tau) + flux.shape[1:])
 
-    f = model.flux(traces, b.sub_x + offsets)
-    dflux = (f[:, 1] - f[:, 0]) / (b.sub_dr - b.sub_dl)
+    f = model.flux(traces, b.sub_face_x)
+    dflux = (f[:, 1] - f[:, 0]) / b.sub_width
     step = (0.5 * np.asarray(tau))[..., None] * dflux[lead]
     evolved = traces[(slice(None),) + lead] - step[:, None]
     # a slope zeroed after prediction leaves both traces unevolved at the
     # node value
-    evolved = np.where(_admissible(model, evolved), evolved, up[lead][:, None])
+    if not (ok := _admissible(model, evolved)).all():
+        evolved = np.where(ok, evolved, up[lead][:, None])
     return _subface_rusanov(model, evolved, faces)
 
 

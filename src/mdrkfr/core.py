@@ -27,6 +27,7 @@ those four convert (variable_major, element_major).
 """
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,6 +130,10 @@ class RunConfig:
         if not 0.0 < self.indicator_sharpness < np.inf:
             raise ConfigurationError(
                 f"indicator_sharpness must be positive and finite, got {self.indicator_sharpness}")
+        for key in ("degree", "snapshot_every"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{key} must be an integer, got {value!r}")
         if not 0 <= self.snapshot_every:
             raise ConfigurationError(
                 f"snapshot_every must be 0 (off) or a step count, got {self.snapshot_every}")
@@ -169,8 +174,9 @@ class Boundary:
     traces       (trace, element) of the left and right ghost face values;
                  trace 0 is an element's left-face trace, 1 its right-face one
     subcells     subcell indices of the padded subcell line, ghosts at the ends
-    sub_x, sub_dl, sub_dr   node positions and face offsets along that line
-    sub_gap      node gaps x[i+1] - x[i] along that line
+    sub_offsets  (left, right) offsets from each node of that line to its subcell's
+                 faces; sub_face_x adds the node positions, sub_width subtracts them
+    sub_gaps     (left, right, both) node gaps around every interior node of that line
     state_sign, flux_sign   (nvar,) factors applied to ghost states and fluxes
     limited      (minus, plus) masks over faces: whether the interface flux
                  limiter keeps that side's subcell update admissible (not
@@ -184,10 +190,10 @@ class Boundary:
     cells: np.ndarray
     traces: tuple
     subcells: np.ndarray
-    sub_x: np.ndarray
-    sub_dl: np.ndarray
-    sub_dr: np.ndarray
-    sub_gap: np.ndarray
+    sub_offsets: np.ndarray
+    sub_face_x: np.ndarray
+    sub_width: np.ndarray
+    sub_gaps: np.ndarray
     state_sign: np.ndarray
     flux_sign: np.ndarray
     limited: np.ndarray
@@ -254,8 +260,10 @@ def make_boundary(kind, grid, subcells, model, bc_state=None):
     p = subcells.psub
     end_cells = np.stack([p * cells[:-1] + p - 1, p * cells[1:]])
     inner_subfaces = end_cells + np.array([[0], [1]])
-    return Boundary(cells, traces, sub, sub_x, sub_dl, sub_dr, np.diff(sub_x), state_sign,
-                    flux_sign, limited, subcells.h[end_cells], inner_subfaces,
+    offsets, gap = np.stack([sub_dl, sub_dr]), np.diff(sub_x)
+    return Boundary(cells, traces, sub, offsets, sub_x + offsets, offsets[1] - offsets[0],
+                    np.stack([gap[:-1], gap[1:], gap[:-1] + gap[1:]]), state_sign, flux_sign,
+                    limited, subcells.h[end_cells], inner_subfaces,
                     np.array(imposed, dtype=int), bc_state)
 
 
@@ -396,8 +404,13 @@ def flux_time_derivative(eval_fn, u, u1):
     degree <= 4 in the path parameter.
     """
     w = 2.0 * u1
-    fp2, fp1 = eval_fn(u + w, 2), eval_fn(u + u1, 1)  # 8 fp1 - fp2 is -fp2 + 8 fp1 bitwise
-    return (8.0 * fp1 - fp2 - 8.0 * eval_fn(u - u1, -1) + eval_fn(u - w, -2)) / 12.0
+    return five_point(eval_fn(u + w, 2), eval_fn(u + u1, 1), eval_fn(u - u1, -1),
+                      eval_fn(u - w, -2))
+
+
+def five_point(fp2, fp1, fm1, fm2):
+    """The stencil combination of the values at shifts +2, +1, -1, -2."""
+    return (8.0 * fp1 - fp2 - 8.0 * fm1 + fm2) / 12.0
 
 
 def time_average(model, state, pieces, xn, dx, dt, ops, t=0.0):
@@ -437,37 +450,42 @@ def _evaluable(model, u):
     return ok
 
 
+def _face_stencil(ua, u1a):
+    """The five face states ua, ua + u1a, ua - u1a, ua + 2 u1a, ua - 2 u1a,
+    stacked on axis 1."""
+    w = 2.0 * u1a
+    return np.concatenate([ua, ua + u1a, ua - u1a, ua + w, ua - w], 1).reshape(len(ua), 5, 2, -1)
+
+
 def face_values_ea(model, state, pieces, ops, xf, favg):
     """The current stage's (nvar, 2, ne) face fluxes, built directly at the faces.
 
     The stage state and its increment u1 (pieces[-1], the stage's entry)
     are extrapolated first; the same five-point stencil used at the
-    solution points then runs at the (2, ne) face coordinates xf, and the
-    stage's row combines the face pieces of every stage so far.  Where any
-    of a face's five stencil states is not evaluable (e.g. non-positive
-    density after extrapolation) in this or an earlier stage, the face
-    takes the extrapolated nodal averaged flux favg instead (the two
-    constructions coincide on nodesets that include the endpoints); its
-    stencil runs on the adjacent node value with zero increment.  The face
-    flux, its increment and the (2, ne) fallback mask go into pieces[-1].
+    solution points then runs at the (2, ne) face coordinates xf, in one
+    flux call, and the stage's row combines the face pieces of every stage
+    so far.  Where any of a face's five stencil states is not evaluable
+    (e.g. non-positive density after extrapolation) in this or an earlier
+    stage, the face takes the extrapolated nodal averaged flux favg
+    instead (the two constructions coincide on nodesets that include the
+    endpoints); its stencil runs on the adjacent node value with zero
+    increment.  The face flux, its increment and the (2, ne) fallback mask
+    go into pieces[-1].
     """
     stage, row = pieces[-1], STAGE_ROWS[len(pieces) - 1]
     ua, u1a = node_sums(ops.V, state), node_sums(ops.V, stage["u1"])
-    stencil = np.empty(ua.shape[:1] + (5,) + ua.shape[1:], dtype=np.result_type(ua, u1a))
-    stencil[:, 0] = ua
-    np.add(ua, u1a, out=stencil[:, 1])
-    np.subtract(ua, u1a, out=stencil[:, 2])
-    np.multiply(u1a, 2.0, out=stencil[:, 4])
-    np.add(ua, stencil[:, 4], out=stencil[:, 3])
-    np.subtract(ua, stencil[:, 4], out=stencil[:, 4])
+    stencil = _face_stencil(ua, u1a)
     bad = ~_evaluable(model, stencil).all(axis=0)
     if bad.any():
-        ua = np.where(bad, np.stack([state[..., 0], state[..., -1]], axis=1), ua)
-        u1a = np.where(bad, 0.0, u1a)
+        ends = np.stack([state[..., 0], state[..., -1]], axis=1)
+        stencil = _face_stencil(np.where(bad, ends, ua), np.where(bad, 0.0, u1a))
     # stage two weighs its own face flux by b2 = 0, so nothing reads it
-    if row.weights[-1]:
-        stage["face_f"] = model.flux(ua, xf)
-    stage["face_f1"] = flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
+    own = bool(row.weights[-1])
+    f = model.flux(stencil[:, 1 - own:], xf)
+    if own:
+        stage["face_f"] = f[:, 0]
+    fp1, fm1, fp2, fm2 = (f[:, k] for k in range(own, own + 4))
+    stage["face_f1"] = five_point(fp2, fp1, fm1, fm2)
     stage["face_bad"] = bad
     for earlier in pieces[:-1]:
         bad = bad | earlier["face_bad"]
@@ -533,16 +551,17 @@ def _impose_fluxes(disc, fnum, t, tau=None):
 
     A stage passes its interval length tau and gets the flux averaged over
     [t, t + tau] by three-point Gauss quadrature; the semi-discrete
-    baseline passes none and gets the flux at t.
+    baseline passes none and gets the flux at t.  One flux call takes the
+    states bc_state(x, t) of every imposed face at every sample time.
     """
-    model, state = disc.model, disc.boundary.bc_state
-    for i in disc.boundary.imposed:
-        x = disc.grid.faces[i]
-        if tau is None:
-            fnum[:, i] = model.flux(np.asarray(state(x, t), dtype=float), x)
-        else:
-            fnum[:, i] = sum(w * model.flux(np.asarray(state(x, t + tau * th), dtype=float), x)
-                             for th, w in _STAGE_QUAD)
+    b = disc.boundary
+    if len(b.imposed):
+        x = disc.grid.faces[b.imposed]
+        times = [t] if tau is None else [t + tau * th for th, _ in _STAGE_QUAD]
+        states = np.array([[b.bc_state(xi, ti) for ti in times] for xi in x], dtype=float)
+        f = disc.model.flux(states.reshape(len(x), len(times), -1).T, x)
+        fnum[:, b.imposed] = (f[:, 0] if tau is None
+                              else sum(w * f[:, j] for j, (_, w) in enumerate(_STAGE_QUAD)))
 
 
 def _assemble_face_flux(disc, faces, traces, lam, t, tau):
@@ -717,8 +736,8 @@ def mdrk_step(disc, u, t, dt, start=None):
             state = state + tau * savg
         if alpha is not None:
             state = blending.scaling_limiter(disc, state)
-        # a failed stage-one check is reported at the step's start time
-        cons = validate_admissible(model, state, time=t + tau if k else t,
+        # a failed check is reported at the time the checked state lives at
+        cons = validate_admissible(model, state, time=t + tau,
                                    detail=f"after {('first', 'second')[k]} stage")
         stages.append((fnum.T, alpha, theta))
         ts = t + tau

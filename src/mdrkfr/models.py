@@ -4,10 +4,11 @@ All model functions are vectorised over variable-leading states, shape
 (nvar, ...), and return fluxes (nvar, ...) and constraint values (K, ...);
 the coordinate argument broadcasts against the trailing axes.  A speed
 keeps the shape its inputs give it, a scalar for linear advection, and a
-caller that needs every point broadcasts it.  Scalar models carry nvar = 1
-and no admissibility constraints; the gas-dynamics model has the usual two
-(density, then pressure, ordered so the second is concave once the first
-is positive).
+caller that needs every point broadcasts it.  speed_and_flux gives both,
+bit for bit; the gas model recovers v and p once for the two, behind
+flux's density guard.  Scalar models carry nvar = 1 and no admissibility
+constraints; the gas-dynamics model has the usual two (density, then
+pressure, ordered so the second is concave once the first is positive).
 """
 
 import numpy as np
@@ -39,6 +40,10 @@ class EquationModel:
     def speed(self, u, x):
         """Bound on the wave speed (spectral radius of the flux Jacobian)."""
         raise NotImplementedError
+
+    def speed_and_flux(self, u, x):
+        """(speed(u, x), flux(u, x)), for callers that need both."""
+        return self.speed(u, x), self.flux(u, x)
 
     def constraints(self, u):
         """Values of the admissibility constraints, shape (K, ...)."""
@@ -116,7 +121,8 @@ class Euler(EquationModel):
         # a float64 scalar's ** 2 calls pow, which can round unlike an array's square
         return (self.gamma - 1.0) * (u[2] - 0.5 * (u[1] * u[1]) / u[0])
 
-    def flux(self, u, x):
+    def _flux(self, u):
+        """The flux and the velocity and pressure it was built from."""
         rho = u[0]
         # NaN fails the first test (the minimum is NaN), +inf the second
         if rho.size and not (rho.min() > 0.0 and rho.max() < np.inf):
@@ -129,11 +135,18 @@ class Euler(EquationModel):
         out[0] = u[1]
         np.add(p, u[1] * v, out=out[1, ...])
         np.multiply(u[2] + p, v, out=out[2, ...])
-        return out
+        return out, v, p
+
+    def flux(self, u, x):
+        return self._flux(u)[0]
 
     def speed(self, u, x):
         rho, v, p = self.primitive(u)
         return np.abs(v) + np.sqrt(self.gamma * p / rho)
+
+    def speed_and_flux(self, u, x):
+        out, v, p = self._flux(u)
+        return np.abs(v) + np.sqrt(self.gamma * p / u[0]), out
 
     def constraints(self, u):
         out = np.empty((2,) + u.shape[1:], dtype=u.dtype)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,59 @@ def test_subcell_widths_match_weights():
     assert np.allclose(geo.h.reshape(8, 4), w[None, :] * disc.dx[:, None])
     assert np.all(np.diff(geo.subfaces) > 0)
     assert geo.subfaces[0] == 0.0 and geo.subfaces[-1] == pytest.approx(1.0)
+
+
+def sign_minmod3(a, b, c):
+    # the sign-and-magnitude form minmod3 once had, kept as the reference
+    sa = np.sign(a)
+    agree = (sa == np.sign(b)) & (sa == np.sign(c))
+    mag = np.minimum(np.abs(a), np.minimum(np.abs(b), np.abs(c)))
+    return np.where(agree, sa * mag, 0.0)
+
+
+def test_minmod_equals_sign_form_bit_for_bit():
+    values = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf]
+    a, b, c = np.array(list(itertools.product(values, repeat=3))).T
+    assert same_bits(blending.minmod3(a, b, c), sign_minmod3(a, b, c))
+    assert np.isnan(blending.minmod3(np.array([1.0]), np.array([np.nan]), np.array([2.0]))).all()
+
+
+def reference_mh_fluxes(disc, u, tau):
+    # the MUSCL-Hancock pass with the sign-form minmod, the subcell widths
+    # and gap sums formed on every call, and both fallbacks applied whether
+    # or not a trace needs them; also returns the evolved-trace mask
+    model, b = disc.model, disc.boundary
+    uf = u.reshape(u.shape[0], -1)
+    up = np.take(uf, b.subcells, axis=1)
+    up[:, 0] *= b.state_sign
+    up[:, -1] *= b.state_sign
+    gap_l, gap_r, _ = b.sub_gaps
+    slopes = np.zeros_like(up)
+    slopes[:, 1:-1] = sign_minmod3((uf - up[:, :-2]) / gap_l,
+                                   (up[:, 2:] - up[:, :-2]) / (gap_l + gap_r),
+                                   (up[:, 2:] - uf) / gap_r)
+    offsets = b.sub_offsets
+    traces = up[:, None] + slopes[:, None] * offsets
+    slopes = np.where((model.constraints(traces) > 0.0).all(axis=(0, 1)), slopes, 0.0)
+    traces = up[:, None] + slopes[:, None] * offsets
+    f = model.flux(traces, b.sub_face_x)
+    dflux = (f[:, 1] - f[:, 0]) / (offsets[1] - offsets[0])
+    evolved = traces - (0.5 * tau * dflux)[:, None]
+    ok = (model.constraints(evolved) > 0.0).all(axis=(0, 1))
+    evolved = np.where(ok, evolved, up[:, None])
+    return blending._subface_rusanov(model, evolved, disc.subcells.padded_faces), ok
+
+
+@pytest.mark.parametrize("tau, fallbacks", [(0.05, 0), (0.1, 1)])
+def test_mh_evolved_trace_fallback_matches_reference(tau, fallbacks):
+    # a quadratic velocity stretches the last element hardest: over 0.1
+    # exactly one subcell's evolved traces leave the admissible set
+    disc = euler_disc(limiter="mh", boundary="transmissive")
+    shape = disc.xn.shape
+    u = disc.model.conserved(np.ones(shape), 4.0 * disc.xn * disc.xn, np.ones(shape))
+    expected, ok = reference_mh_fluxes(disc, u, tau)
+    assert (~ok).sum() == fallbacks
+    assert same_bits(blending.low_order_subface_fluxes(disc, u, tau, True), expected)
 
 
 def test_minmod_properties():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -294,6 +295,81 @@ def test_ea_fallback_face():
     assert not np.allclose(faces2[:, 0, 1], ae2[:, 0, 1], rtol=0.0, atol=1e-12)
 
 
+def _per_shift_face_pieces(model, state, u1, ops, xf):
+    # one stage's face flux, increment and fallback mask as once built: the
+    # five stencil states checked, then one flux call per shift
+    ua, u1a = core.face_values_ae(state, ops), core.face_values_ae(u1, ops)
+    shifted = [ua, ua + u1a, ua - u1a, ua + 2.0 * u1a, ua - 2.0 * u1a]
+    bad = ~np.logical_and.reduce([np.isfinite(v).all(axis=0) & (v[0] > 0.0) for v in shifted])
+    ua = np.where(bad, np.stack([state[..., 0], state[..., -1]], axis=1), ua)
+    u1a = np.where(bad, 0.0, u1a)
+    f1 = core.flux_time_derivative(lambda v, k: model.flux(v, xf), ua, u1a)
+    return model.flux(ua, xf), f1, bad
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_ea_face_stencil_equals_per_shift_reference():
+    # the fallback state of test_ea_fallback_face, then a stage-two state
+    # evaluable at every face: both stages' face values, bit for bit the
+    # per-shift construction combined by the written-out stage formulas
+    disc = make_disc(ncells=4, model=models.Euler())
+    model, ops, xf = disc.model, disc.ops, disc.xf
+    rho = np.ones((4, 4))
+    rho[1] = [1.0, 1.0, 1.0, 0.05]
+    u = model.conserved(rho, 0.5 + 0.2 * np.sin(2 * np.pi * disc.xn), np.ones_like(rho))
+    ustar = model.conserved(1.0 + 0.1 * disc.xn, np.full((4, 4), -0.3), 1.0 + disc.xn ** 2)
+    dt, pieces = 1e-3, []
+    favg1, _, _ = core.time_average(model, u, pieces, disc.xn, disc.dxn, dt, ops)
+    faces1 = core.face_values_ea(model, u, pieces, ops, xf, favg1)
+    f, f1, bad1 = _per_shift_face_pieces(model, u, pieces[0]["u1"], ops, xf)
+    assert bad1.sum() == 1
+    assert _same_bits(faces1, np.where(bad1, core.face_values_ae(favg1, ops), f + f1 / 4.0))
+    for name, value in (("face_f", f), ("face_f1", f1), ("face_bad", bad1)):
+        assert _same_bits(pieces[0][name], value), name
+
+    favg2, _, _ = core.time_average(model, ustar, pieces, disc.xn, disc.dxn, dt, ops)
+    faces2 = core.face_values_ea(model, ustar, pieces, ops, xf, favg2)
+    _, fs1, bad2 = _per_shift_face_pieces(model, ustar, pieces[1]["u1"], ops, xf)
+    assert not bad2.any() and "face_f" not in pieces[1]
+    expected = np.where(bad1 | bad2, core.face_values_ae(favg2, ops), f + (f1 + 2.0 * fs1) / 6.0)
+    assert _same_bits(faces2, expected)
+    assert _same_bits(pieces[1]["face_f1"], fs1)
+
+
+def test_imposed_fluxes_are_per_face_per_time_sums():
+    # one flux call over both imposed faces and the three sample times,
+    # bit for bit the per-face sums from zero of w f(bc_state(x, t)); the
+    # baseline's flux at t
+    exact = lambda x, t: models.exact_solution("varadv_x2", x, t)
+    m = models.VariableAdvection(models.varadv_x2_speed)
+    cfg = core.RunConfig(boundary="dirichlet", final_time=1.0)
+    t, tau = 0.3, 0.05
+    # a one-variable state may come back as a (1,) array or a number
+    for bc, stage_tau in itertools.product((exact, lambda x, t: float(exact(x, t)[0])),
+                                           (tau, None)):
+        disc = core.make_discretization(core.make_grid(0.1, 1.0, 8), m, cfg, bc_state=bc)
+        fnum = np.zeros((1, 9))
+        core._impose_fluxes(disc, fnum, t, stage_tau)
+        for i in (0, 8):
+            x = disc.grid.faces[i]
+            if stage_tau is None:
+                expected = m.flux(np.asarray(exact(x, t), dtype=float), x)
+            else:
+                expected = sum(w * m.flux(np.asarray(exact(x, t + tau * th), dtype=float), x)
+                               for th, w in core._STAGE_QUAD)
+            assert _same_bits(fnum[:, i], expected)
+        assert (fnum[:, 1:-1] == 0.0).all()
+    # the imposed gas state is built once per face, and no caller can write it
+    case = harness.build_case("titarev_toro")
+    state = case.bc_state(-5.0, 0.3)
+    assert state is case.bc_state(-5.0, 1.7) and not state.flags.writeable
+    assert _same_bits(state, case.initial(-5.0))
+
+
 def test_numerical_flux_consistency():
     f = np.array([[1.0]])
     out = core.numerical_flux(f, f, np.array([[2.0]]), np.array([[2.0]]),
@@ -376,11 +452,14 @@ def test_boundary_ghosts(kind):
     geo = disc.subcells
     ns = len(geo.x)
     assert b.subcells.tolist() == [ns - 1 if wraps else 0, *range(ns), 0 if wraps else ns - 1]
-    assert (b.sub_x[1:-1] == geo.x).all()
+    offsets = np.stack([geo.dl, geo.dr])
+    assert (b.sub_offsets[:, 1:-1] == offsets).all()
+    assert (b.sub_face_x[:, 1:-1] == geo.x + offsets).all()
     faces = disc.grid.faces
-    assert b.sub_x[0] + b.sub_dr[0] == pytest.approx(faces[0], abs=1e-15)
-    assert b.sub_x[-1] + b.sub_dl[-1] == pytest.approx(faces[-1], abs=1e-15)
-    widths = b.sub_dr - b.sub_dl
+    # the ghosts' node positions plus their inner offsets
+    assert b.sub_face_x[1, 0] == pytest.approx(faces[0], abs=1e-15)
+    assert b.sub_face_x[0, -1] == pytest.approx(faces[-1], abs=1e-15)
+    widths = b.sub_width
     assert widths[0] == pytest.approx(geo.h[-1] if wraps else geo.h[0], rel=1e-14)
     assert widths[-1] == pytest.approx(geo.h[0] if wraps else geo.h[-1], rel=1e-14)
 
@@ -662,6 +741,53 @@ def test_constraints_evaluated_at_most_12_times_per_step(monkeypatch):
                 dt *= 0.5
         u, t = unew, t + dt
     assert len(calls) <= 11 * attempts
+
+
+def test_flux_evaluated_at_most_13_times_per_step(monkeypatch):
+    # one flux call on the subcell traces (their Rusanov fluxes take
+    # speed_and_flux), then per stage the nodal flux, its four shifts and
+    # one call on the stacked face stencil
+    calls = []
+    evaluate = models.Euler.flux
+
+    def counted(self, u, x):
+        calls.append(u.shape)
+        return evaluate(self, u, x)
+
+    monkeypatch.setattr(models.Euler, "flux", counted)
+    _, disc, fld = harness.make_run("blast", cells=100)
+    u, t, attempts = fld.data, 0.0, 0
+    for _ in range(20):
+        dt = core.compute_dt(disc, u, t)
+        while True:
+            attempts += 1
+            try:
+                unew, _ = core.mdrk_step(disc, u, t, dt)
+                break
+            except StencilStateError:
+                dt *= 0.5
+        u, t = unew, t + dt
+    assert len(calls) <= 13 * attempts
+
+
+class _PositiveAdvection(models.LinearAdvection):
+    # linear advection with one admissibility constraint, u > 0
+    constraint_names = ("u",)
+
+    def constraints(self, u):
+        return u.copy()
+
+
+def test_stage_one_failure_is_reported_at_its_state_time():
+    # a negative node survives a tiny first stage; the checked state lives
+    # at t + dt/2
+    disc = make_disc(ncells=8, model=_PositiveAdvection(1.0))
+    u = np.ones((8, 4, 1))
+    u[3, 2, 0] = -0.5
+    t, dt = 0.25, 1e-4
+    with pytest.raises(AdmissibilityError, match="after first stage") as err:
+        core.mdrk_step(disc, u, t, dt)
+    assert err.value.time == t + dt / 2
 
 
 def _halving_state(**overrides):

@@ -308,6 +308,15 @@ def test_out_of_range_setting_is_refused(key, value):
         harness.run_case("blast", cfg, cells=20)
 
 
+@pytest.mark.parametrize("key, value", [("degree", 2.5), ("degree", True),
+                                        ("snapshot_every", 1.5), ("snapshot_every", True)])
+def test_non_integer_count_is_refused(key, value):
+    # a fractional degree used to pass validate and fail inside operators,
+    # and a fractional snapshot_every to set the cadence through steps % 1.5
+    with pytest.raises(ConfigurationError, match=key):
+        core.RunConfig(cfl=0.1, **{key: value}).validate()
+
+
 def test_range_ends_are_accepted():
     core.RunConfig(alpha_max=0.0, snapshot_every=0, alpha_min=0.0).validate()
     core.RunConfig(alpha_max=1.0, cfl=0.05).validate()

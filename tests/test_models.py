@@ -38,6 +38,8 @@ def test_euler_flux_requires_positive_density(rho):
     u[0] = rho
     with pytest.raises(StencilStateError):
         Euler().flux(u, 0.0)
+    with pytest.raises(StencilStateError):
+        Euler().speed_and_flux(u, 0.0)
 
 
 def test_euler_flux_guard_reports_minimum_or_nan():
@@ -113,6 +115,26 @@ def test_euler_methods_on_variable_leading_states_equal_nodewise(states, x):
         assert whole.shape[-2:] == u.shape[1:], name
         for e, q in nodes:
             assert _bitwise_equal(whole[..., e, q], fn(u[:, e, q])), (name, e, q)
+
+
+@settings(max_examples=50, deadline=None)
+@given(states=st.lists(st.tuples(positive_floats, finite_floats, positive_floats),
+                       min_size=1, max_size=12),
+       x=st.floats(-1.0, 1.0))
+def test_euler_speed_and_flux_equal_separate_calls(states, x):
+    m = Euler()
+    u = euler_state(*np.array(states).T)
+    for w in (u, u.reshape(3, 1, -1), u[:, 0]):
+        speed, flux = m.speed_and_flux(w, x)
+        assert _bitwise_equal(speed, m.speed(w, x)) and _bitwise_equal(flux, m.flux(w, x))
+
+
+def test_scalar_speed_and_flux_equal_separate_calls():
+    rng = np.random.default_rng(3)
+    u, x = rng.normal(size=(1, 5, 4)), rng.uniform(0.1, 1.0, (5, 4))
+    for m in (LinearAdvection(-2.0), VariableAdvection(varadv_x2_speed), Burgers()):
+        speed, flux = m.speed_and_flux(u, x)
+        assert np.array_equal(speed, m.speed(u, x)) and _bitwise_equal(flux, m.flux(u, x))
 
 
 @pytest.mark.parametrize("ufunc", [np.logical_and, np.minimum, np.maximum])

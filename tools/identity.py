@@ -21,7 +21,11 @@ short runs:
 - 30 steps of blast at 400 cells in its default configuration, the
   benchmark's middle mesh;
 - direct low_order_subface_fluxes calls on random gas states, with and
-  without slopes, under three boundary kinds;
+  without slopes, under three boundary kinds, and MUSCL-Hancock calls on
+  smooth gas states over intervals long enough that about half of them
+  fall back to the node values at some evolved traces;
+- direct time_average and face_values_ea calls of both stages on seeded
+  gas states with a forced fallback face;
 - direct blend_and_limit_face_flux and scaling_limiter calls on seeded
   gas states built so that no constraint, density only, pressure only,
   or both need limiting (the last with both acting on one face or
@@ -37,7 +41,7 @@ The matrix runs step themselves: every step takes the compute_dt step
 and halves it on StencilStateError, as harness.run_case does.  Compared:
 each accepted step's state, dt and StepDiagnostics fields (fnum, alpha,
 theta, minimum constraints), each run's retry count and abort message,
-each direct call's outputs (fluxes, thetas, states), each run_case
+each direct call's outputs (fluxes, thetas, states, fallback masks), each run_case
 result's steps, retries, retry_reasons, min_constraints, theta_min and
 final field, and the exit code, output (without the wall time) and every
 file of the CLI run, byte for byte.  Arrays compare with np.array_equal
@@ -229,6 +233,80 @@ def direct_subface_calls(ncalls=240, seed=7):
     return records
 
 
+def direct_mh_fallback_calls(ncalls=48, seed=17):
+    """MUSCL-Hancock low_order_subface_fluxes on smooth gas states over long
+    intervals, where about half the calls evolve some traces out of the
+    admissible set and fall back to the node values there; every other
+    call stacks two intervals."""
+    from mdrkfr import blending, errors
+
+    layout = _Layout()
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(ncalls):
+        kind = BOUNDARIES[i % 3]
+        disc = _gas_disc(kind, "mh")
+        x = disc.xn
+        rho = 10.0 ** rng.uniform(-1.0, 1.0) * np.exp(rng.normal() * x)
+        p = 10.0 ** rng.uniform(-1.0, 1.0) * np.exp(rng.normal() * x)
+        c = np.sqrt(1.4 * p / rho).max()
+        v = c * (rng.normal() + rng.normal() * x + 3.0 * rng.normal() * x * x)
+        u = layout.solver(layout.record(disc.model.conserved(rho, v, p)))
+        speed = float(np.max(disc.model.speed(u, x)))
+        tau = 10.0 ** rng.uniform(1.0, 2.0) * float(np.min(disc.subcells.h)) / speed
+        if i % 2:
+            tau = np.array([0.5, 1.0]) * tau
+        try:
+            value = layout.record(blending.low_order_subface_fluxes(disc, u, tau, True))
+        except errors.SolverAbort as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        records.append((f"direct/mh-fallback/{i}/{kind}", value))
+    return records
+
+
+def direct_face_calls(ncalls=48, seed=13):
+    """time_average and face_values_ea of both stages on seeded gas states.
+
+    Each stage starts from its own state, random around one density and
+    one pressure level.  In stage one, one element's last node holds a
+    fiftieth of its other nodes' least density, so that element's
+    right-face trace extrapolates below zero and the face falls back; the
+    stage-two faces fall back where stage one's did.  Recorded: both
+    stages' face fluxes and fallback masks.
+    """
+    from mdrkfr import core, errors
+
+    layout = _Layout()
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(ncalls):
+        kind = BOUNDARIES[i % 3]
+        disc = _gas_disc(kind, "none")
+        model, ops, shape = disc.model, disc.ops, disc.xn.shape
+        states = []
+        for _ in range(2):
+            rho = 10.0 ** rng.uniform(-1.0, 1.0) * rng.uniform(0.5, 1.5, shape)
+            p = 10.0 ** rng.uniform(-1.0, 1.0) * rng.uniform(0.5, 1.5, shape)
+            states.append([rho, rng.normal(size=shape), p])
+        e = rng.integers(shape[0])
+        states[0][0][e, -1] = 0.02 * states[0][0][e, :-1].min()
+        states = [layout.solver(layout.record(model.conserved(*q))) for q in states]
+        speed = float(np.max(model.speed(states[0], disc.xn)))
+        dt = 10.0 ** rng.uniform(-4.0, -2.0) * float(np.min(disc.dx)) / speed
+        pieces, value = [], []
+        try:
+            for state in states:
+                favg, _, _ = core.time_average(model, state, pieces, disc.xn, disc.dxn, dt, ops)
+                value.append(layout.record(core.face_values_ea(model, state, pieces, ops,
+                                                               disc.xf, favg)))
+                value.append(pieces[-1]["face_bad"])
+            value = tuple(value)
+        except errors.SolverAbort as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        records.append((f"direct/ea-faces/{i}/{kind}", value))
+    return records
+
+
 def _gas_disc(kind, limiter, ncells=6):
     from mdrkfr import core, models
 
@@ -366,7 +444,8 @@ def worker(tree, path):
     with open(path, "wb") as fh:
         for key, case, cells, scheme, overrides, steps in matrix():
             pickle.dump((key, run_one(case, cells, scheme, overrides, steps)), fh)
-        for record in (direct_subface_calls() + direct_limiter_calls()
+        for record in (direct_subface_calls() + direct_mh_fallback_calls()
+                       + direct_face_calls() + direct_limiter_calls()
                        + run_case_records() + cli_record()):
             pickle.dump(record, fh)
 
