@@ -127,8 +127,9 @@ def _subface_rusanov(model, traces, x):
     x = x.reshape(x.shape[:1] + (1,) * (traces.ndim - 3) + x.shape[1:])
     s, f = model.speed_and_flux(traces, x)
     s = np.broadcast_to(s, traces.shape[1:])
+    s = np.maximum(s[1, ..., :-1], s[0, ..., 1:])  # the speeds die here
     return numerical_flux(f[:, 1, ..., :-1], f[:, 0, ..., 1:], traces[:, 1, ..., :-1],
-                          traces[:, 0, ..., 1:], np.maximum(s[1, ..., :-1], s[0, ..., 1:]))
+                          traces[:, 0, ..., 1:], s)
 
 
 def low_order_subface_fluxes(disc, u, tau, use_slopes):
@@ -155,14 +156,15 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
 
     slopes = np.zeros_like(up)
     if use_slopes:
-        d_left = (uf - up[:, :-2]) / b.sub_gaps[0]
-        d_right = (up[:, 2:] - uf) / b.sub_gaps[1]
-        d_mid = (up[:, 2:] - up[:, :-2]) / b.sub_gaps[2]
-        slopes[:, 1:-1] = minmod3(d_left, d_mid, d_right)
-    traces = up[:, None] + slopes[:, None] * b.sub_offsets
+        slopes[:, 1:-1] = minmod3((uf - up[:, :-2]) / b.sub_gaps[0],
+                                  (up[:, 2:] - up[:, :-2]) / b.sub_gaps[2],
+                                  (up[:, 2:] - uf) / b.sub_gaps[1])
+    traces = slopes[:, None] * b.sub_offsets
+    traces += up[:, None]
     if use_slopes and not (ok := _admissible(model, traces)).all():
         slopes = np.where(ok, slopes, 0.0)
-        traces = up[:, None] + slopes[:, None] * b.sub_offsets
+        traces = slopes[:, None] * b.sub_offsets
+        traces += up[:, None]
 
     faces = disc.subcells.padded_faces
     lead = (slice(None),) + (None,) * np.ndim(tau)
@@ -171,9 +173,11 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
         return np.broadcast_to(flux[lead], flux.shape[:1] + np.shape(tau) + flux.shape[1:])
 
     f = model.flux(traces, b.sub_face_x)
-    dflux = (f[:, 1] - f[:, 0]) / b.sub_width
+    dflux = f[:, 1] - f[:, 0]
+    dflux /= b.sub_width
     step = (0.5 * np.asarray(tau))[..., None] * dflux[lead]
     evolved = traces[(slice(None),) + lead] - step[:, None]
+    del f, dflux, step, traces, slopes  # the pass peaks here; only evolved and up are read
     # a slope zeroed after prediction leaves both traces unevolved at the
     # node value
     if not (ok := _admissible(model, evolved)).all():
@@ -201,7 +205,8 @@ def blended_update(high, low, alpha):
     if not ((alpha >= 0.0) & (alpha <= 1.0)).all():
         raise ValueError(f"blending coefficient outside [0, 1]: {alpha}")
     a = np.repeat(alpha, high.shape[-1]).reshape(high.shape[1:])
-    return (1.0 - a) * high + a * low
+    out = high * (1.0 - a)
+    return np.add(out, low * a, out=out)
 
 
 # ----------------------------------------------------------------------

@@ -355,8 +355,13 @@ def combine(row, pieces, name):
             value = v if value is None else value + v
         if n:
             v = p[name + "1"] if n == 1.0 else n * p[name + "1"]
-            increment = v if increment is None else increment + v
-    return value + increment / row.denominator
+            increment = v if increment is None else np.add(
+                v, increment, out=None if v is p[name + "1"] else v)
+    # a lone unit increment is a piece itself (a step has two), not to be written into
+    fresh = increment is not pieces[0][name + "1"] and increment is not pieces[-1][name + "1"]
+    out = np.divide(increment, row.denominator, out=increment if fresh else None)
+    out += value
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -389,9 +394,10 @@ def apply_d(d_matrix, q):
 
 def local_solution_derivative(u, f, dx, dt, d_matrix, s=None):
     """u1 = -(dt/dx) D f (+ dt s), dx at the nodes (Discretization.dxn)."""
-    u1 = -(dt / dx) * apply_d(d_matrix, f)
+    u1 = apply_d(d_matrix, f)
+    u1 *= -(dt / dx)
     if s is not None:
-        u1 = u1 + dt * s
+        u1 += dt * s
     return u1
 
 
@@ -401,16 +407,35 @@ def flux_time_derivative(eval_fn, u, u1):
     eval_fn(state, shift) evaluates the flux (or source) at the perturbed
     state; shift in {-2, -1, 1, 2} tells time-dependent integrands which
     sample time to use.  Exact whenever the composition is a polynomial of
-    degree <= 4 in the path parameter.
+    degree <= 4 in the path parameter.  The shifted states share one
+    scratch array, replaced when a value eval_fn returns may alias it.
     """
-    w = 2.0 * u1
-    return five_point(eval_fn(u + w, 2), eval_fn(u + u1, 1), eval_fn(u - u1, -1),
-                      eval_fn(u - w, -2))
+    w = u1 * 2.0
+    scratch = u + w
+    fp2 = eval_fn(scratch, 2)
+    scratch = np.add(u, u1, out=_spare(fp2, scratch))
+    fp1 = eval_fn(scratch, 1)
+    scratch = np.subtract(u, u1, out=_spare(fp1, scratch))
+    fm1 = eval_fn(scratch, -1)
+    scratch = np.subtract(u, w, out=_spare(fm1, scratch))
+    del w
+    fm2 = eval_fn(scratch, -2)
+    del scratch
+    return five_point(fp2, fp1, fm1, fm2)
+
+
+def _spare(value, scratch):
+    """scratch, or None when value is it or a view that may alias it."""
+    return None if value is scratch or getattr(value, "base", None) is not None else scratch
 
 
 def five_point(fp2, fp1, fm1, fm2):
     """The stencil combination of the values at shifts +2, +1, -1, -2."""
-    return (8.0 * fp1 - fp2 - 8.0 * fm1 + fm2) / 12.0
+    out = fp1 * 8.0
+    out -= fp2
+    out -= fm1 * 8.0
+    out += fm2
+    return np.divide(out, 12.0, out=out)
 
 
 def time_average(model, state, pieces, xn, dx, dt, ops, t=0.0):
@@ -483,7 +508,7 @@ def face_values_ea(model, state, pieces, ops, xf, favg):
     own = bool(row.weights[-1])
     f = model.flux(stencil[:, 1 - own:], xf)
     if own:
-        stage["face_f"] = f[:, 0]
+        stage["face_f"] = f[:, 0].copy()  # a view would keep all five alive
     fp1, fm1, fp2, fm2 = (f[:, k] for k in range(own, own + 4))
     stage["face_f1"] = five_point(fp2, fp1, fm1, fm2)
     stage["face_bad"] = bad
@@ -714,8 +739,12 @@ def mdrk_step(disc, u, t, dt, start=None):
     # u - (tau/dx) residual + tau source; unblended, alpha and theta are None
     pieces, state, ts, stages = [], u, t, []
     for k, (row, low) in enumerate(zip(STAGE_ROWS, lows)):
+        favg = uavg = ud = faces = traces = r_low = cons = None  # the last stage's die first
         tau = row.tau * dt
         favg, uavg, savg = time_average(model, state, pieces, disc.xn, disc.dxn, dt, ops, ts)
+        if k == len(STAGE_ROWS) - 1:  # the last nodal combination is made
+            for p in pieces:
+                p["f"] = p["f1"] = p["s"] = p["s1"] = None
         if cfg.face_scheme == "ea":
             faces, traces = face_values_ea(model, state, pieces, ops, disc.xf, favg), None
         else:
@@ -731,9 +760,10 @@ def mdrk_step(disc, u, t, dt, start=None):
         residual = fr_flux_derivative(favg, fnum[:, :-1], fnum[:, 1:], ops, traces)
         if alpha is not None:
             residual = blending.blended_update(residual, r_low, alpha)
-        state = u - (tau / disc.dxn) * residual
+        residual *= tau / disc.dxn
+        state = np.subtract(u, residual, out=residual)
         if savg is not None:
-            state = state + tau * savg
+            state += tau * savg
         if alpha is not None:
             state = blending.scaling_limiter(disc, state)
         # a failed check is reported at the time the checked state lives at

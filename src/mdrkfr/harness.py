@@ -8,7 +8,6 @@ problems for the admissibility-preserving runs.
 
 import configparser
 import hashlib
-import io
 import time as _time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -451,8 +450,8 @@ def load_config(path=None, text=None, overrides=(), base=None):
 
     The file uses one [run] section; --override key=value pairs win over
     the file, and both win over the base config (the dataclass defaults
-    when no base is given).  Returns (config, extras) where extras holds
-    non-RunConfig keys such as cells.
+    when no base is given).  Returns (config, extras), extras holding cells,
+    the one key not a RunConfig field; any other key, a misspelt one, is refused.
     """
     parser = configparser.ConfigParser()
     if text is not None:
@@ -477,13 +476,7 @@ def load_config(path=None, text=None, overrides=(), base=None):
             values[key] = _coerce(key, str(value).strip())
         else:
             extras[key] = str(value).strip()
+    if set(extras) - {"cells"}:
+        raise ConfigurationError(f"unknown configuration keys {sorted(set(extras) - {'cells'})}")
     cfg = replace(base, **values) if base is not None else core.RunConfig(**values)
     return cfg.validate(), extras
-
-
-def dump_config(config):
-    buf = io.StringIO()
-    buf.write("[run]\n")
-    for f in fields(config):
-        buf.write(f"{f.name} = {getattr(config, f.name)}\n")
-    return buf.getvalue()

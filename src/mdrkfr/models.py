@@ -117,9 +117,16 @@ class Euler(EquationModel):
         e = p / (self.gamma - 1.0) + 0.5 * rho * v * v
         return np.stack([rho, rho * v, e])
 
-    def pressure(self, u):
-        # a float64 scalar's ** 2 calls pow, which can round unlike an array's square
-        return (self.gamma - 1.0) * (u[2] - 0.5 * (u[1] * u[1]) / u[0])
+    def pressure(self, u, out=None):
+        """(gamma - 1) (E - m^2 / 2 rho), written into out when given."""
+        p = np.empty(np.shape(u[0]), dtype=np.result_type(u, 0.5)) if out is None else out
+        # u[1] * u[1]: a float64 scalar's ** 2 calls pow, which can round unlike an array's square
+        np.multiply(u[1], u[1], out=p)
+        p *= 0.5
+        p /= u[0]
+        np.subtract(u[2], p, out=p)
+        p *= self.gamma - 1.0
+        return p if p.ndim else p[()]
 
     def _flux(self, u):
         """The flux and the velocity and pressure it was built from."""
@@ -130,11 +137,16 @@ class Euler(EquationModel):
             raise StencilStateError("density", bad,
                                     detail="primitive recovery needs positive density")
         v = u[1] / rho
-        p = (self.gamma - 1.0) * (u[2] - 0.5 * u[1] * v)
+        p = u[1] * 0.5
+        p *= v
+        # a single state's p is a numpy scalar, which cannot be written into
+        p = np.subtract(u[2], p, out=p if p.ndim else None)
+        p *= self.gamma - 1.0
         out = np.empty((3,) + p.shape, dtype=p.dtype)
         out[0] = u[1]
-        np.add(p, u[1] * v, out=out[1, ...])
-        np.multiply(u[2] + p, v, out=out[2, ...])
+        # out[k, ...] is a view, for a single state too
+        np.add(np.multiply(u[1], v, out=out[1, ...]), p, out=out[1, ...])
+        np.multiply(np.add(u[2], p, out=out[2, ...]), v, out=out[2, ...])
         return out, v, p
 
     def flux(self, u, x):
@@ -146,16 +158,24 @@ class Euler(EquationModel):
 
     def speed_and_flux(self, u, x):
         out, v, p = self._flux(u)
-        return np.abs(v) + np.sqrt(self.gamma * p / u[0]), out
+        # v and p are _flux's own, and out holds neither; a single state's
+        # are numpy scalars, which an in-place operator only rebinds
+        p *= self.gamma
+        p /= u[0]
+        v = np.abs(v, out=v if v.ndim else None)
+        v += np.sqrt(p, out=p if p.ndim else None)
+        return v, out
 
     def constraints(self, u):
         out = np.empty((2,) + u.shape[1:], dtype=u.dtype)
         out[0] = u[0]
-        out[1] = self.pressure(u)
+        self.pressure(u, out[1, ...])
         return out
 
     def indicator_quantity(self, u):
-        return u[0] * self.pressure(u)
+        q = self.pressure(u)
+        q *= u[0]
+        return q
 
     # reflective walls are defined for this model only
     def reflect_state(self, u):
@@ -182,7 +202,11 @@ def fold(ufunc, a, axis=-1):
 
 def numerical_flux(f_minus, f_plus, diss_minus, diss_plus, lam):
     """Central average of the face fluxes plus jump penalty on the traces."""
-    return 0.5 * (f_minus + f_plus) - 0.5 * lam * (diss_plus - diss_minus)
+    out = f_minus + f_plus
+    out *= 0.5
+    jump = diss_plus - diss_minus
+    jump *= 0.5 * lam
+    return np.subtract(out, jump, out=out)
 
 
 def varadv_x2_speed(x):

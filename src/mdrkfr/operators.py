@@ -188,18 +188,6 @@ def _correction_left_derivative(ns, correction):
     return 2.0 * dg  # chain rule for the [0,1] -> [-1,1] map
 
 
-def correction_left_value(ns, correction, xi):
-    """g_L(xi) itself, mostly for verification against closed forms."""
-    m = ns.degree + 1
-    x = 2.0 * np.asarray(xi, dtype=float) - 1.0
-    if correction == "radau":
-        g, _ = _radau_right(m, x)
-        return g
-    gm, _ = _radau_right(m, x)
-    gm1, _ = _radau_right(m - 1, x)
-    return ((m - 1) * gm + m * gm1) / (2 * m - 1)
-
-
 def build_correction_derivatives(ns, correction):
     """Nodal derivative vectors (bL, bR) of the two correction polynomials.
 

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ def test_load_config_file_and_overrides():
     assert extras["cells"] == "123"
 
 
+@pytest.mark.parametrize("text, overrides, key", [
+    ("[run]\nlimitr = fo\ncells = 50\n", [], "limitr"),
+    ("[run]\ncells = 50\n", ["limter=fo"], "limter"),
+])
+def test_load_config_refuses_unknown_keys(text, overrides, key):
+    # a misspelt key used to be filed under extras and left the setting at
+    # its default; cells is the one extra anything reads
+    with pytest.raises(ConfigurationError, match=key):
+        harness.load_config(text=text, overrides=overrides)
+
+
 def test_load_config_bad_override():
     with pytest.raises(ConfigurationError):
         harness.load_config(text="[run]\n", overrides=["oops"])
@@ -165,16 +177,20 @@ def test_load_config_base_wins_when_untouched():
     assert cfg.cfl == pytest.approx(0.05)
 
 
+def dump_config(config):
+    """A [run] file that sets every RunConfig field of config."""
+    return "[run]\n" + "".join(f"{f.name} = {getattr(config, f.name)}\n"
+                                for f in fields(config))
+
+
 def test_dump_config_round_trip():
     cfg = core.RunConfig(limiter="mh", cfl=0.08)
-    text = harness.dump_config(cfg)
+    text = dump_config(cfg)
     cfg2, _ = harness.load_config(text=text)
     assert cfg2 == cfg
 
 
 def test_every_config_knob_is_settable():
-    from dataclasses import fields
-
     samples = {
         "degree": "3", "points": "gll", "correction": "g2",
         "dissipation": "d1", "face_scheme": "ae", "cfl": "0.05",
@@ -479,6 +495,17 @@ def test_cli_refuses_bad_mesh_and_unparsable_value(argv, key, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("configuration error:") and key in err
+
+
+@pytest.mark.parametrize("argv", [["--override", "limter=fo"], ["--config", "{tmp}/typo.cfg"]])
+def test_cli_refuses_unknown_configuration_keys(argv, tmp_path, capsys):
+    # both used to exit 0 after a run with the default mh limiter
+    (tmp_path / "typo.cfg").write_text("[run]\nlimitr = fo\n")
+    argv = ["run", "--case", "blast", "--cells", "50", "--final-time", "0.001", *argv]
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error:")
+    assert ("limter" if "--override" in argv else "limitr") in err
 
 
 def test_cli_numbered_snapshots(tmp_path, capsys, monkeypatch):

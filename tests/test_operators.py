@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from mdrkfr.errors import ConfigurationError
-from mdrkfr.operators import (build_correction_derivatives, build_d1,
+from mdrkfr.operators import (_radau_right, build_correction_derivatives, build_d1,
                               build_diff_matrix, build_face_vandermonde,
-                              build_nodeset, correction_left_value,
-                              gauss_legendre, make_operators)
+                              build_nodeset, gauss_legendre, make_operators)
 
 
 @pytest.fixture(params=["gl", "gll"])
@@ -113,6 +112,18 @@ def test_correction_reflection_symmetry(kind, correction):
     ns = build_nodeset(3, kind)
     bl, br = build_correction_derivatives(ns, correction)
     assert np.allclose(br, -bl[::-1], atol=1e-12)
+
+
+def correction_left_value(ns, correction, xi):
+    """g_L(xi) itself, for verification against closed forms."""
+    m = ns.degree + 1
+    x = 2.0 * np.asarray(xi, dtype=float) - 1.0
+    if correction == "radau":
+        g, _ = _radau_right(m, x)
+        return g
+    gm, _ = _radau_right(m, x)
+    gm1, _ = _radau_right(m - 1, x)
+    return ((m - 1) * gm + m * gm1) / (2 * m - 1)
 
 
 def test_radau_midpoint_value():

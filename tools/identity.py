@@ -30,6 +30,11 @@ short runs:
   gas states built so that no constraint, density only, pressure only,
   or both need limiting (the last with both acting on one face or
   element), so the limiters' rare branches are compared too;
+- the gas step's per-cell kernels (the Euler methods, numerical_flux,
+  five_point, flux_time_derivative, local_solution_derivative, combine,
+  blended_update and the subcell fluxes) called directly on states with
+  signed-zero and subnormal momenta, densities near 1e-300 and
+  magnitudes near 1e150, where a regrouped formula changes bits;
 - harness.run_case itself on a few short runs (smooth, baseline and gas),
   on every gas case under gll/g2/ae/fo (each halves often, and the
   boundary kinds are reflective, dirichlet and transmissive) and on
@@ -307,6 +312,93 @@ def direct_face_calls(ncalls=48, seed=13):
     return records
 
 
+# the families of extreme states the kernel calls draw from, per node
+EXTREMES = ("signed-zero", "subnormal", "tiny-density", "huge")
+
+
+def _extreme_gas(rng, shape):
+    """Variable-leading gas states (3,) + shape, each node from a random
+    family of EXTREMES: momenta +-0; subnormal momenta; densities near
+    1e-300 with momenta whose products m v can be subnormal; magnitudes
+    near 1e150 with m v = m^2 / rho around the largest float, where one
+    grouping of a product overflows and another does not."""
+    rho = 10.0 ** rng.uniform(-1.0, 1.0, shape)
+    m = rng.normal(size=shape)
+    e = 0.5 * m * m / rho + 10.0 ** rng.uniform(-1.0, 1.0, shape)
+    family = rng.integers(len(EXTREMES), size=shape)
+    zero, sub, tiny, huge = (family == k for k in range(len(EXTREMES)))
+    m[zero] = np.copysign(0.0, rng.normal(size=shape))[zero]
+    m[sub] *= 1e-310
+    rho[tiny] = 10.0 ** rng.uniform(-308.0, -290.0, shape)[tiny]
+    m[tiny] = (rho * 10.0 ** rng.uniform(-20.0, 0.0, shape) * rng.normal(size=shape))[tiny]
+    e[tiny] = (rho * 10.0 ** rng.uniform(-1.0, 1.0, shape))[tiny]
+    m[huge] *= 10.0 ** rng.uniform(145.0, 155.0, shape)[huge]
+    # m^2 / rho from 10^307 to 10^308.8, past the largest float 1.8e308
+    rho[huge] = (m / 10.0 ** rng.uniform(307.6, 308.2, shape) * m
+                 * 10.0 ** rng.uniform(-0.6, 0.0, shape))[huge]
+    e[huge] = 10.0 ** rng.uniform(300.0, 308.0, shape)[huge]
+    return np.stack([rho, m, e])
+
+
+def direct_kernel_calls(ncalls=24, seed=19):
+    """The per-cell kernels of the gas step called directly on extreme states.
+
+    Regrouping a formula, say 0.5 * (m * v) for (0.5 * m) * v, changes
+    bits on subnormal momenta and where a product overflows, which states
+    of the catalogue never reach.  Each call records: every Euler method
+    on the states and on one (3,) state, numerical_flux, five_point,
+    flux_time_derivative of the flux, local_solution_derivative, both
+    stage rows of combine, blended_update and low_order_subface_fluxes in
+    both modes; an abort records its message.
+    """
+    from mdrkfr import blending, core, errors, models
+
+    layout = _Layout()
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(ncalls):
+        kind = BOUNDARIES[i % 3]
+        disc = _gas_disc(kind, "mh")
+        model, shape, x = disc.model, disc.xn.shape, disc.xn
+        u, ub, v1 = (_extreme_gas(rng, shape) for _ in range(3))
+        # an increment that keeps every shifted density positive
+        u1 = u * rng.uniform(-0.4, 0.4, u.shape)
+        calls = {
+            "flux": lambda: model.flux(u, x),
+            "speed_and_flux": lambda: model.speed_and_flux(u, x),
+            "pressure": lambda: model.pressure(u),
+            "constraints": lambda: model.constraints(u),
+            "indicator_quantity": lambda: model.indicator_quantity(u),
+            "one-state": lambda: (model.flux(u[:, 0, 0], 0.0), model.speed_and_flux(
+                u[:, 0, 0], 0.0), model.pressure(u[:, 0, 0]), model.constraints(u[:, 0, 0]),
+                model.indicator_quantity(u[:, 0, 0])),
+            "numerical_flux": lambda: models.numerical_flux(
+                ub, u1, u, v1, 10.0 ** rng.uniform(-3.0, 160.0, shape)),
+            "five_point": lambda: core.five_point(u, ub, u1, v1),
+            "flux_time_derivative": lambda: core.flux_time_derivative(
+                lambda w, k: model.flux(w, x), u, u1),
+            "local_solution_derivative": lambda: core.local_solution_derivative(
+                u, ub, disc.dxn, 10.0 ** rng.uniform(-6.0, 0.0), disc.ops.D, v1),
+            "combine": lambda: tuple(
+                core.combine(row, [{"f": u, "f1": ub}, {"f": u1, "f1": v1}][:k + 1], "f")
+                for k, row in enumerate(core.STAGE_ROWS)),
+            "blended_update": lambda: blending.blended_update(u, ub, rng.uniform(0.0, 1.0,
+                                                                                   shape[0])),
+            "subface-fo": lambda: layout.record(blending.low_order_subface_fluxes(
+                disc, layout.solver(np.moveaxis(u, 0, -1)), 1e-3, False)),
+            "subface-mh": lambda: layout.record(blending.low_order_subface_fluxes(
+                disc, layout.solver(np.moveaxis(u, 0, -1)), np.array([5e-4, 1e-3]), True)),
+        }
+        for name, call in calls.items():
+            with np.errstate(all="ignore"):
+                try:
+                    value = call()
+                except errors.SolverAbort as exc:
+                    value = f"{type(exc).__name__}: {exc}"
+            records.append((f"direct/kernel/{i}/{kind}/{name}", value))
+    return records
+
+
 def _gas_disc(kind, limiter, ncells=6):
     from mdrkfr import core, models
 
@@ -445,7 +537,7 @@ def worker(tree, path):
         for key, case, cells, scheme, overrides, steps in matrix():
             pickle.dump((key, run_one(case, cells, scheme, overrides, steps)), fh)
         for record in (direct_subface_calls() + direct_mh_fallback_calls()
-                       + direct_face_calls() + direct_limiter_calls()
+                       + direct_face_calls() + direct_limiter_calls() + direct_kernel_calls()
                        + run_case_records() + cli_record()):
             pickle.dump(record, fh)
 
