@@ -54,20 +54,20 @@ def _meshes(args, case):
     return harness.check_meshes(case, [_cell_count("meshes", m) for m in args.meshes.split(",")])
 
 
-def _write_limiter_rows(writer, step, t, model, diag):
-    """Sparse stage-two limiter activity: element alphas and face thetas.
+def _write_limiter_rows(writer, step, t, model, stage):
+    """Sparse limiter activity of one StageRecord: element alphas and face thetas.
 
     Only elements with a nonzero blending coefficient and faces whose
     flux was actually pulled toward the subcell flux produce rows.
     """
-    for e in np.nonzero(diag.alpha2 > 0.0)[0]:
+    for e in np.nonzero(stage.alpha > 0.0)[0]:
         writer.writerow([step, f"{t:.9e}", "alpha", int(e),
-                         f"{float(diag.alpha2[e]):.6e}"])
-    if diag.theta2 is not None and diag.theta2.size:
+                         f"{float(stage.alpha[e]):.6e}"])
+    if stage.theta is not None and stage.theta.size:
         for k, name in enumerate(model.constraint_names):
-            for f in np.nonzero(diag.theta2[:, k] < 1.0)[0]:
+            for f in np.nonzero(stage.theta[:, k] < 1.0)[0]:
                 writer.writerow([step, f"{t:.9e}", f"theta_{name}", int(f),
-                                 f"{float(diag.theta2[f, k]):.6e}"])
+                                 f"{float(stage.theta[f, k]):.6e}"])
 
 
 def _write_numbered_snapshot(path, res):
@@ -91,9 +91,9 @@ def _cmd_run(args):
             writer.writerow(["step", "t", "kind", "id", "value"])
 
         def on_step(result, before, diag):
-            if writer is not None and diag.alpha2 is not None:
+            if writer is not None and diag.stages and diag.stages[-1].alpha is not None:
                 _write_limiter_rows(writer, result.steps - 1, before.time,
-                                    result.disc.model, diag)
+                                    result.disc.model, diag.stages[-1])
             if snapshots and result.steps % cfg.snapshot_every == 0:
                 _write_numbered_snapshot(args.output, result)
 

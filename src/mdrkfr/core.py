@@ -686,19 +686,29 @@ def compute_dt(disc, u, t, start=None):
 # the two-stage update
 
 
+StageRecord = namedtuple("StageRecord", "fnum alpha theta face_bad")
+
+
 @dataclass
 class StepDiagnostics:
-    """Per-step record used by conservation and limiter tests."""
+    """Per-step record: one StageRecord per stage (none for the baseline
+    step), the least constraint values of the step's output, and dt.
 
-    fnum1: np.ndarray = None    # (ne+1, nvar) face fluxes of each stage
-    fnum2: np.ndarray = None
-    alpha1: np.ndarray = None
-    alpha2: np.ndarray = None
-    theta1: np.ndarray = None   # (ne+1, K) per-face, per-constraint flux-limiter factors
-    theta2: np.ndarray = None
-    theta_min: float = 1.0
+    A StageRecord holds the stage's (ne+1, nvar) face fluxes fnum, its
+    alpha (ne,) and theta (ne+1, K), None when unblended, and face_bad,
+    its own (2, ne) ea fallback mask, None under ae; stage k falls back
+    on the union of the masks of stages 1..k.
+    """
+
+    stages: tuple = ()
     min_constraints: np.ndarray = None
     dt: float = 0.0
+
+    @property
+    def theta_min(self):
+        """The least flux-limiter factor over the stages, 1.0 when none fired."""
+        return min([1.0] + [float(s.theta.min()) for s in self.stages
+                            if s.theta is not None and s.theta.size])
 
 
 def _low_order(disc, u, dt, start):
@@ -769,16 +779,11 @@ def mdrk_step(disc, u, t, dt, start=None):
         # a failed check is reported at the time the checked state lives at
         cons = validate_admissible(model, state, time=t + tau,
                                    detail=f"after {('first', 'second')[k]} stage")
-        stages.append((fnum.T, alpha, theta))
+        stages.append(StageRecord(fnum.T, alpha, theta, pieces[k].get("face_bad")))
         ts = t + tau
-    (fnum1, alpha1, th1), (fnum2, alpha2, th2) = stages
 
     mins = None if cons is None else cons.reshape(len(cons), -1).min(axis=1)
-    theta_min = min([1.0] + [float(th.min()) for th in (th1, th2) if th is not None and th.size])
-    diag = StepDiagnostics(fnum1=fnum1, fnum2=fnum2, alpha1=alpha1, alpha2=alpha2,
-                           theta1=th1, theta2=th2, theta_min=theta_min,
-                           min_constraints=mins, dt=dt)
-    return element_major(state), diag
+    return element_major(state), StepDiagnostics(tuple(stages), mins, dt)
 
 
 # ----------------------------------------------------------------------

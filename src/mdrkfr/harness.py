@@ -331,6 +331,9 @@ def convergence_suite(case_id, meshes, config=None, scheme="mdrk"):
     if not case.has_exact:
         raise ConfigurationError(f"case {case_id!r} has no exact solution")
     check_meshes(case, meshes)
+    # the observed orders divide by log2 of each refinement ratio
+    if any(a >= b for a, b in zip(meshes, meshes[1:])):
+        raise ConfigurationError(f"convergence meshes must strictly increase, got {list(meshes)}")
     l2s, linfs, times = [], [], []
     for nc in meshes:
         res = run_case(case_id, config=config, cells=nc, scheme=scheme)
@@ -459,23 +462,17 @@ def load_config(path=None, text=None, overrides=(), base=None):
     elif path is not None:
         if not parser.read(path):
             raise ConfigurationError(f"cannot read config file {path!r}")
+    items = [(k, "=", v) for k, v in parser.items("run")] if parser.has_section("run") else []
     known = {f.name for f in fields(core.RunConfig)}
     values, extras = {}, {}
-    if parser.has_section("run"):
-        for key, value in parser.items("run"):
-            if key in known:
-                values[key] = _coerce(key, value)
-            else:
-                extras[key] = value
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigurationError(f"override {item!r} is not key=value")
-        key, _, value = item.partition("=")
-        key = key.strip()
+    for key, sep, value in items + [item.partition("=") for item in overrides]:
+        if not sep:
+            raise ConfigurationError(f"override {key!r} is not key=value")
+        key, value = key.strip(), str(value).strip()
         if key in known:
-            values[key] = _coerce(key, str(value).strip())
+            values[key] = _coerce(key, value)
         else:
-            extras[key] = str(value).strip()
+            extras[key] = value
     if set(extras) - {"cells"}:
         raise ConfigurationError(f"unknown configuration keys {sorted(set(extras) - {'cells'})}")
     cfg = replace(base, **values) if base is not None else core.RunConfig(**values)

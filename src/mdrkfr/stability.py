@@ -85,23 +85,7 @@ class AmplificationSetup:
     ops: ReferenceOperators
     sigma: float
     dissipation: str
-    stage1: dict      # blocks of u* in terms of u^n
     update: dict      # blocks C_k of u^{n+1} in terms of u^n
-
-    @property
-    def a_matrices(self):
-        """Blocks in the -sigma^k A_k sign convention used in reports."""
-        p = self.ops.degree + 1
-        eye = np.eye(p)
-        c = self.update
-        s = self.sigma
-        return {
-            -2: -c.get(-2, np.zeros((p, p))) / s**2,
-            -1: -c.get(-1, np.zeros((p, p))) / s,
-            0: (eye - c[0]) / s,
-            +1: -c.get(+1, np.zeros((p, p))) / s,
-            +2: -c.get(+2, np.zeros((p, p))) / s**2,
-        }
 
 
 def assemble_matrices(ops, sigma, dissipation):
@@ -129,7 +113,7 @@ def assemble_matrices(ops, sigma, dissipation):
     r2 = _flux_derivative_blocks(uavg2, face2, ops)
     update = _badd({0: eye}, _bscale(-sigma, r2))
 
-    return AmplificationSetup(ops, sigma, dissipation, stage1, update)
+    return AmplificationSetup(ops, sigma, dissipation, update)
 
 
 def amplification_matrix(setup, kappa):

@@ -120,7 +120,7 @@ def test_criterion_06_conservation():
 
     def on_step(result, before, diag):
         w = result.disc.ops.weights
-        records.append({"dt": diag.dt, "fnum2": diag.fnum2,
+        records.append({"dt": diag.dt, "fnum2": diag.stages[1].fnum,
                         "mean_before": np.einsum("p,epv->ev", w, before.data),
                         "mean_after": np.einsum("p,epv->ev", w, result.field.data)})
 
@@ -216,7 +216,8 @@ def test_criterion_10_limiter_algebra():
     out, diag = core.mdrk_step(disc, u, 0.0, dt)
     mean_new = np.einsum("p,epv->ev", w, out)
     mean_expected = (np.einsum("p,epv->ev", w, u)
-                     - (dt / disc.dx)[:, None] * (diag.fnum2[1:] - diag.fnum2[:-1]))
+                     - (dt / disc.dx)[:, None]
+                     * (diag.stages[1].fnum[1:] - diag.stages[1].fnum[:-1]))
     # roundoff scales with the data (energies of a few thousand here), so
     # the identity is checked relative to the state magnitude
     worst_mean = float((np.abs(mean_new - mean_expected)

@@ -318,10 +318,10 @@ def test_blended_means_match_high_order_means():
     w = disc.ops.weights
     mean_high_stage1 = (np.einsum("p,epv->ev", w, u)
                         - (0.5 * dt / disc.dx)[:, None]
-                        * (diag.fnum1[1:] - diag.fnum1[:-1]))
+                        * (diag.stages[0].fnum[1:] - diag.stages[0].fnum[:-1]))
     mean_blend_stage2 = (np.einsum("p,epv->ev", w, u)
                          - (dt / disc.dx)[:, None]
-                         * (diag.fnum2[1:] - diag.fnum2[:-1]))
+                         * (diag.stages[1].fnum[1:] - diag.stages[1].fnum[:-1]))
     assert np.allclose(np.einsum("p,epv->ev", w, out_blend), mean_blend_stage2,
                        atol=1e-13)
     assert np.all(np.isfinite(mean_high_stage1))

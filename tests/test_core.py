@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -490,8 +489,9 @@ def test_reflective_wall_zero_mass_flux():
     p = np.where(disc.xn < 0.5, 10.0, 1.0)
     u = em(m.conserved(rho, np.zeros_like(rho), p))
     _, diag = core.mdrk_step(disc, u, 0.0, 1e-4)
-    assert abs(diag.fnum2[0, 0]) < 1e-13 and abs(diag.fnum2[-1, 0]) < 1e-13
-    assert abs(diag.fnum2[0, 2]) < 1e-13 and abs(diag.fnum2[-1, 2]) < 1e-13
+    fnum = diag.stages[1].fnum
+    assert abs(fnum[0, 0]) < 1e-13 and abs(fnum[-1, 0]) < 1e-13
+    assert abs(fnum[0, 2]) < 1e-13 and abs(fnum[-1, 2]) < 1e-13
 
 
 def test_dirichlet_inflow_uses_exact_state():
@@ -503,7 +503,7 @@ def test_dirichlet_inflow_uses_exact_state():
     u = np.cos(np.pi * disc.xn / 2)[..., None]
     _, diag = core.mdrk_step(disc, u, 0.0, 1e-3)
     expected = 0.1 ** 2 * np.cos(np.pi * 0.05)  # a(x) u at the left face, t ~ 0
-    assert diag.fnum2[0, 0] == pytest.approx(expected, rel=1e-3)
+    assert diag.stages[1].fnum[0, 0] == pytest.approx(expected, rel=1e-3)
 
 
 def test_dirichlet_requires_state():
@@ -598,9 +598,10 @@ def test_steps_and_runs_keep_the_public_layout_for_systems():
     out, diag = core.mdrk_step(disc, u, 0.0, 1e-4, start)
     assert out.shape == (12, 4, 3) and _fresh_public(out, u, start.u)
     assert not start.u.flags.writeable and np.array_equal(em(start.u), u)
-    assert diag.fnum1.shape == diag.fnum2.shape == (13, 3)
-    assert diag.theta1.shape == diag.theta2.shape == (13, 2)
-    assert diag.alpha1.shape == diag.alpha2.shape == (12,)
+    assert len(diag.stages) == 2
+    for s in diag.stages:
+        assert s.fnum.shape == (13, 3) and s.theta.shape == (13, 2)
+        assert s.alpha.shape == (12,) and s.face_bad.shape == (2, 12)
     assert diag.min_constraints.shape == (2,)
 
     seen = []
@@ -610,8 +611,8 @@ def test_steps_and_runs_keep_the_public_layout_for_systems():
     assert res.field.data.shape == (50, 4, 3) and res.field.data.flags.c_contiguous
     assert res.min_constraints.shape == (2,)
     for d in seen:
-        assert d.fnum2.shape == (51, 3) and d.theta2.shape == (51, 2)
-        assert d.alpha2.shape == (50,)
+        assert d.stages[1].fnum.shape == (51, 3) and d.stages[1].theta.shape == (51, 2)
+        assert d.stages[1].alpha.shape == (50,)
     res = harness.run_case("linadv_sine", cells=10, scheme="rkfr",
                            config=harness.case_config(harness.build_case("linadv_sine"),
                                                       final_time=0.05))
@@ -656,7 +657,8 @@ def _mean_update(disc, u, dt):
     before = np.einsum("p,epv->ev", w, u)
     out, diag = core.mdrk_step(disc, u, 0.0, dt)
     after = np.einsum("p,epv->ev", w, out)
-    expected = before - (dt / disc.dx)[:, None] * (diag.fnum2[1:] - diag.fnum2[:-1])
+    fnum = diag.stages[1].fnum
+    expected = before - (dt / disc.dx)[:, None] * (fnum[1:] - fnum[:-1])
     return after, expected, diag
 
 
@@ -676,7 +678,7 @@ def test_step_mean_update_identity():
         u = em(m.conserved(np.ones_like(p), 0.1 * np.ones_like(p), p))
         after, expected, diag = _mean_update(disc, u, 1e-3)
         assert np.allclose(after, expected, rtol=1e-14, atol=1e-13), kind
-        assert diag.alpha2[0] > 0.0 and diag.alpha2[-1] > 0.0, kind
+        assert diag.stages[1].alpha[0] > 0.0 and diag.stages[1].alpha[-1] > 0.0, kind
 
 
 def _blast_jump(limiter):
@@ -712,7 +714,80 @@ def test_subcell_fluxes_built_once_per_step(monkeypatch, limiter):
     disc, u = _blast_jump(limiter)
     _, diag = core.mdrk_step(disc, u, 0.0, 1e-5)
     assert len(calls) == 1
-    assert diag.theta1 is not None and diag.theta2 is not None
+    assert diag.stages[0].theta is not None and diag.stages[1].theta is not None
+
+
+class _Enough(Exception):
+    pass
+
+
+def _first_steps(case_id, nsteps, check=None, **overrides):
+    """The StepDiagnostics of a case's first accepted steps at 100 cells,
+    each passed to check as it is made."""
+    diags = []
+
+    def on_step(result, before, diag):
+        diags.append(diag)
+        if check is not None:
+            check(diag)
+        if len(diags) == nsteps:
+            raise _Enough
+
+    cfg = harness.case_config(harness.build_case(case_id), **overrides)
+    with pytest.raises(_Enough):
+        harness.run_case(case_id, cfg, cells=100, on_step=on_step)
+    return diags
+
+
+def test_stage_records_carry_each_stage_fallback_mask(monkeypatch):
+    # density_ratio's first 17 steps fall back at ea faces in both stages,
+    # some at faces where the other stage does not; each record's face_bad
+    # is the mask of its own stage's five face stencil states, and the
+    # stage's faces took favg's traces on the union of the masks so far (a
+    # halved attempt's stages are recorded over).  Extrapolated faces
+    # record no mask.
+    used, own = [], []
+    face_values_ea = core.face_values_ea
+
+    def recorded(model, state, pieces, ops, xf, favg):
+        if len(pieces) == 1:
+            used.clear()
+        value = face_values_ea(model, state, pieces, ops, xf, favg)
+        bad = _per_shift_face_pieces(model, state, pieces[-1]["u1"], ops, xf)[2]
+        used.append((bad, value, core.face_values_ae(favg, ops)))
+        return value
+
+    def check(diag):
+        assert len(diag.stages) == len(used) == 2
+        union = False
+        for record, (bad, value, ae) in zip(diag.stages, used):
+            assert record.face_bad.dtype == bool and np.array_equal(record.face_bad, bad)
+            union = union | bad
+            assert np.array_equal(value[:, union], ae[:, union])
+        own.append([bad for bad, _, _ in used])
+
+    monkeypatch.setattr(core, "face_values_ea", recorded)
+    _first_steps("density_ratio", 17, check)
+    assert any((one & ~two).any() for one, two in own)
+    assert any((two & ~one).any() for one, two in own)
+    for diag in _first_steps("density_ratio", 1, face_scheme="ae"):
+        assert [record.face_bad for record in diag.stages] == [None, None]
+
+
+def test_theta_min_is_the_least_theta_over_the_stage_records():
+    # blast's first steps limit face fluxes in both stages, and in some
+    # steps stage one limits hardest, in others stage two
+    binding = set()
+    for diag in _first_steps("blast", 5):
+        least = [float(record.theta.min()) for record in diag.stages]
+        assert diag.theta_min == min([1.0] + least) < 1.0
+        binding.add(least.index(diag.theta_min))
+    assert binding == {0, 1}
+    # unblended thetas are None and a scalar model's have no columns
+    for diag in _first_steps("linadv_sine", 1) + _first_steps("linadv_sine", 1, limiter="fo"):
+        assert diag.theta_min == 1.0
+    _, baseline = core.rkfr_step(make_disc(ncells=8), np.ones((8, 4, 1)), 0.0, 1e-3)
+    assert baseline.stages == () and baseline.theta_min == 1.0
 
 
 def test_constraints_evaluated_at_most_12_times_per_step(monkeypatch):
@@ -806,6 +881,14 @@ def _step_or_abort(*args):
         return str(exc)
 
 
+def _diag_values(diag):
+    """Every value of a StepDiagnostics, its stage records' fields by stage."""
+    values = {f"stage {k} {name}": v for k, record in enumerate(diag.stages)
+              for name, v in record._asdict().items()}
+    return {**values, "theta_min": diag.theta_min, "min_constraints": diag.min_constraints,
+            "dt": diag.dt}
+
+
 @pytest.mark.parametrize("overrides", [
     dict(points="gll", correction="g2", face_scheme="ae", limiter="fo"),
     dict(points="gll", correction="g2", face_scheme="ea", limiter="fo"),
@@ -828,9 +911,11 @@ def test_reused_step_start_equals_fresh_step(overrides):
             continue
         (unew, diag), (unew_f, diag_f) = reused, fresh
         assert np.array_equal(unew, unew_f)
-        for f in dataclasses.fields(diag):
-            a, b = getattr(diag, f.name), getattr(diag_f, f.name)
-            assert a is None and b is None or np.array_equal(a, b), f.name
+        values, values_f = map(_diag_values, (diag, diag_f))
+        assert values.keys() == values_f.keys()
+        for name, a in values.items():
+            b = values_f[name]
+            assert a is None and b is None or np.array_equal(a, b), name
     assert outcomes[0] and not all(outcomes)
     assert not start.lam.flags.writeable
 

@@ -386,6 +386,18 @@ def test_convergence_refuses_bad_mesh_before_running(monkeypatch):
         harness.convergence_suite("linadv_sine", [20, 40, 0])
 
 
+@pytest.mark.parametrize("meshes", [[10, 10, 20], [20, 10, 5]])
+def test_convergence_refuses_meshes_that_do_not_increase(monkeypatch, meshes):
+    # a repeated mesh used to give nan orders from log2(1) = 0, and a
+    # decreasing sequence a false non-monotone decay warning
+    def run_case(*args, **kwargs):
+        raise AssertionError("ran before the mesh list was checked")
+
+    monkeypatch.setattr(harness, "run_case", run_case)
+    with pytest.raises(ConfigurationError, match="strictly increase"):
+        harness.convergence_suite("linadv_sine", meshes)
+
+
 def test_convergence_requires_exact_solution():
     with pytest.raises(ConfigurationError):
         harness.convergence_suite("blast", [100, 200, 400])
@@ -485,6 +497,8 @@ def test_cli_out_of_range_setting_exit_code(key, value):
     (["convergence", "--case", "linadv_sine", "--meshes", "20,x,40"], "meshes"),
     (["compare", "--case", "linadv_sine", "--meshes", "40,0"], "0 cells"),
     (["convergence", "--case", "linadv_sine", "--meshes", "40,80,0"], "0 cells"),
+    (["convergence", "--case", "linadv_sine", "--meshes", "10,10,20"], "strictly increase"),
+    (["convergence", "--case", "linadv_sine", "--meshes", "20,10,5"], "strictly increase"),
 ])
 def test_cli_refuses_bad_mesh_and_unparsable_value(argv, key, tmp_path, capsys):
     # a zero mesh reaches make_grid's refusal instead of the default mesh,

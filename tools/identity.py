@@ -45,13 +45,14 @@ short runs:
 The matrix runs step themselves: every step takes the compute_dt step
 and halves it on StencilStateError, as harness.run_case does.  Compared:
 each accepted step's state, dt and StepDiagnostics fields (fnum, alpha,
-theta, minimum constraints), each run's retry count and abort message,
-each direct call's outputs (fluxes, thetas, states, fallback masks), each run_case
-result's steps, retries, retry_reasons, min_constraints, theta_min and
-final field, and the exit code, output (without the wall time) and every
-file of the CLI run, byte for byte.  Arrays compare with np.array_equal
-plus equal np.signbit.  Exits 1 on any mismatch and 2 when a tree fails
-to run the matrix.
+theta, theta_min, minimum constraints, read from numbered pairs or from
+per-stage records under the same keys), each run's retry count and abort
+message, each direct call's outputs (fluxes, thetas, states, fallback
+masks), each run_case result's steps, retries, retry_reasons,
+min_constraints, theta_min and final field, and the exit code, output
+(without the wall time) and every file of the CLI run, byte for byte.
+Arrays compare with np.array_equal plus equal np.signbit.  Exits 1 on
+any mismatch and 2 when a tree fails to run the matrix.
 
 The direct calls reach inside the solver, whose state layout may differ
 between the trees: (ne, p, nvar) with the variable last, or variable-major
@@ -176,13 +177,24 @@ def run_one(case_id, cells, scheme, overrides, steps):
                     out["reasons"].append((n, exc.constraint))
                     out["retries"] += 1
                     dt = 0.5 * dt
-            record = {"u": unew, "dt": dt}
-            for f in dataclasses.fields(diag):
-                record[f.name] = getattr(diag, f.name)
-            out["steps"].append(record)
+            out["steps"].append({"u": unew, "dt": dt, **_diagnostics(diag)})
             u, t = unew, t + dt
     except errors.SolverAbort as exc:
         out["abort"] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def _diagnostics(diag):
+    """A StepDiagnostics under the keys of its numbered-pair form: fnum1,
+    fnum2, alpha1, alpha2, theta1, theta2, theta_min, min_constraints and
+    dt.  A package whose StepDiagnostics has per-stage records (stages)
+    gives stage k's fields as the pair's k-th, None for a baseline step."""
+    if not hasattr(diag, "stages"):
+        return {f.name: getattr(diag, f.name) for f in dataclasses.fields(diag)}
+    out = {"theta_min": diag.theta_min, "min_constraints": diag.min_constraints, "dt": diag.dt}
+    for name in ("fnum", "alpha", "theta"):
+        for k in (1, 2):
+            out[f"{name}{k}"] = getattr(diag.stages[k - 1], name) if diag.stages else None
     return out
 
 
