@@ -138,35 +138,42 @@ def _wavenumbers(nkappa):
     pairs with sample nkappa - j, so the first nkappa // 2 + 1 samples
     carry every radius of the full grid, for odd and even nkappa alike.
     """
-    if nkappa < 1:
-        raise ConfigurationError(f"need at least one wavenumber sample, got {nkappa}")
+    if isinstance(nkappa, bool) or not isinstance(nkappa, (int, np.integer)) or nkappa < 1:
+        raise ConfigurationError(
+            f"nkappa must be a positive integer count of wavenumber samples, got {nkappa!r}")
     return np.linspace(0.0, 2.0 * np.pi, nkappa, endpoint=False)[:nkappa // 2 + 1]
 
 
 def _largest_stable(radius, sigma_max, tol, radius_tol):
-    """Largest CFL number sigma with radius(sigma) <= 1 + radius_tol.
+    """Largest CFL number sigma with radius(sigma, limit) <= limit = 1 + radius_tol.
 
-    A 60-point scan from sigma = tol to sigma_max brackets the first
-    unstable value; bisection then narrows the bracket to tol.
+    radius may return any value above limit for an unstable sigma.  A
+    60-point scan from sigma = tol to sigma_max brackets the first unstable
+    value; bisection then narrows the bracket to tol (or to adjacent floats).
     """
+    if not 0.0 < tol < np.inf:
+        raise ConfigurationError(f"tol must be positive and finite, got {tol!r}")
+    if not tol < sigma_max < np.inf:
+        raise ConfigurationError(f"sigma_max must be finite and above tol, got {sigma_max!r}")
+    if not 0.0 <= radius_tol < np.inf:
+        raise ConfigurationError(f"radius_tol must be non-negative and finite, got {radius_tol!r}")
     limit = 1.0 + radius_tol
     lo = tol
-    rho = radius(lo)
+    rho = radius(lo, limit)
     if not rho <= limit:
         raise RuntimeError(f"scheme unstable even at sigma = {lo}: rho = {rho:.6f}")
     grid = np.linspace(lo, sigma_max, 60)
     hi = None
     for sig in grid[1:]:
-        if radius(sig) <= limit:
+        if radius(sig, limit) <= limit:
             lo = sig
         else:
             hi = sig
             break
     if hi is None:
         return float(grid[-1])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if radius(mid) <= limit:
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if radius(mid, limit) <= limit:
             lo = mid
         else:
             hi = mid
@@ -179,12 +186,27 @@ def find_cfl(ops, dissipation, nkappa=1024, sigma_max=0.6, tol=5e-4,
 
     Stability means max_kappa rho(H) <= 1 + radius_tol over nkappa uniform
     wavenumber samples in [0, 2*pi); by conjugate symmetry only those in
-    [0, pi] are evaluated.
+    [0, pi] are evaluated.  An unstable trial mostly breaks at the sample of
+    the largest radius at the last unstable trial, so every trial solves
+    that sample first and stops there when it is above the limit.
     """
     kappas = _wavenumbers(nkappa)
-    return _largest_stable(
-        lambda sig: max_spectral_radius(assemble_matrices(ops, sig, dissipation), kappas),
-        sigma_max, tol, radius_tol)
+    worst = None
+
+    def radius(sig, limit):
+        nonlocal worst
+        h = amplification_matrix(assemble_matrices(ops, sig, dissipation), kappas)
+        if worst is not None:
+            rho = float(np.max(np.abs(np.linalg.eigvals(h[worst]))))
+            if not rho <= limit:
+                return rho
+        radii = np.max(np.abs(np.linalg.eigvals(h)), axis=-1)
+        j = int(np.argmax(radii))
+        if not radii[j] <= limit:
+            worst = j
+        return float(radii[j])
+
+    return _largest_stable(radius, sigma_max, tol, radius_tol)
 
 
 def cfl_scan(ops, dissipation, sigmas, nkappa=1024):
@@ -223,7 +245,7 @@ def find_rkfr_cfl(ops, nkappa=1024, sigma_max=0.6, tol=5e-4, radius_tol=1e-10):
     """
     lam = np.linalg.eigvals(_rkfr_symbol(ops, _wavenumbers(nkappa)))[..., None, None]
     return _largest_stable(
-        lambda sig: float(np.max(np.abs(ssprk.amplification(sig * lam)))),
+        lambda sig, limit: float(np.max(np.abs(ssprk.amplification(sig * lam)))),
         sigma_max, tol, radius_tol)
 
 

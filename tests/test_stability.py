@@ -269,3 +269,101 @@ def test_nonpositive_kappa_samples_are_refused(ops_gl, nkappa):
         stability.cfl_scan(ops_gl, "d2", [0.05], nkappa=nkappa)
     with pytest.raises(ConfigurationError, match="wavenumber"):
         stability.find_rkfr_cfl(ops_gl, nkappa=nkappa)
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail at the first trial CFL, so a missing refusal fails at once:
+    with tol = 0 the bisection would never end."""
+    def trial(*args):
+        raise AssertionError("the search ran a trial")
+    monkeypatch.setattr(stability, "assemble_matrices", trial)
+    monkeypatch.setattr(ssprk, "amplification", trial)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("tol", 0.0),
+    ("tol", -1e-3),
+    ("tol", np.nan),
+    ("sigma_max", np.nan),
+    ("sigma_max", np.inf),
+    ("sigma_max", 1e-4),    # below tol
+    ("radius_tol", np.nan),
+    ("radius_tol", -1e-3),
+    ("nkappa", 64.0),
+    ("nkappa", True),       # one sample
+])
+def test_degenerate_search_arguments_are_refused(ops_gl, no_trials, name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        stability.find_cfl(ops_gl, "d2", **{name: value})
+    if name != "nkappa":
+        # the baseline solves its symbol before searching
+        with pytest.raises(ConfigurationError, match=name):
+            stability.find_rkfr_cfl(ops_gl, nkappa=2, **{name: value})
+
+
+def _logged_search(monkeypatch, search):
+    """search()'s result and the trial CFLs it assembled, in order."""
+    trials = []
+    assemble = stability.assemble_matrices
+
+    def logged(ops, sigma, dissipation):
+        trials.append(sigma)
+        assert len(trials) < 200, "the bisection does not end"
+        return assemble(ops, sigma, dissipation)
+
+    with monkeypatch.context() as m:
+        m.setattr(stability, "assemble_matrices", logged)
+        return search(), trials
+
+
+def test_bisection_ends_at_adjacent_floats(ops_gl, monkeypatch):
+    # a tol below the float spacing near the answer stops where the
+    # midpoint of the bracket rounds to one of its ends
+    sigma, trials = _logged_search(
+        monkeypatch, lambda: stability.find_cfl(ops_gl, "d2", nkappa=64, tol=1e-300))
+    kappas = stability._wavenumbers(64)
+    radius = [stability.max_spectral_radius(stability.assemble_matrices(ops_gl, s, "d2"), kappas)
+              for s in (sigma, np.nextafter(sigma, 1.0))]
+    assert radius[0] <= 1 + 1e-10 < radius[1]
+    assert np.nextafter(sigma, 1.0) in trials
+
+
+def _reference_cfl(ops, dissipation, nkappa, tol):
+    """find_cfl's search with every trial solving every sample."""
+    kappas = stability._wavenumbers(nkappa)
+    return stability._largest_stable(
+        lambda sig, limit: stability.max_spectral_radius(
+            stability.assemble_matrices(ops, sig, dissipation), kappas),
+        0.6, tol, 1e-10)
+
+
+@pytest.mark.parametrize("tol", [5e-4, 1e-4])
+@pytest.mark.parametrize("nkappa", [64, 255, 1024])
+@pytest.mark.parametrize("points,correction,diss", SEARCHES)
+def test_early_exit_decides_every_trial_as_a_full_solve(monkeypatch, points, correction,
+                                                        diss, nkappa, tol):
+    # an unstable trial may stop at one sample; the trials made, and so the
+    # certified float, must be those of the search that solves them all
+    ops = make_operators(3, points, correction)
+    fast = _logged_search(monkeypatch, lambda: stability.find_cfl(ops, diss, nkappa=nkappa,
+                                                                   tol=tol))
+    full = _logged_search(monkeypatch, lambda: _reference_cfl(ops, diss, nkappa, tol))
+    assert fast == full
+
+
+def test_unstable_trials_mostly_solve_one_sample(monkeypatch):
+    # matrices handed to eigvals per default search; solving all 513
+    # samples at every trial takes 7,695, 8,721, 10,773 and 14,877
+    eigvals = np.linalg.eigvals
+    solved = []
+
+    def counted(a):
+        solved[-1] += int(np.prod(np.shape(a)[:-2]))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for points, correction, diss in SEARCHES:
+        solved.append(0)
+        stability.find_cfl(make_operators(3, points, correction), diss)
+    assert solved == [6674, 6674, 9239, 12830]

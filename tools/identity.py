@@ -35,6 +35,10 @@ short runs:
   blended_update and the subcell fluxes) called directly on states with
   signed-zero and subnormal momenta, densities near 1e-300 and
   magnitudes near 1e150, where a regrouped formula changes bits;
+- direct stability calls: find_cfl for every pairing and dissipation
+  kind at each nkappa in SEARCH_NKAPPAS and tol in SEARCH_TOLS,
+  find_rkfr_cfl for both pairings at each nkappa, and cfl_scan radii at
+  the fixed SCAN_SIGMAS;
 - harness.run_case itself on a few short runs (smooth, baseline and gas),
   on every gas case under gll/g2/ae/fo (each halves often, and the
   boundary kinds are reflective, dirichlet and transmissive) and on
@@ -105,6 +109,9 @@ RUN_CASES = (
     ("sedov", 51, "mdrk", {**GLL_AE_FO, "final_time": 3e-4}),
     ("density_ratio", 100, "mdrk", {"face_scheme": "ea", "limiter": "mh", "final_time": 0.02}),
 )
+# Fourier CFL searches: wavenumber counts and tolerances, and fixed scan CFLs
+SEARCH_NKAPPAS, SEARCH_TOLS = (64, 255, 1024), (5e-4, 1e-4)
+SCAN_SIGMAS = np.linspace(0.02, 0.3, 15)
 CLI_RUN = ["run", "--case", "sedov", "--cells", "51", "--limiter", "fo",
            "--final-time", "0.0002", "--diagnostics", "diag.csv", "--output", "snap.csv",
            "--override", "snapshot_every=7"]
@@ -495,6 +502,27 @@ def direct_limiter_calls(ncalls=96, seed=11):
     return records
 
 
+def direct_stability_calls():
+    """Certified CFLs of find_cfl and find_rkfr_cfl, and cfl_scan radii."""
+    from mdrkfr import stability
+    from mdrkfr.operators import make_operators
+
+    records = []
+    for points, correction in PAIRINGS:
+        ops = make_operators(3, points, correction)
+        for diss in ("d1", "d2"):
+            for nkappa in SEARCH_NKAPPAS:
+                for tol in SEARCH_TOLS:
+                    records.append((f"direct/find_cfl/{correction}/{diss}/{nkappa}/{tol}",
+                                    stability.find_cfl(ops, diss, nkappa=nkappa, tol=tol)))
+            records.append((f"direct/cfl_scan/{correction}/{diss}",
+                            np.array(stability.cfl_scan(ops, diss, SCAN_SIGMAS))))
+        for nkappa in SEARCH_NKAPPAS:
+            records.append((f"direct/find_rkfr_cfl/{correction}/{nkappa}",
+                            stability.find_rkfr_cfl(ops, nkappa=nkappa)))
+    return records
+
+
 def run_case_records():
     """harness.run_case results of RUN_CASES, one record per run."""
     from mdrkfr import errors, harness
@@ -550,7 +578,7 @@ def worker(tree, path):
             pickle.dump((key, run_one(case, cells, scheme, overrides, steps)), fh)
         for record in (direct_subface_calls() + direct_mh_fallback_calls()
                        + direct_face_calls() + direct_limiter_calls() + direct_kernel_calls()
-                       + run_case_records() + cli_record()):
+                       + direct_stability_calls() + run_case_records() + cli_record()):
             pickle.dump(record, fh)
 
 
