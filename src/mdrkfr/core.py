@@ -67,8 +67,11 @@ class Grid:
 
 
 def make_grid(xlo, xhi, ncells):
-    if ncells < 1 or xhi <= xlo:
-        raise ConfigurationError(f"bad mesh request: [{xlo}, {xhi}] with {ncells} cells")
+    if isinstance(ncells, bool) or not isinstance(ncells, numbers.Integral) or ncells < 1:
+        raise ConfigurationError(f"ncells must be a positive integer, got {ncells!r} cells")
+    # written so that NaN fails it
+    if not -np.inf < xlo < xhi < np.inf:
+        raise ConfigurationError(f"xlo and xhi must be finite with xlo < xhi, got [{xlo}, {xhi}]")
     return Grid(np.linspace(xlo, xhi, ncells + 1))
 
 

@@ -1,23 +1,23 @@
 """Fourier (von Neumann) stability analysis of the two-stage scheme.
 
-For linear advection with unit speed the full two-stage update couples an
-element to at most its two neighbours on each side, so it can be written as
+For unit-speed linear advection one step of the solver couples an element
+to at most its two neighbours on each side,
 
-    u_e^{n+1} = sum_k C_k u_{e+k}^n,     k in {-2, ..., +2}
+    u_e^{n+1} = sum_k C_k u_{e+k}^n,     k in {-2, ..., +2},
 
-with (N+1)x(N+1) coefficient matrices C_k that depend on the CFL number
-sigma and the dissipation variant.  Substituting the Fourier ansatz turns
-the update into multiplication by H(sigma, kappa) = sum_k C_k e^{i kappa k};
-the scheme is stable when the spectral radius of H stays <= 1 over all
-wavenumbers.
+with (N+1)x(N+1) blocks C_k that depend on the CFL number sigma and the
+dissipation variant.  The Fourier ansatz turns the update into
+multiplication by H(sigma, kappa) = sum_k C_k e^{i kappa k} (Vincent,
+Castonguay & Jameson, J. Comput. Phys. 2011); the scheme is stable when
+the spectral radius of H stays <= 1 over all wavenumbers.
 
-The coefficient matrices are assembled mechanically by composing the two
-stages as Laurent polynomials in the shift operator, which covers both the
-time-averaged-trace dissipation (upwind structure, C_{+1} = C_{+2} = 0) and
-the start-of-step-trace dissipation (full five-block stencil).
+The blocks are read from one solver step of unit probes (_probe), so the
+CFL certified here is that of the step the solver runs, with its tableau
+and its numerical flux.  The baseline's operator is read the same way.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,54 +28,36 @@ from .operators import ReferenceOperators
 DISSIPATION_KINDS = ("d1", "d2")
 
 
-def _badd(*dicts):
-    out = {}
-    for d in dicts:
-        for k, m in d.items():
-            out[k] = out.get(k, 0.0) + m
-    return out
-
-
-def _bscale(c, blocks):
-    return {k: c * m for k, m in blocks.items()}
-
-
-def _lmul(mat, blocks):
-    return {k: mat @ m for k, m in blocks.items()}
-
-
-def _bshift(blocks, s):
-    return {k + s: m for k, m in blocks.items()}
-
-
-def _rows(vec, blocks):
-    """Contract a length-P vector against each block: row-vector blocks."""
-    return {k: vec @ m for k, m in blocks.items()}
-
-
-def _outer(col, row_blocks):
-    return {k: np.outer(col, r) for k, r in row_blocks.items()}
-
-
-def _face_flux_blocks(phi, psi, ops):
-    """Blocks of the numerical flux at the right face of element e.
-
-    Central part averages the extrapolated nodal flux from both sides;
-    the dissipation penalises the jump of the trace states psi.  Advection
-    speed and the dissipation coefficient are both normalised to one.
+@lru_cache(maxsize=None)
+def _probe(degree, points, correction, dissipation):
+    """Unit-speed advection on five periodic unit cells, the middle one and
+    the two a step reaches on either side, with ae faces (for a linear flux
+    ea gives the same step, at more cost).  Its p = N+1 variables are the p
+    probes: probe j is 1 at node j of the middle cell.  Returns the
+    discretization, the probe state and its StepStart.
     """
-    central = _badd(_bscale(0.5, _rows(ops.VR, phi)),
-                    _bshift(_bscale(0.5, _rows(ops.VL, phi)), +1))
-    jump = _badd(_bscale(0.5, _rows(ops.VR, psi)),
-                 _bshift(_bscale(-0.5, _rows(ops.VL, psi)), +1))
-    return _badd(central, jump)
+    from . import core, models
+
+    config = core.RunConfig(degree=degree, points=points, correction=correction,
+                            dissipation=dissipation, face_scheme="ae", cfl=1.0)
+    disc = core.make_discretization(core.make_grid(0.0, 5.0, 5), models.LinearAdvection(1.0),
+                                    config)
+    u = np.zeros((5, degree + 1, degree + 1))
+    u[2] = np.eye(degree + 1)
+    u.setflags(write=False)  # every caller shares it
+    return disc, u, core.step_start(disc, u)
 
 
-def _flux_derivative_blocks(phi, face, ops):
-    """Blocks of the corrected flux derivative at the solution points."""
-    return _badd(_outer(ops.bL, _bshift(face, -1)),
-                 _lmul(ops.D1, phi),
-                 _outer(ops.bR, face))
+def _blocks(response):
+    """The blocks C_k, exact zeros left out, of a (cells, nodes, probes)
+    probe response: C_k is that of the cell k to the left of the middle one."""
+    return {k: response[2 - k] for k in (0, -1, -2, 1, 2) if response[2 - k].any()}
+
+
+def _fourier_sum(blocks, kappa):
+    """sum_k C_k e^{i kappa k}; kappa may be an array (batched in the leading axis)."""
+    kappa = np.asarray(kappa, dtype=float)
+    return sum(np.exp(1j * kappa * k)[..., None, None] * m for k, m in blocks.items())
 
 
 @dataclass(frozen=True)
@@ -89,41 +71,17 @@ class AmplificationSetup:
 
 
 def assemble_matrices(ops, sigma, dissipation):
-    """Assemble the update blocks for unit-speed advection at CFL sigma."""
-    if dissipation not in DISSIPATION_KINDS:
-        raise ConfigurationError(
-            f"unknown dissipation kind {dissipation!r}; expected one of {DISSIPATION_KINDS}")
-    p = ops.degree + 1
-    eye = np.eye(p)
-    t1 = eye - (sigma / 4.0) * ops.D
+    """The update blocks of one solver step of unit-speed advection at CFL sigma."""
+    from . import core
 
-    # stage 1: time-averaged flux is the time-averaged solution (a = 1)
-    uavg1 = {0: t1}
-    psi1 = uavg1 if dissipation == "d2" else {0: eye}
-    face1 = _face_flux_blocks(uavg1, psi1, ops)
-    r1 = _flux_derivative_blocks(uavg1, face1, ops)
-    stage1 = _badd({0: eye}, _bscale(-sigma / 2.0, r1))
-
-    # stage 2: the averaged solution mixes u^n and u*
-    t2 = eye - (sigma / 6.0) * ops.D
-    t2s = -(sigma / 3.0) * ops.D
-    uavg2 = _badd({0: t2}, _lmul(t2s, stage1))
-    psi2 = uavg2 if dissipation == "d2" else {0: eye}
-    face2 = _face_flux_blocks(uavg2, psi2, ops)
-    r2 = _flux_derivative_blocks(uavg2, face2, ops)
-    update = _badd({0: eye}, _bscale(-sigma, r2))
-
-    return AmplificationSetup(ops, sigma, dissipation, update)
+    disc, u, start = _probe(ops.degree, ops.nodeset.kind, ops.correction, dissipation)
+    response, _ = core.mdrk_step(disc, u, 0.0, sigma, start)
+    return AmplificationSetup(ops, sigma, dissipation, _blocks(response))
 
 
 def amplification_matrix(setup, kappa):
     """H(sigma, kappa); kappa may be an array (batched in the leading axis)."""
-    kappa = np.asarray(kappa, dtype=float)
-    p = setup.ops.degree + 1
-    h = np.zeros(kappa.shape + (p, p), dtype=complex)
-    for k, m in setup.update.items():
-        h += np.exp(1j * kappa * k)[..., None, None] * m
-    return h
+    return _fourier_sum(setup.update, kappa)
 
 
 def max_spectral_radius(setup, kappas):
@@ -212,7 +170,11 @@ def find_cfl(ops, dissipation, nkappa=1024, sigma_max=0.6, tol=5e-4,
 def cfl_scan(ops, dissipation, sigmas, nkappa=1024):
     """max_kappa rho(H) for each sigma; plot-ready (sigma, radius) pairs."""
     kappas = _wavenumbers(nkappa)
-    return [(float(s), max_spectral_radius(assemble_matrices(ops, s, dissipation), kappas))
+    sigmas = [float(s) for s in sigmas]
+    # written so that NaN fails it
+    if not all(0.0 <= s < np.inf for s in sigmas):
+        raise ConfigurationError(f"sigmas must be non-negative and finite, got {sigmas}")
+    return [(s, max_spectral_radius(assemble_matrices(ops, s, dissipation), kappas))
             for s in sigmas]
 
 
@@ -220,11 +182,14 @@ def _rkfr_symbol(ops, kappa):
     """L(kappa): the baseline's semi-discrete upwind operator at unit CFL.
 
     Unit-speed advection gives u' = (sigma / dt) L(kappa) u per element.
+    The blocks are read from one core.rkfr_rhs of the probes as those of
+    the corrected flux derivative R = -L, and their sum is negated, so each
+    entry is -(R_0 + e^{-i kappa} R_{-1}) bit for bit, signed zeros included.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    cell = ops.D - np.outer(ops.bL, ops.VL)
-    neigh = np.outer(ops.bL, ops.VR)
-    return -(cell + np.exp(-1j * kappa)[..., None, None] * neigh)
+    from . import core
+
+    disc, _, start = _probe(ops.degree, ops.nodeset.kind, ops.correction, "d2")
+    return -_fourier_sum(_blocks(core.element_major(-core.rkfr_rhs(disc, start.u, 0.0))), kappa)
 
 
 def rkfr_update_matrix(ops, sigma, kappa):

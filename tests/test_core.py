@@ -23,6 +23,24 @@ def make_disc(ncells=10, model=None, bc_state=None, **cfg_kw):
                                     bc_state)
 
 
+@pytest.mark.parametrize("xlo,xhi,ncells,name", [
+    (np.nan, 1.0, 4, "xlo and xhi"),      # used to give NaN faces
+    (0.0, np.inf, 4, "xlo and xhi"),
+    (-np.inf, 1.0, 4, "xlo and xhi"),
+    (1.0, 1.0, 4, "xlo and xhi"),
+    (0.0, 1.0, 2.5, "ncells"),            # used to raise a bare TypeError
+    (0.0, 1.0, True, "ncells"),           # used to give one cell
+    (0.0, 1.0, 0, "ncells"),
+])
+def test_make_grid_refuses_bad_requests(xlo, xhi, ncells, name):
+    with pytest.raises(ConfigurationError, match=name):
+        core.make_grid(xlo, xhi, ncells)
+
+
+def test_make_grid_takes_numpy_integers():
+    assert core.make_grid(0.0, 1.0, np.int64(4)).ncells == 4
+
+
 # ----------------------------------------------------------------------
 # elementwise pieces
 

@@ -372,6 +372,12 @@ def test_step_inputs_built_once_per_accepted_state(monkeypatch):
     assert calls["attempts"] == res.steps + res.retries > res.steps
 
 
+@pytest.mark.parametrize("cells", [2.5, True, 0, -3])
+def test_run_case_refuses_bad_cell_counts(cells):
+    with pytest.raises(ConfigurationError, match="ncells"):
+        harness.run_case("linadv_sine", cells=cells)
+
+
 def test_convergence_requires_three_meshes():
     with pytest.raises(ConfigurationError):
         harness.convergence_suite("linadv_sine", [20, 40])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fourier_oracle import printed_d2_blocks, printed_d2_symbol
 from mdrkfr import core, models, ssprk, stability
 from mdrkfr.errors import ConfigurationError
 from mdrkfr.operators import make_operators
@@ -8,6 +9,10 @@ from mdrkfr.operators import make_operators
 FULL_KAPPAS = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
 SEARCHES = [("gl", "radau", "d1"), ("gl", "radau", "d2"),
             ("gll", "g2", "d1"), ("gll", "g2", "d2")]
+PAIRINGS = [("gl", "radau"), ("gll", "g2")]
+# bound on the downwind response of a d2 step, relative to its largest
+# entry: 5.4e-16 measured at degree 3, sigma <= 0.6
+DOWNWIND_ROUND_OFF = 2e-15
 
 
 @pytest.fixture(scope="module")
@@ -18,30 +23,6 @@ def ops_gl():
 @pytest.fixture(scope="module")
 def ops_gll():
     return make_operators(3, "gll", "g2")
-
-
-def printed_d2_blocks(ops, sigma):
-    """Closed-form stage matrices as an independent assembly oracle.
-
-    The zero-block coefficient sign is fixed so constants are preserved;
-    the printed form carries the opposite sign, which fails that check.
-    """
-    eye = np.eye(ops.degree + 1)
-    t1 = eye - sigma / 4 * ops.D
-    t2 = eye - sigma / 6 * ops.D
-    t2s = -sigma / 3 * ops.D
-    blvr = np.outer(ops.bL, ops.VR)
-    cell = ops.D - np.outer(ops.bL, ops.VL)
-    a1_m1 = 0.5 * blvr @ t1
-    a1_0 = 0.5 * cell @ t1
-    mix = t2 + t2s @ (eye - sigma * a1_0)
-    return {
-        -2: -blvr @ t2s @ a1_m1,
-        -1: blvr @ mix - sigma * cell @ t2s @ a1_m1,
-        0: cell @ mix,
-        1: np.zeros_like(eye),
-        2: np.zeros_like(eye),
-    }
 
 
 def a_matrices(setup):
@@ -69,15 +50,74 @@ def test_d2_matrices_match_closed_forms(ops_gl):
 
 
 def test_d2_upwind_structure(ops_gl):
-    setup = stability.assemble_matrices(ops_gl, 0.1, "d2")
-    assert +1 not in setup.update or np.allclose(setup.update[+1], 0.0)
-    assert +2 not in setup.update or np.allclose(setup.update[+2], 0.0)
+    # upwind in exact arithmetic; the solver's step leaves round-off in
+    # some downwind blocks (test_d2_step_is_upwind_to_round_off)
+    for sigma in (0.02, 0.1, 0.107, 0.3):
+        update = stability.assemble_matrices(ops_gl, sigma, "d2").update
+        assert {-2, -1, 0} <= set(update) <= {-2, -1, 0, 1, 2}
+        scale = max(np.abs(m).max() for m in update.values())
+        for k in set(update) & {1, 2}:
+            assert np.abs(update[k]).max() <= DOWNWIND_ROUND_OFF * scale
 
 
 def test_d1_has_downwind_coupling(ops_gl):
     setup = stability.assemble_matrices(ops_gl, 0.08, "d1")
     assert np.abs(setup.update[+1]).max() > 1e-8
     assert np.abs(setup.update[+2]).max() > 1e-12
+
+
+def _probe_response(points, correction, diss, sigma, face_scheme="ae", ncells=9):
+    """One mdrk_step of unit-speed advection on ncells periodic unit cells
+    from the unit probes: variable j is 1 at node j of the middle cell."""
+    cfg = core.RunConfig(points=points, correction=correction, dissipation=diss,
+                         face_scheme=face_scheme)
+    disc = core.make_discretization(core.make_grid(0.0, float(ncells), ncells),
+                                    models.LinearAdvection(1.0), cfg)
+    u = np.zeros((ncells, 4, 4))
+    u[ncells // 2] = np.eye(4)
+    return core.mdrk_step(disc, u, 0.0, sigma)[0], disc, u
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.107, 0.3, 0.6])
+@pytest.mark.parametrize("diss", ["d1", "d2"])
+@pytest.mark.parametrize("points,correction", PAIRINGS)
+def test_step_reaches_two_cells_each_side(points, correction, diss, sigma):
+    # the premise of the five-cell probe: nothing reaches three cells away,
+    # so the five cells of assemble_matrices see the step of an open line
+    response, _, _ = _probe_response(points, correction, diss, sigma)
+    assert not response[:2].any() and not response[7:].any()
+    setup = stability.assemble_matrices(make_operators(3, points, correction), sigma, diss)
+    for k in range(-2, 3):
+        assert np.array_equal(response[4 - k], setup.update.get(k, np.zeros((4, 4)))), k
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.107, 0.3, 0.6])
+@pytest.mark.parametrize("points,correction", PAIRINGS)
+def test_d2_step_is_upwind_to_round_off(points, correction, sigma):
+    # the downwind face flux is (f+ - u+) / 2 of the probed cell, zero in
+    # exact arithmetic; the five-point increment of the linear flux is not
+    # u1 bit for bit, so round-off of the largest entry is left
+    response, _, _ = _probe_response(points, correction, "d2", sigma)
+    assert np.abs(response[2:4]).max() <= DOWNWIND_ROUND_OFF * np.abs(response).max()
+
+
+@pytest.mark.parametrize("points,correction", PAIRINGS)
+def test_baseline_operator_reaches_the_upwind_cell_only(points, correction):
+    _, disc, u = _probe_response(points, correction, "d2", 0.1)
+    response = core.element_major(core.rkfr_rhs(disc, core.variable_major(u), 0.0))
+    assert response[4].any() and response[5].any()
+    assert not response[:4].any() and not response[6:].any()
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.107, 0.3, 0.6])
+@pytest.mark.parametrize("diss", ["d1", "d2"])
+@pytest.mark.parametrize("points,correction", PAIRINGS)
+def test_face_schemes_give_one_linear_step(points, correction, diss, sigma):
+    # for a linear flux ea faces are the extrapolated ones, so the probe's
+    # cheaper ae faces stand for both
+    ea, _, _ = _probe_response(points, correction, diss, sigma, face_scheme="ea")
+    ae, _, _ = _probe_response(points, correction, diss, sigma, face_scheme="ae")
+    assert np.abs(ea - ae).max() <= 1e-13
 
 
 @pytest.mark.parametrize("diss", ["d1", "d2"])
@@ -145,7 +185,7 @@ def test_point_kind_does_not_move_cfl():
 
 def test_solver_matches_amplification_prediction(ops_gl):
     # the strongest coupling test: a Fourier mode stepped by the actual
-    # solver must follow H exactly
+    # solver must follow the closed-form H exactly
     rng = np.random.default_rng(42)
     ne = 16
     model = models.LinearAdvection(1.0)
@@ -162,8 +202,7 @@ def test_solver_matches_amplification_prediction(ops_gl):
         phase = np.exp(2j * np.pi * m * grid.faces[:-1])
         u0 = uhat[None, :, None] * phase[:, None, None]
         u1, _ = core.mdrk_step(disc, u0, 0.0, dt)
-        setup = stability.assemble_matrices(ops_gl, sigma, "d2")
-        h = stability.amplification_matrix(setup, 2 * np.pi * m / ne)
+        h = printed_d2_symbol(ops_gl, sigma, 2 * np.pi * m / ne)
         predicted = (h @ uhat)[None, :, None] * phase[:, None, None]
         worst = max(worst, float(np.abs(u1 - predicted).max()))
     assert worst < 1e-12
@@ -269,6 +308,19 @@ def test_nonpositive_kappa_samples_are_refused(ops_gl, nkappa):
         stability.cfl_scan(ops_gl, "d2", [0.05], nkappa=nkappa)
     with pytest.raises(ConfigurationError, match="wavenumber"):
         stability.find_rkfr_cfl(ops_gl, nkappa=nkappa)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1e-3])
+def test_scan_refuses_bad_cfl(ops_gl, sigma):
+    # NaN used to reach eigvals as a LinAlgError, and would now fail the
+    # probe step's admissibility check
+    with pytest.raises(ConfigurationError, match="sigmas"):
+        stability.cfl_scan(ops_gl, "d2", [0.05, sigma], nkappa=8)
+
+
+def test_unknown_dissipation_is_refused(ops_gl):
+    with pytest.raises(ConfigurationError, match="dissipation"):
+        stability.find_cfl(ops_gl, "d3", nkappa=8)
 
 
 @pytest.fixture

@@ -37,8 +37,9 @@ short runs:
   magnitudes near 1e150, where a regrouped formula changes bits;
 - direct stability calls: find_cfl for every pairing and dissipation
   kind at each nkappa in SEARCH_NKAPPAS and tol in SEARCH_TOLS,
-  find_rkfr_cfl for both pairings at each nkappa, and cfl_scan radii at
-  the fixed SCAN_SIGMAS;
+  find_rkfr_cfl for both pairings at each nkappa, cfl_scan radii and
+  the assemble_matrices blocks C_{-2..2} (absent ones as zeros) at the
+  fixed SCAN_SIGMAS, and _rkfr_symbol for both pairings at SYMBOL_KAPPAS;
 - harness.run_case itself on a few short runs (smooth, baseline and gas),
   on every gas case under gll/g2/ae/fo (each halves often, and the
   boundary kinds are reflective, dirichlet and transmissive) and on
@@ -56,7 +57,8 @@ masks), each run_case result's steps, retries, retry_reasons,
 min_constraints, theta_min and final field, and the exit code, output
 (without the wall time) and every file of the CLI run, byte for byte.
 Arrays compare with np.array_equal plus equal np.signbit.  Exits 1 on
-any mismatch and 2 when a tree fails to run the matrix.
+any mismatch and 2 when a tree fails to run the matrix.  A direct call
+whose outputs are float arrays of one shape reports the largest |difference|.
 
 The direct calls reach inside the solver, whose state layout may differ
 between the trees: (ne, p, nvar) with the variable last, or variable-major
@@ -112,6 +114,7 @@ RUN_CASES = (
 # Fourier CFL searches: wavenumber counts and tolerances, and fixed scan CFLs
 SEARCH_NKAPPAS, SEARCH_TOLS = (64, 255, 1024), (5e-4, 1e-4)
 SCAN_SIGMAS = np.linspace(0.02, 0.3, 15)
+SYMBOL_KAPPAS = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 CLI_RUN = ["run", "--case", "sedov", "--cells", "51", "--limiter", "fo",
            "--final-time", "0.0002", "--diagnostics", "diag.csv", "--output", "snap.csv",
            "--override", "snapshot_every=7"]
@@ -503,13 +506,15 @@ def direct_limiter_calls(ncalls=96, seed=11):
 
 
 def direct_stability_calls():
-    """Certified CFLs of find_cfl and find_rkfr_cfl, and cfl_scan radii."""
+    """Certified CFLs of find_cfl and find_rkfr_cfl, cfl_scan radii, the
+    update blocks and the baseline's symbol."""
     from mdrkfr import stability
     from mdrkfr.operators import make_operators
 
     records = []
     for points, correction in PAIRINGS:
         ops = make_operators(3, points, correction)
+        zero = np.zeros((ops.degree + 1,) * 2)
         for diss in ("d1", "d2"):
             for nkappa in SEARCH_NKAPPAS:
                 for tol in SEARCH_TOLS:
@@ -517,9 +522,15 @@ def direct_stability_calls():
                                     stability.find_cfl(ops, diss, nkappa=nkappa, tol=tol)))
             records.append((f"direct/cfl_scan/{correction}/{diss}",
                             np.array(stability.cfl_scan(ops, diss, SCAN_SIGMAS))))
+            for sigma in SCAN_SIGMAS:
+                update = stability.assemble_matrices(ops, sigma, diss).update
+                records.append((f"direct/assemble_matrices/{correction}/{diss}/{sigma}",
+                                np.array([update.get(k, zero) for k in range(-2, 3)])))
         for nkappa in SEARCH_NKAPPAS:
             records.append((f"direct/find_rkfr_cfl/{correction}/{nkappa}",
                             stability.find_rkfr_cfl(ops, nkappa=nkappa)))
+        records.append((f"direct/_rkfr_symbol/{correction}",
+                        stability._rkfr_symbol(ops, SYMBOL_KAPPAS)))
     return records
 
 
@@ -609,6 +620,16 @@ def same(a, b):
     return type(a) is type(b) and a == b
 
 
+def _largest_difference(a, b):
+    """' by up to |difference|' of two float arrays of one shape, else ''."""
+    if not (isinstance(a, (float, np.ndarray)) and isinstance(b, (float, np.ndarray))):
+        return ""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype.kind not in "fc" or b.dtype.kind not in "fc":
+        return ""
+    return f" by up to {float(np.max(np.abs(a - b), initial=0.0)):.2e}"
+
+
 def compare(path_a, path_b):
     """Mismatch descriptions, counts of what was compared, reason notes."""
     mismatches, notes, counts = [], [], Counter()
@@ -618,7 +639,7 @@ def compare(path_a, path_b):
         if key_a.startswith("direct/"):
             counts["direct calls"] += 1
             if not same(out_a, out_b):
-                mismatches.append(f"{key_a}: outputs differ")
+                mismatches.append(f"{key_a}: outputs differ{_largest_difference(out_a, out_b)}")
             continue
         kind = key_a.split("/", 1)[0]
         if kind in ("run_case", "cli"):
