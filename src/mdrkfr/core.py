@@ -117,6 +117,14 @@ class RunConfig:
             raise ConfigurationError(f"unknown limiter {self.limiter!r}")
         if self.boundary not in BOUNDARY_KINDS:
             raise ConfigurationError(f"unknown boundary kind {self.boundary!r}")
+        # a bool would pass as 0 or 1, and a string fail a range check with a TypeError
+        for key in ("cfl", "safety", "final_time", "alpha_max", "alpha_min",
+                    "indicator_sharpness"):
+            value = getattr(self, key)
+            if value is None and key == "cfl":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{key} must be a real number, got {value!r}")
         if not 0.0 < self.safety <= 1.0:
             raise ConfigurationError(f"safety factor must lie in (0, 1], got {self.safety}")
         # each range is written so that NaN fails it

@@ -16,6 +16,8 @@ CFL certified here is that of the step the solver runs, with its tableau
 and its numerical flux.  The baseline's operator is read the same way.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,8 +86,45 @@ def amplification_matrix(setup, kappa):
     return _fourier_sum(setup.update, kappa)
 
 
+def _eigvals(h):
+    """np.linalg.eigvals(h), with a stack of matrices solved on every usable core.
+
+    The stack is cut into min(cores, len(h)) contiguous chunks; the calling
+    thread solves the first and one plain thread each of the others (LAPACK
+    runs without the interpreter lock), all joined before the chunks are
+    concatenated in order.  Every matrix still goes through np.linalg.eigvals
+    with the same input bits, so the result is that of one call, bit for
+    bit.  A worker's exception is raised here.  np.linalg.eigvals is looked
+    up through this module's np name in every chunk, so a wrapper put there
+    sees every call.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    nchunks = min(cores, len(h)) if h.ndim > 2 else 1
+    if nchunks < 2:
+        return np.linalg.eigvals(h)
+    chunks = np.array_split(h, nchunks)
+    results, errors = [None] * nchunks, []
+
+    def solve(i):
+        try:
+            results[i] = np.linalg.eigvals(chunks[i])
+        except BaseException as exc:  # raised below, once every chunk is done
+            errors.append(exc)
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(1, nchunks)]
+    for thread in threads:
+        thread.start()
+    solve(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate(results)
+
+
 def max_spectral_radius(setup, kappas):
-    return float(np.max(np.abs(np.linalg.eigvals(amplification_matrix(setup, kappas)))))
+    return float(np.max(np.abs(_eigvals(amplification_matrix(setup, kappas)))))
 
 
 def _wavenumbers(nkappa):
@@ -155,10 +194,10 @@ def find_cfl(ops, dissipation, nkappa=1024, sigma_max=0.6, tol=5e-4,
         nonlocal worst
         h = amplification_matrix(assemble_matrices(ops, sig, dissipation), kappas)
         if worst is not None:
-            rho = float(np.max(np.abs(np.linalg.eigvals(h[worst]))))
+            rho = float(np.max(np.abs(_eigvals(h[worst]))))
             if not rho <= limit:
                 return rho
-        radii = np.max(np.abs(np.linalg.eigvals(h)), axis=-1)
+        radii = np.max(np.abs(_eigvals(h)), axis=-1)
         j = int(np.argmax(radii))
         if not radii[j] <= limit:
             worst = j
@@ -208,7 +247,7 @@ def find_rkfr_cfl(ops, nkappa=1024, sigma_max=0.6, tol=5e-4, radius_tol=1e-10):
     P(sigma * lambda) for the eigenvalues lambda of L(kappa): these are
     solved for once and the search maps them through P at every sigma.
     """
-    lam = np.linalg.eigvals(_rkfr_symbol(ops, _wavenumbers(nkappa)))[..., None, None]
+    lam = _eigvals(_rkfr_symbol(ops, _wavenumbers(nkappa)))[..., None, None]
     return _largest_stable(
         lambda sig, limit: float(np.max(np.abs(ssprk.amplification(sig * lam)))),
         sigma_max, tol, radius_tol)

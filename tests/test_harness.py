@@ -333,6 +333,25 @@ def test_non_integer_count_is_refused(key, value):
         core.RunConfig(cfl=0.1, **{key: value}).validate()
 
 
+REAL_SETTINGS = ("cfl", "safety", "final_time", "alpha_max", "alpha_min", "indicator_sharpness")
+
+
+# cfl=None selects the certified default
+@pytest.mark.parametrize("key, value", [(k, v) for k in REAL_SETTINGS
+                                        for v in (True, False, np.bool_(True), "0.1", 1j)]
+                         + [(k, None) for k in REAL_SETTINGS if k != "cfl"])
+def test_non_real_setting_is_refused(key, value):
+    # cfl=True used to pass validate and run at CFL 1.0, and cfl='0.1' to
+    # fail a range check with a bare TypeError
+    with pytest.raises(ConfigurationError, match=key):
+        core.RunConfig(**{key: value}).validate()
+
+
+def test_real_number_types_are_accepted():
+    core.RunConfig(cfl=np.float32(0.1), safety=1, final_time=np.float64(0.5),
+                   alpha_max=np.int64(1), alpha_min=0, indicator_sharpness=9).validate()
+
+
 def test_range_ends_are_accepted():
     core.RunConfig(alpha_max=0.0, snapshot_every=0, alpha_min=0.0).validate()
     core.RunConfig(alpha_max=1.0, cfl=0.05).validate()

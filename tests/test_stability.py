@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -406,16 +408,69 @@ def test_early_exit_decides_every_trial_as_a_full_solve(monkeypatch, points, cor
 
 def test_unstable_trials_mostly_solve_one_sample(monkeypatch):
     # matrices handed to eigvals per default search; solving all 513
-    # samples at every trial takes 7,695, 8,721, 10,773 and 14,877
+    # samples at every trial takes 7,695, 8,721, 10,773 and 14,877.  eigvals
+    # runs on several threads, so each call appends its own count (one
+    # append cannot lose another's) and each search sums its calls' counts
     eigvals = np.linalg.eigvals
-    solved = []
+    counts = []
 
     def counted(a):
-        solved[-1] += int(np.prod(np.shape(a)[:-2]))
+        counts.append(int(np.prod(np.shape(a)[:-2])))
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
+    solved = []
     for points, correction, diss in SEARCHES:
-        solved.append(0)
+        start = len(counts)
         stability.find_cfl(make_operators(3, points, correction), diss)
+        solved.append(sum(counts[start:]))
     assert solved == [6674, 6674, 9239, 12830]
+
+
+def _complex_stack(n, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(stability.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(stability.os, "cpu_count", lambda: n)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 33, 128, 513])
+def test_eigvals_matches_one_call_bit_for_bit(monkeypatch, n, cores):
+    _cores(monkeypatch, cores)
+    h = _complex_stack(n)
+    expected = np.linalg.eigvals(h)
+    got = stability._eigvals(h)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got.imag), np.signbit(expected.imag))
+    assert np.array_equal(stability._eigvals(h[0]), np.linalg.eigvals(h[0]))
+
+
+def test_eigvals_raises_a_worker_error_in_the_caller(monkeypatch):
+    _cores(monkeypatch, 3)
+    h = _complex_stack(33)
+    h[-1, 0, 0] = np.nan   # the last chunk, solved off the calling thread
+    with pytest.raises(np.linalg.LinAlgError):
+        stability._eigvals(h)
+
+
+def test_eigvals_on_one_core_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    _cores(monkeypatch, 1)
+    monkeypatch.setattr(stability.threading, "Thread", no_thread)
+    h = _complex_stack(33)
+    assert np.array_equal(stability._eigvals(h), np.linalg.eigvals(h))
+
+
+def test_searches_leave_no_thread_behind(ops_gl):
+    before = threading.active_count()
+    stability.find_cfl(ops_gl, "d2", nkappa=64)
+    stability.cfl_scan(ops_gl, "d2", [0.05, 0.2], nkappa=64)
+    stability.find_rkfr_cfl(ops_gl, nkappa=64)
+    assert threading.active_count() == before

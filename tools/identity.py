@@ -36,10 +36,14 @@ short runs:
   signed-zero and subnormal momenta, densities near 1e-300 and
   magnitudes near 1e150, where a regrouped formula changes bits;
 - direct stability calls: find_cfl for every pairing and dissipation
-  kind at each nkappa in SEARCH_NKAPPAS and tol in SEARCH_TOLS,
-  find_rkfr_cfl for both pairings at each nkappa, cfl_scan radii and
-  the assemble_matrices blocks C_{-2..2} (absent ones as zeros) at the
-  fixed SCAN_SIGMAS, and _rkfr_symbol for both pairings at SYMBOL_KAPPAS;
+  kind at each nkappa in SEARCH_NKAPPAS and tol in SEARCH_TOLS (24
+  searches), find_rkfr_cfl for both pairings at each nkappa (6 searches),
+  cfl_scan radii, the assemble_matrices blocks C_{-2..2} (absent ones as
+  zeros) and max_spectral_radius at nkappa = 1 (one matrix, solved
+  without splitting the stack) at the fixed SCAN_SIGMAS, the cfl_scan of
+  `mdrkfr stability --scan` (40 CFLs up to 1.15 x the certified GLL/g2/d2
+  CFL, 513 samples each, split over the cores), and _rkfr_symbol for both
+  pairings at SYMBOL_KAPPAS: 157 records;
 - harness.run_case itself on a few short runs (smooth, baseline and gas),
   on every gas case under gll/g2/ae/fo (each halves often, and the
   boundary kinds are reflective, dirichlet and transmissive) and on
@@ -507,7 +511,7 @@ def direct_limiter_calls(ncalls=96, seed=11):
 
 def direct_stability_calls():
     """Certified CFLs of find_cfl and find_rkfr_cfl, cfl_scan radii, the
-    update blocks and the baseline's symbol."""
+    update blocks, one-sample spectral radii and the baseline's symbol."""
     from mdrkfr import stability
     from mdrkfr.operators import make_operators
 
@@ -523,9 +527,16 @@ def direct_stability_calls():
             records.append((f"direct/cfl_scan/{correction}/{diss}",
                             np.array(stability.cfl_scan(ops, diss, SCAN_SIGMAS))))
             for sigma in SCAN_SIGMAS:
-                update = stability.assemble_matrices(ops, sigma, diss).update
+                setup = stability.assemble_matrices(ops, sigma, diss)
                 records.append((f"direct/assemble_matrices/{correction}/{diss}/{sigma}",
-                                np.array([update.get(k, zero) for k in range(-2, 3)])))
+                                np.array([setup.update.get(k, zero) for k in range(-2, 3)])))
+                records.append((f"direct/max_spectral_radius/{correction}/{diss}/{sigma}/1",
+                                stability.max_spectral_radius(setup, stability._wavenumbers(1))))
+            if correction == "g2" and diss == "d2":
+                # the sigmas of `mdrkfr stability --scan` at its defaults
+                sigmas = np.linspace(0.005, stability.find_cfl(ops, diss) * 1.15, 40)
+                records.append((f"direct/cfl_scan/{correction}/{diss}/cli",
+                                np.array(stability.cfl_scan(ops, diss, sigmas))))
         for nkappa in SEARCH_NKAPPAS:
             records.append((f"direct/find_rkfr_cfl/{correction}/{nkappa}",
                             stability.find_rkfr_cfl(ops, nkappa=nkappa)))
