@@ -11,6 +11,7 @@ admissible, and a nodal scaling limiter squeezes the solution polynomial
 toward the (admissible) element mean afterwards.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -126,7 +127,8 @@ def _subface_rusanov(model, traces, x):
     subcells stacked on axis 1; x is SubcellGeometry.padded_faces."""
     x = x.reshape(x.shape[:1] + (1,) * (traces.ndim - 3) + x.shape[1:])
     s, f = model.speed_and_flux(traces, x)
-    s = np.broadcast_to(s, traces.shape[1:])
+    if np.shape(s) != traces.shape[1:]:
+        s = np.broadcast_to(s, traces.shape[1:])
     s = np.maximum(s[1, ..., :-1], s[0, ..., 1:])  # the speeds die here
     return numerical_flux(f[:, 1, ..., :-1], f[:, 0, ..., 1:], traces[:, 1, ..., :-1],
                           traces[:, 0, ..., 1:], s)
@@ -170,7 +172,8 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     lead = (slice(None),) + (None,) * np.ndim(tau)
     if not use_slopes:
         flux = _subface_rusanov(model, traces, faces)
-        return np.broadcast_to(flux[lead], flux.shape[:1] + np.shape(tau) + flux.shape[1:])
+        return flux if not np.ndim(tau) else np.broadcast_to(
+            flux[lead], flux.shape[:1] + np.shape(tau) + flux.shape[1:])
 
     f = model.flux(traces, b.sub_face_x)
     dflux = f[:, 1] - f[:, 0]
@@ -243,7 +246,22 @@ def _side_updates(low, flux):
     return out
 
 
-def low_order_face_updates(disc, subface_fluxes, u, tau):
+FaceParts = namedtuple("FaceParts", "sf flow f_int dm dp um upl")
+
+
+def face_update_parts(disc, subface_fluxes, u):
+    """What low_order_face_updates builds before it reads tau: subface fluxes
+    (nvar, intervals, ns+1), their face and inner-subface values flow and f_int,
+    the flux differences dm, dp across the two end subcells, their states um, upl."""
+    b = disc.boundary
+    sf = subface_fluxes if subface_fluxes.ndim == 3 else subface_fluxes[:, None]
+    flow = sf[..., ::disc.ops.degree + 1]
+    f_int = sf[..., b.inner_subfaces]
+    return FaceParts(sf, flow, f_int, flow - f_int[:, :, 0], f_int[:, :, 1] - flow,
+                     u[:, b.cells[:-1], -1], u[:, b.cells[1:], 0])
+
+
+def low_order_face_updates(disc, subface_fluxes, u, tau, parts=None):
     """Build and check the low-order updates next to every element face.
 
     They depend on the start-of-step state and the stage interval only,
@@ -258,17 +276,14 @@ def low_order_face_updates(disc, subface_fluxes, u, tau):
     every interval shares; one FaceUpdates per interval is returned.  All
     intervals are built stacked and checked with one constraints call; the
     error carries stage, the first failing interval counted from 1, and
-    face, the face of its lowest failing value.
+    face, the face of its lowest failing value.  parts, when the caller
+    has them, are face_update_parts(disc, subface_fluxes, u).
     """
     model, b = disc.model, disc.boundary
     taus = np.reshape(tau, -1)
-    sf = subface_fluxes if subface_fluxes.ndim == 3 else subface_fluxes[:, None]
-    flow = sf[..., ::disc.ops.degree + 1]
-    f_int = sf[..., b.inner_subfaces]
-    # flux differences across the two end subcells, tau over their widths
-    dm, dp = flow - f_int[:, :, 0], f_int[:, :, 1] - flow
+    sf, flow, f_int, dm, dp, um, upl = parts or face_update_parts(disc, subface_fluxes, u)
+    # tau over the widths of the two end subcells
     c = taus[:, None, None] / b.end_widths
-    um, upl = u[:, b.cells[:-1], -1], u[:, b.cells[1:], 0]
     sides = np.empty(u.shape[:1] + (len(taus), 2) + flow.shape[-1:],
                      dtype=np.result_type(u, sf))
     np.subtract(um[:, None], c[:, 0] * dm, out=sides[:, :, 0])
@@ -357,13 +372,15 @@ def scaling_limiter(disc, u):
         return u
     mean = node_sums(disc.ops.weights, u)
     cmean = model.constraints(mean)
+    if not (cmean > 0.0).all():  # then name the first failing constraint
+        k = int(np.argmax(~(cmean > 0.0).all(axis=1)))
+        e = int(np.argmin(cmean[k]))
+        raise AdmissibilityError(f"mean {model.constraint_names[k]}", float(cmean[k, e]),
+                                 element=e,
+                                 detail="inadmissible element mean reached the scaling limiter")
     cons = None
-    for k, name in enumerate(model.constraint_names):
+    for k in range(model.nconstraints):
         pbar = cmean[k]
-        if not (pbar > 0.0).all():
-            e = int(np.argmin(pbar))
-            raise AdmissibilityError(f"mean {name}", float(pbar[e]), element=e,
-                                     detail="inadmissible element mean reached the scaling limiter")
         eps = 0.1 * pbar
         if cons is None:
             cons = model.constraints(u)

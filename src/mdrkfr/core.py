@@ -566,10 +566,13 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops, traces=None):
 
 
 def _mean_speeds(disc, u):
-    """Wave speed of each element's mean state, maximised over its nodes."""
+    """Wave speed of each element's mean state, maximised over its nodes when
+    it depends on x: a max of equal values is that value, NaN and -0 too."""
     means = node_sums(disc.ops.weights, u)
-    speeds = np.broadcast_to(disc.model.speed(means[..., None], disc.xn), disc.xn.shape)
-    return fold(np.maximum, np.real(speeds), 1)
+    speeds = np.real(disc.model.speed(means[..., None], disc.xn))
+    if np.shape(speeds) == disc.xn.shape[:1] + (1,):
+        return speeds[:, 0]
+    return fold(np.maximum, np.broadcast_to(speeds, disc.xn.shape), 1)
 
 
 def face_wave_speeds(disc, speeds):
@@ -629,12 +632,11 @@ def validate_admissible(model, u, time=None, step=None, detail=""):
     if model.nconstraints == 0:
         return None
     vals = model.constraints(u)
-    for k, name in enumerate(model.constraint_names):
-        col = vals[k]
-        if (col <= 0.0).any():
-            e, p = np.unravel_index(int(np.argmin(col)), col.shape)
-            raise AdmissibilityError(name, float(col[e, p]), element=int(e),
-                                     node=int(p), time=time, step=step, detail=detail)
+    if (vals <= 0.0).any():  # then name the first failing constraint
+        k = int(np.argmax((vals <= 0.0).any(axis=(1, 2))))
+        e, p = np.unravel_index(int(np.argmin(vals[k])), vals[k].shape)
+        raise AdmissibilityError(model.constraint_names[k], float(vals[k, e, p]), element=int(e),
+                                 node=int(p), time=time, step=step, detail=detail)
     return vals
 
 
@@ -648,17 +650,22 @@ class StepStart:
     u               the state, variable-major
     speeds          wave speed of every element mean (_mean_speeds)
     lam             dissipation coefficient of every face (face_wave_speeds)
+    alpha           with a limiter, stage one's smoothness alpha; None otherwise
     subface_fluxes  with limiter fo, the subcell-line Rusanov fluxes, which
                     read the nodal values only, not tau; None otherwise
+    face_parts      with limiter fo, the face check's blending.face_update_parts
     """
 
     u: np.ndarray
     speeds: np.ndarray
     lam: np.ndarray
+    alpha: np.ndarray = None
     subface_fluxes: np.ndarray = None
+    face_parts: blending.FaceParts = None
 
     def __post_init__(self):
-        for value in (self.u, self.speeds, self.lam, self.subface_fluxes):
+        for value in (self.u, self.speeds, self.lam, self.alpha, self.subface_fluxes,
+                      *(self.face_parts or ())):
             if value is not None:
                 value.setflags(write=False)
 
@@ -667,10 +674,12 @@ def step_start(disc, u):
     """The StepStart of nodal state u, given as (ne, p, nvar)."""
     uv = variable_major(u)
     speeds = _mean_speeds(disc, uv)
-    subface_fluxes = None
+    alpha = None if disc.config.limiter == "none" else blending.smoothness_alpha(disc, uv)
+    subface_fluxes = parts = None
     if disc.config.limiter == "fo":
         subface_fluxes = blending.low_order_subface_fluxes(disc, uv, 0.0, use_slopes=False)
-    return StepStart(uv, speeds, face_wave_speeds(disc, speeds), subface_fluxes)
+        parts = blending.face_update_parts(disc, subface_fluxes, uv)
+    return StepStart(uv, speeds, face_wave_speeds(disc, speeds), alpha, subface_fluxes, parts)
 
 
 def compute_dt(disc, u, t, start=None):
@@ -727,8 +736,8 @@ def _low_order(disc, u, dt, start):
 
     They depend on u and the stage interval only, so they are built and
     checked before any high-order work: a step that has to be halved stops
-    here.  First-order subcell fluxes come from start; MUSCL-Hancock ones
-    are built for all intervals in one pass.
+    here.  First-order subcell fluxes and check parts come from start;
+    MUSCL-Hancock ones are built for all intervals in one pass.
     """
     if disc.config.limiter == "none":
         return (None,) * len(STAGE_ROWS)
@@ -736,7 +745,7 @@ def _low_order(disc, u, dt, start):
     subfaces = start.subface_fluxes
     if subfaces is None:
         subfaces = blending.low_order_subface_fluxes(disc, u, taus, use_slopes=True)
-    return blending.low_order_face_updates(disc, subfaces, u, taus)
+    return blending.low_order_face_updates(disc, subfaces, u, taus, start.face_parts)
 
 
 def mdrk_step(disc, u, t, dt, start=None):
@@ -775,7 +784,7 @@ def mdrk_step(disc, u, t, dt, start=None):
         fnum = _assemble_face_flux(disc, faces, node_sums(ops.V, ud), lam, t, tau)
         alpha = theta = None
         if low is not None:
-            alpha = blending.smoothness_alpha(disc, state)
+            alpha = start.alpha if k == 0 else blending.smoothness_alpha(disc, state)
             fnum, theta = blending.blend_and_limit_face_flux(disc, fnum, low, alpha)
             r_low = blending.low_order_residual(disc, low.subface_fluxes, fnum)
         residual = fr_flux_derivative(favg, fnum[:, :-1], fnum[:, 1:], ops, traces)

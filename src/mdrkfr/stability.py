@@ -28,6 +28,7 @@ from .errors import ConfigurationError
 from .operators import ReferenceOperators
 
 DISSIPATION_KINDS = ("d1", "d2")
+SCAN_DOUBLINGS = 3  # times a search stable over its whole scan doubles its range
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +147,9 @@ def _largest_stable(radius, sigma_max, tol, radius_tol):
 
     radius may return any value above limit for an unstable sigma.  A
     60-point scan from sigma = tol to sigma_max brackets the first unstable
-    value; bisection then narrows the bracket to tol (or to adjacent floats).
+    value; when every point is stable, the scan goes on over twice the range,
+    up to SCAN_DOUBLINGS times, and a search still stable is refused.
+    Bisection then narrows the bracket to tol (or to adjacent floats).
     """
     if not 0.0 < tol < np.inf:
         raise ConfigurationError(f"tol must be positive and finite, got {tol!r}")
@@ -159,16 +162,17 @@ def _largest_stable(radius, sigma_max, tol, radius_tol):
     rho = radius(lo, limit)
     if not rho <= limit:
         raise RuntimeError(f"scheme unstable even at sigma = {lo}: rho = {rho:.6f}")
-    grid = np.linspace(lo, sigma_max, 60)
     hi = None
-    for sig in grid[1:]:
-        if radius(sig, limit) <= limit:
+    for top in sigma_max * 2.0 ** np.arange(SCAN_DOUBLINGS + 1):
+        for sig in np.linspace(lo, top, 60)[1:]:
+            if not radius(sig, limit) <= limit:
+                hi = sig
+                break
             lo = sig
-        else:
-            hi = sig
+        if hi is not None:
             break
-    if hi is None:
-        return float(grid[-1])
+    else:
+        raise ConfigurationError(f"scheme stable at every trial up to sigma = {lo}")
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if radius(mid, limit) <= limit:
             lo = mid

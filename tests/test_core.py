@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mdrkfr import blending, core, harness, models
 from mdrkfr.errors import AdmissibilityError, ConfigurationError, StencilStateError
-from mdrkfr.operators import make_operators
+from mdrkfr.operators import make_operators, node_sums
 
 
 # the solver's inside runs on variable-major (nvar, ne, p) arrays; states
@@ -579,6 +579,48 @@ def test_compute_dt_refuses_nan_mean_speed():
             assert err.value.time == 0.25
 
 
+def _folded_mean_speeds(disc, means):
+    """_mean_speeds of the (nvar, ne) means as it was written for every
+    model: their speed broadcast over the nodes and folded by max."""
+    speeds = np.broadcast_to(disc.model.speed(means[..., None], disc.xn), disc.xn.shape)
+    return models.fold(np.maximum, np.real(speeds), 1)
+
+
+@pytest.mark.parametrize("model", [models.Euler(), models.Burgers()])
+def test_mean_speed_of_the_mean_alone_is_the_folded_one_bit_for_bit(monkeypatch, model):
+    # a speed with a one-long node axis is taken as it is, as the max of
+    # equal values: means with NaN, signed zeros and subnormals in every
+    # variable give the folded form's bits
+    disc = make_disc(ncells=40, model=model)
+    means = np.random.default_rng(3).uniform(0.5, 2.0, (model.nvar, 40))
+    special = [np.nan, 0.0, -0.0, 1e-310, -1e-310, 5e-324, -np.inf, 1e300]
+    for k in range(model.nvar):
+        means[k, 8 * k:8 * k + 8] = special
+    monkeypatch.setattr(core, "node_sums", lambda weights, u: means)
+    with np.errstate(all="ignore"):
+        fast, folded = core._mean_speeds(disc, None), _folded_mean_speeds(disc, means)
+    assert fast.shape == folded.shape == (40,) and np.isnan(fast).any()
+    assert np.array_equal(fast.view(np.int64), folded.view(np.int64))
+
+
+def test_mean_speed_that_depends_on_x_is_maxed_over_the_nodes():
+    _, disc, fld = harness.make_run("varadv_x2", cells=8)
+    speeds = core._mean_speeds(disc, vm(fld.data))
+    assert np.array_equal(speeds, (disc.xn ** 2).max(axis=1))
+    means = node_sums(disc.ops.weights, vm(fld.data))
+    assert np.array_equal(speeds, _folded_mean_speeds(disc, means))
+    assert (speeds > disc.xn[:, 0] ** 2).all()
+
+
+def test_compute_dt_refuses_nan_burgers_mean():
+    disc = make_disc(ncells=6, model=models.Burgers())
+    u = np.ones((6, 4, 1))
+    u[4, 1, 0] = np.nan
+    with pytest.raises(AdmissibilityError) as err:
+        core.compute_dt(disc, u, 0.0)
+    assert err.value.constraint == "mean wave speed" and err.value.element == 4
+
+
 # ----------------------------------------------------------------------
 # full steps
 
@@ -935,7 +977,16 @@ def test_reused_step_start_equals_fresh_step(overrides):
             b = values_f[name]
             assert a is None and b is None or np.array_equal(a, b), name
     assert outcomes[0] and not all(outcomes)
-    assert not start.lam.flags.writeable
+    # the attempts left the per-state inputs, read-only, with a fresh build's bits
+    fresh_start = core.step_start(disc, u)
+    assert start.alpha is not None
+    assert (start.face_parts is None) == (start.subface_fluxes is None) == (
+        overrides["limiter"] == "mh")
+    pairs = [(getattr(start, name), getattr(fresh_start, name))
+             for name in ("u", "speeds", "lam", "alpha", "subface_fluxes")]
+    for a, b in pairs + list(zip(start.face_parts or (), fresh_start.face_parts or ())):
+        assert a is None and b is None or np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert a is None or not a.flags.writeable
 
 
 def test_low_order_error_names_stage_and_face(monkeypatch):
@@ -944,9 +995,9 @@ def test_low_order_error_names_stage_and_face(monkeypatch):
     failures = []
     check = blending.low_order_face_updates
 
-    def recorded(disc, subface_fluxes, u, tau):
+    def recorded(disc, subface_fluxes, u, tau, parts=None):
         try:
-            return check(disc, subface_fluxes, u, tau)
+            return check(disc, subface_fluxes, u, tau, parts)
         except StencilStateError as exc:
             failures.append((disc, subface_fluxes, u, tau, exc))
             raise

@@ -369,9 +369,11 @@ def test_retry_reasons_are_recorded():
 
 def test_step_inputs_built_once_per_accepted_state(monkeypatch):
     # every halved attempt reuses its state's StepStart: one mean-speed
-    # pass and one first-order subcell pass per state, however many
-    # attempts the state takes
-    calls = {"speeds": 0, "subfaces": 0, "attempts": 0}
+    # pass, one first-order subcell pass, one build of the face check's
+    # parts and one stage-one alpha per state, however many attempts the
+    # state takes
+    calls = {"speeds": 0, "subfaces": 0, "parts": 0, "attempts": 0, "alpha": 0,
+             "stage-two alpha": 0, "stage twos": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -379,16 +381,43 @@ def test_step_inputs_built_once_per_accepted_state(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def start(disc, u):
+        starting.append(True)
+        try:
+            return step_start(disc, u)
+        finally:
+            starting.pop()
+
+    def alpha(disc, u):
+        calls["alpha" if starting else "stage-two alpha"] += 1
+        return smoothness_alpha(disc, u)
+
+    def average(model, state, pieces, *args):
+        out = time_average(model, state, pieces, *args)
+        calls["stage twos"] += len(pieces) == 2
+        return out
+
+    starting, step_start, time_average = [], core.step_start, core.time_average
+    smoothness_alpha = blending.smoothness_alpha
+    monkeypatch.setattr(core, "step_start", start)
+    monkeypatch.setattr(core, "time_average", average)
     monkeypatch.setattr(core, "_mean_speeds", counted("speeds", core._mean_speeds))
     monkeypatch.setattr(blending, "low_order_subface_fluxes",
                         counted("subfaces", blending.low_order_subface_fluxes))
+    monkeypatch.setattr(blending, "face_update_parts",
+                        counted("parts", blending.face_update_parts))
+    monkeypatch.setattr(blending, "smoothness_alpha", alpha)
     monkeypatch.setattr(core, "mdrk_step", counted("attempts", core.mdrk_step))
     cfg = harness.case_config(harness.build_case("density_ratio"), points="gll",
                               correction="g2", face_scheme="ae", limiter="fo",
                               final_time=0.05)
     res = harness.run_case("density_ratio", cfg, cells=100)
-    assert calls["speeds"] == calls["subfaces"] == res.steps
+    assert calls["speeds"] == calls["subfaces"] == calls["parts"] == calls["alpha"] == res.steps
     assert calls["attempts"] == res.steps + res.retries > res.steps
+    # stage two's alpha runs once in every attempt that reaches stage two:
+    # the accepted ones at least, never the ones the face check halves
+    assert calls["stage-two alpha"] == calls["stage twos"]
+    assert res.steps <= calls["stage twos"] < calls["attempts"]
 
 
 @pytest.mark.parametrize("cells", [2.5, True, 0, -3])

@@ -356,6 +356,36 @@ def test_degenerate_search_arguments_are_refused(ops_gl, no_trials, name, value)
             stability.find_rkfr_cfl(ops_gl, nkappa=2, **{name: value})
 
 
+@pytest.mark.parametrize("search, expected", [
+    (lambda: stability.find_cfl(make_operators(1, "gll", "g2"), "d2"), 0.9746),
+    (lambda: stability.find_rkfr_cfl(make_operators(1, "gl", "radau")), 0.6628),
+    (lambda: stability.find_rkfr_cfl(make_operators(1, "gl", "g2")), 1.5513),
+    (lambda: stability.find_rkfr_cfl(make_operators(2, "gl", "g2")), 0.6705),
+], ids=["find_cfl-1-g2-d2", "rkfr-1-radau", "rkfr-1-g2", "rkfr-2-g2"])
+def test_search_scans_on_past_a_stable_sigma_max(search, expected):
+    # every trial of the default scan up to sigma_max = 0.6 is stable for
+    # these limits; the search used to return 0.6 itself
+    assert abs(search() - expected) <= 2 * 5e-4
+
+
+def test_search_stable_at_every_trial_is_refused():
+    trials = []
+
+    def radius(sigma, limit):
+        trials.append(sigma)
+        return 0.0
+
+    with pytest.raises(ConfigurationError, match="stable at every trial"):
+        stability._largest_stable(radius, 0.6, 5e-4, 1e-10)
+    # tol, then 59 new trials per scan of the doubled range
+    assert len(trials) == 1 + 59 * (stability.SCAN_DOUBLINGS + 1)
+    assert max(trials) == 0.6 * 2 ** stability.SCAN_DOUBLINGS
+    # a Fourier search too: the degree-3 limit lies far above 0.016
+    with pytest.raises(ConfigurationError, match="stable at every trial"):
+        stability.find_cfl(make_operators(3, "gl", "radau"), "d2", nkappa=16, sigma_max=2e-3,
+                           tol=1e-4)
+
+
 def _logged_search(monkeypatch, search):
     """search()'s result and the trial CFLs it assembled, in order."""
     trials = []
