@@ -14,28 +14,27 @@ import numpy as np
 
 from . import core, harness, order_conditions, stability
 from .errors import ConfigurationError, SolverAbort
-from .operators import CORRECTION_KINDS, POINT_KINDS, make_operators
+from .operators import make_operators
+
+# the RunConfig fields settable by flag (--face-scheme sets face_scheme),
+# in --help order; a choice field takes its values from core.CHOICES
+FLAGS = ("points", "correction", "dissipation", "face_scheme", "limiter",
+         "cfl", "safety", "final_time")
 
 
 def _add_config_arguments(p):
     p.add_argument("--config", help="key = value configuration file ([run] section)")
     p.add_argument("--override", action="append", default=[], metavar="K=V",
                    help="override a config entry (repeatable)")
-    p.add_argument("--points", choices=POINT_KINDS)
-    p.add_argument("--correction", choices=CORRECTION_KINDS)
-    p.add_argument("--dissipation", choices=stability.DISSIPATION_KINDS)
-    p.add_argument("--face-scheme", choices=core.FACE_SCHEMES, dest="face_scheme")
-    p.add_argument("--limiter", choices=core.LIMITER_KINDS)
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--safety", type=float)
-    p.add_argument("--final-time", type=float, dest="final_time")
+    for key in FLAGS:
+        kind = {"choices": core.CHOICES[key]} if key in core.CHOICES else {"type": float}
+        p.add_argument("--" + key.replace("_", "-"), **kind)
 
 
 def _build_config(args, case):
     """Case defaults, overlaid by the config file, overlaid by CLI flags."""
     overrides = list(args.override)
-    for key in ("points", "correction", "dissipation", "face_scheme",
-                "limiter", "cfl", "safety", "final_time"):
+    for key in FLAGS:
         value = getattr(args, key, None)
         if value is not None:
             overrides.append(f"{key}={value}")
@@ -174,7 +173,7 @@ def _cmd_compare(args):
         l2r, _ = harness.error_norms(res_r.disc, res_r.field.data, case.exact,
                                      res_r.field.time)
         print(f"{nc:7d} {l2m[0]:14.6e} {l2r[0]:14.6e} {l2m[0] / l2r[0]:7.3f}")
-    print(f"baseline cfl: {harness.rkfr_default_cfl(cfg.degree, cfg.points, cfg.correction):.4f}")
+    print(f"baseline cfl: {res_r.disc.config.cfl:.4f}")
     return 0
 
 
@@ -200,9 +199,8 @@ def build_parser():
     p.set_defaults(func=_cmd_convergence)
 
     p = sub.add_parser("stability", help="Fourier CFL limit")
-    p.add_argument("--correction", choices=CORRECTION_KINDS, default="radau")
-    p.add_argument("--dissipation", choices=stability.DISSIPATION_KINDS, default="d2")
-    p.add_argument("--points", choices=POINT_KINDS, default="gl")
+    for key in ("correction", "dissipation", "points"):
+        p.add_argument("--" + key, choices=core.CHOICES[key], default=getattr(core.RunConfig, key))
     p.add_argument("--kappa-samples", type=int, default=1024, dest="kappa_samples")
     p.add_argument("--scan", action="store_true", help="also print a sigma scan")
     p.set_defaults(func=_cmd_stability)

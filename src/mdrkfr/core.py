@@ -29,7 +29,7 @@ those four convert (variable_major, element_major).
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +43,10 @@ BOUNDARY_KINDS = ("periodic", "transmissive", "reflective", "dirichlet_outflow",
                   "dirichlet")
 LIMITER_KINDS = ("none", "fo", "mh")
 FACE_SCHEMES = ("ae", "ea")
+# the allowed values of every str field of RunConfig
+CHOICES = {"points": operators.POINT_KINDS, "correction": operators.CORRECTION_KINDS,
+           "dissipation": stability.DISSIPATION_KINDS, "face_scheme": FACE_SCHEMES,
+           "limiter": LIMITER_KINDS, "boundary": BOUNDARY_KINDS}
 
 
 @dataclass(frozen=True)
@@ -105,26 +109,19 @@ class RunConfig:
     snapshot_every: int = 0
 
     def validate(self):
-        if self.points not in operators.POINT_KINDS:
-            raise ConfigurationError(f"unknown point kind {self.points!r}")
-        if self.correction not in operators.CORRECTION_KINDS:
-            raise ConfigurationError(f"unknown correction {self.correction!r}")
-        if self.dissipation not in stability.DISSIPATION_KINDS:
-            raise ConfigurationError(f"unknown dissipation {self.dissipation!r}")
-        if self.face_scheme not in FACE_SCHEMES:
-            raise ConfigurationError(f"unknown face scheme {self.face_scheme!r}")
-        if self.limiter not in LIMITER_KINDS:
-            raise ConfigurationError(f"unknown limiter {self.limiter!r}")
-        if self.boundary not in BOUNDARY_KINDS:
-            raise ConfigurationError(f"unknown boundary kind {self.boundary!r}")
-        # a bool would pass as 0 or 1, and a string fail a range check with a TypeError
-        for key in ("cfl", "safety", "final_time", "alpha_max", "alpha_min",
-                    "indicator_sharpness"):
-            value = getattr(self, key)
-            if value is None and key == "cfl":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(f"{key} must be a real number, got {value!r}")
+        # each field's kind is its annotation; a bool would pass as 0 or 1,
+        # and a string fail a range check with a TypeError
+        for f in fields(self):
+            key, value = f.name, getattr(self, f.name)
+            if f.type is str:
+                if value not in CHOICES[key]:
+                    raise ConfigurationError(
+                        f"unknown {key} {value!r}; expected one of {CHOICES[key]}")
+            elif not (value is None and isinstance(None, f.type)):
+                kind, word = ((numbers.Integral, "an integer") if f.type is int
+                              else (numbers.Real, "a real number"))
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigurationError(f"{key} must be {word}, got {value!r}")
         if not 0.0 < self.safety <= 1.0:
             raise ConfigurationError(f"safety factor must lie in (0, 1], got {self.safety}")
         # each range is written so that NaN fails it
@@ -141,10 +138,6 @@ class RunConfig:
         if not 0.0 < self.indicator_sharpness < np.inf:
             raise ConfigurationError(
                 f"indicator_sharpness must be positive and finite, got {self.indicator_sharpness}")
-        for key in ("degree", "snapshot_every"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{key} must be an integer, got {value!r}")
         if not 0 <= self.snapshot_every:
             raise ConfigurationError(
                 f"snapshot_every must be 0 (off) or a step count, got {self.snapshot_every}")

@@ -431,20 +431,20 @@ def ingest_reference(path):
 # configuration files
 
 
-_CONFIG_FLOATS = {"cfl", "safety", "final_time", "alpha_max", "alpha_min",
-                  "indicator_sharpness"}
-_CONFIG_INTS = {"degree", "snapshot_every"}
+# RunConfig field -> its annotation: int, float, float | None or str
+_CONFIG_KINDS = {f.name: f.type for f in fields(core.RunConfig)}
 
 
 def _coerce(key, value):
+    kind = _CONFIG_KINDS[key]
     try:
-        if key in _CONFIG_FLOATS:
-            return None if value.lower() == "none" else float(value)
-        if key in _CONFIG_INTS:
+        if kind is int:
             return int(value)
+        if kind is not str:
+            return None if value.lower() == "none" else float(value)
     except ValueError:
-        kind = "a number" if key in _CONFIG_FLOATS else "an integer"
-        raise ConfigurationError(f"{key} must be {kind}, got {value!r}") from None
+        word = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {word}, got {value!r}") from None
     return value
 
 
@@ -463,13 +463,12 @@ def load_config(path=None, text=None, overrides=(), base=None):
         if not parser.read(path):
             raise ConfigurationError(f"cannot read config file {path!r}")
     items = [(k, "=", v) for k, v in parser.items("run")] if parser.has_section("run") else []
-    known = {f.name for f in fields(core.RunConfig)}
     values, extras = {}, {}
     for key, sep, value in items + [item.partition("=") for item in overrides]:
         if not sep:
             raise ConfigurationError(f"override {key!r} is not key=value")
         key, value = key.strip(), str(value).strip()
-        if key in known:
+        if key in _CONFIG_KINDS:
             values[key] = _coerce(key, value)
         else:
             extras[key] = value

@@ -7,6 +7,7 @@ polynomials.  All operators are built once per (degree, point kind,
 correction kind) and cached; the returned arrays are read-only.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,8 +105,9 @@ def build_nodeset(degree, kind):
     """Build the degree+1 solution points of the requested kind on [0, 1]."""
     if kind not in POINT_KINDS:
         raise ConfigurationError(f"unknown point kind {kind!r}; expected one of {POINT_KINDS}")
-    if degree < 1:
-        raise ConfigurationError(f"degree must be >= 1, got {degree}")
+    # a bool would pass as 0 or 1, and a fraction fail inside the quadrature
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 1:
+        raise ConfigurationError(f"degree must be an integer >= 1, got {degree!r}")
     if kind == "gl":
         x, w = gauss_legendre(degree + 1)
     else:
@@ -205,13 +207,6 @@ def build_correction_derivatives(ns, correction):
     return bl, br
 
 
-def build_d1(d, bl, br, vl, vr):
-    """Combined derivative matrix D1 = D - bL VL^T - bR VR^T."""
-    if d.shape[0] != d.shape[1] or d.shape[0] != len(bl):
-        raise ValueError("inconsistent operator shapes")
-    return d - np.outer(bl, vl) - np.outer(br, vr)
-
-
 @dataclass(frozen=True)
 class ReferenceOperators:
     """Immutable bundle of all reference-element operators.  V is (VL, VR)
@@ -225,12 +220,11 @@ class ReferenceOperators:
     VR: np.ndarray
     bL: np.ndarray
     bR: np.ndarray
-    D1: np.ndarray
     V: np.ndarray
     DB: np.ndarray
 
     def __post_init__(self):
-        for a in (self.D, self.VL, self.VR, self.bL, self.bR, self.D1, self.V, self.DB):
+        for a in (self.D, self.VL, self.VR, self.bL, self.bR, self.V, self.DB):
             a.setflags(write=False)
 
     @property
@@ -269,5 +263,5 @@ def make_operators(degree=3, kind="gl", correction="radau"):
     d = build_diff_matrix(ns)
     vl, vr = build_face_vandermonde(ns)
     bl, br = build_correction_derivatives(ns, correction)
-    return ReferenceOperators(ns, correction, d, vl, vr, bl, br, build_d1(d, bl, br, vl, vr),
-                              np.stack([vl, vr]), np.hstack([d, bl[:, None], br[:, None]]))
+    return ReferenceOperators(ns, correction, d, vl, vr, bl, br, np.stack([vl, vr]),
+                              np.hstack([d, bl[:, None], br[:, None]]))

@@ -333,6 +333,30 @@ def test_non_integer_count_is_refused(key, value):
         core.RunConfig(cfl=0.1, **{key: value}).validate()
 
 
+def test_baseline_refuses_non_integer_degree():
+    # the baseline's CFL search runs before validate sees the config, and
+    # used to fail inside gauss_legendre with a bare TypeError
+    cfg = harness.case_config(harness.build_case("linadv_sine"), degree=2.5)
+    with pytest.raises(ConfigurationError, match="degree"):
+        harness.run_case("linadv_sine", cfg, cells=10, scheme="rkfr")
+
+
+def test_every_str_setting_has_choices():
+    # validate, load_config and the CLI flags read a str field's values from CHOICES
+    assert {f.name for f in fields(core.RunConfig) if f.type is str} == set(core.CHOICES)
+    assert set(cli.FLAGS) <= {f.name for f in fields(core.RunConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(core.CHOICES))
+def test_unknown_choice_is_refused(key):
+    # the message names the field and the values it takes
+    want = re.escape(f"unknown {key} 'bogus'; expected one of {core.CHOICES[key]}")
+    with pytest.raises(ConfigurationError, match=want):
+        core.RunConfig(**{key: "bogus"}).validate()
+    with pytest.raises(ConfigurationError, match=want):
+        harness.load_config(overrides=[f"{key}=bogus"])
+
+
 REAL_SETTINGS = ("cfl", "safety", "final_time", "alpha_max", "alpha_min", "indicator_sharpness")
 
 
@@ -574,6 +598,16 @@ def test_cli_refuses_unknown_configuration_keys(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("configuration error:")
     assert ("limter" if "--override" in argv else "limitr") in err
+
+
+@pytest.mark.parametrize("pin, cfl", [([], "0.2152"), (["--cfl", "0.05"], "0.0500")])
+def test_cli_compare_prints_the_baseline_cfl_it_ran(pin, cfl, capsys):
+    # a pinned CFL used to be reported as the certified default
+    assert cli.main(["compare", "--case", "linadv_sine", "--meshes", "10,20,40",
+                     "--final-time", "0.1", *pin]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:4]] == ["10", "20", "40"]
+    assert lines[4:] == [f"baseline cfl: {cfl}"]
 
 
 def test_cli_numbered_snapshots(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mdrkfr.errors import ConfigurationError
-from mdrkfr.operators import (_radau_right, build_correction_derivatives, build_d1,
+from mdrkfr.operators import (_radau_right, build_correction_derivatives,
                               build_diff_matrix, build_face_vandermonde,
                               build_nodeset, gauss_legendre, make_operators)
 
@@ -49,10 +49,13 @@ def test_weights_sum_to_one(kind):
 
 
 def test_bad_nodeset_requests():
-    with pytest.raises(ConfigurationError):
-        build_nodeset(0, "gll")
-    with pytest.raises(ConfigurationError):
-        build_nodeset(3, "chebyshev")
+    # a fractional degree used to fail inside gauss_legendre with a bare
+    # TypeError, and True to build operators whose degree is True
+    for degree, kind in [(0, "gll"), (3, "chebyshev"), (2.5, "gl"), (True, "gl"),
+                         (np.float64(3.0), "gll")]:
+        with pytest.raises(ConfigurationError):
+            build_nodeset(degree, kind)
+    assert np.array_equal(build_nodeset(np.int64(3), "gl").nodes, build_nodeset(3, "gl").nodes)
 
 
 def test_diff_matrix_degree1_gll():
@@ -144,20 +147,6 @@ def test_unknown_correction():
     ns = build_nodeset(3, "gl")
     with pytest.raises(ConfigurationError):
         build_correction_derivatives(ns, "dg2")
-
-
-def test_d1_identity(kind):
-    ops = make_operators(3, kind, "radau")
-    expected = ops.D - np.outer(ops.bL, ops.VL) - np.outer(ops.bR, ops.VR)
-    assert np.allclose(ops.D1, expected, atol=1e-14)
-    # zero corrections collapse to the bare differentiation matrix
-    z = np.zeros(4)
-    assert np.allclose(build_d1(ops.D, z, z, ops.VL, ops.VR), ops.D)
-
-
-def test_d1_row_sums(kind):
-    ops = make_operators(3, kind, "radau")
-    assert np.allclose(ops.D1 @ np.ones(4), -(ops.bL + ops.bR), atol=1e-13)
 
 
 def test_corrected_derivative_exact_with_upwind_faces():
