@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run, convergence, stability, order-check, compare.  Exit
-codes: 0 on success, 1 on configuration errors, 2 when a run aborts on an
-admissibility violation.
+codes: 0 on success, 1 on configuration and usage errors, 2 when a run
+aborts on an admissibility violation.
 """
 
 import argparse
@@ -218,9 +218,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors exit 2, an abort's code
+        return exc.code and 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -37,7 +37,7 @@ import numpy as np
 from . import blending, operators, stability
 from .errors import AdmissibilityError, ConfigurationError
 from .models import EquationModel, fold, numerical_flux
-from .operators import ReferenceOperators, gauss_legendre, make_operators, node_sums
+from .operators import ReferenceOperators, c_einsum, gauss_legendre, make_operators, node_sums
 
 BOUNDARY_KINDS = ("periodic", "transmissive", "reflective", "dirichlet_outflow",
                   "dirichlet")
@@ -391,9 +391,9 @@ def apply_d(d_matrix, q):
     sums in matmul's order and is called itself, on the same memory.
     """
     if q.shape[0] == 1:
-        return np.einsum("pq,eqv->epv", d_matrix, q.reshape(q.shape[1:] + (1,))).reshape(q.shape)
+        return c_einsum("pq,eqv->epv", d_matrix, q.reshape(q.shape[1:] + (1,))).reshape(q.shape)
     qt = np.ascontiguousarray(q.transpose(2, 0, 1))
-    return np.ascontiguousarray(np.einsum("jp,pvn->vnj", d_matrix, qt))
+    return np.ascontiguousarray(c_einsum("jp,pvn->vnj", d_matrix, qt))
 
 
 def local_solution_derivative(u, f, dx, dt, d_matrix, s=None):
@@ -509,12 +509,11 @@ def face_values_ea(model, state, pieces, ops, xf, favg):
         ends = np.stack([state[..., 0], state[..., -1]], axis=1)
         stencil = _face_stencil(np.where(bad, ends, ua), np.where(bad, 0.0, u1a))
     # stage two weighs its own face flux by b2 = 0, so nothing reads it
-    own = bool(row.weights[-1])
+    own = int(row.weights[-1] != 0)  # not a bool: f[:, True] would index by mask
     f = model.flux(stencil[:, 1 - own:], xf)
     if own:
         stage["face_f"] = f[:, 0].copy()  # a view would keep all five alive
-    fp1, fm1, fp2, fm2 = (f[:, k] for k in range(own, own + 4))
-    stage["face_f1"] = five_point(fp2, fp1, fm1, fm2)
+    stage["face_f1"] = five_point(f[:, own + 2], f[:, own], f[:, own + 1], f[:, own + 3])
     stage["face_bad"] = bad
     for earlier in pieces[:-1]:
         bad = bad | earlier["face_bad"]
@@ -548,10 +547,10 @@ def fr_flux_derivative(favg, fnum_left, fnum_right, ops, traces=None):
     x = np.empty((p + 2, nvar, ne), dtype=np.result_type(favg, fnum_left))
     x[:p] = favg.transpose(2, 0, 1)
     if traces is None:
-        traces = np.einsum("jp,pvn->vjn", ops.V, x[:p])
+        traces = c_einsum("jp,pvn->vjn", ops.V, x[:p])
     np.subtract(fnum_left, traces[:, 0], out=x[p])
     np.subtract(fnum_right, traces[:, 1], out=x[p + 1])
-    return np.ascontiguousarray(np.einsum("jk,kvn->vnj", ops.DB, x))
+    return np.ascontiguousarray(c_einsum("jk,kvn->vnj", ops.DB, x))
 
 
 # ----------------------------------------------------------------------
@@ -563,6 +562,8 @@ def _mean_speeds(disc, u):
     it depends on x: a max of equal values is that value, NaN and -0 too."""
     means = node_sums(disc.ops.weights, u)
     speeds = np.real(disc.model.speed(means[..., None], disc.xn))
+    if np.ndim(speeds) == 0:
+        return np.full(len(disc.xn), speeds)
     if np.shape(speeds) == disc.xn.shape[:1] + (1,):
         return speeds[:, 0]
     return fold(np.maximum, np.broadcast_to(speeds, disc.xn.shape), 1)

@@ -13,6 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
+try:  # the kernel np.einsum calls when not asked to optimize
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1
+    from numpy.core.multiarray import c_einsum
+
 from .errors import ConfigurationError
 
 POINT_KINDS = ("gl", "gll")
@@ -251,9 +256,9 @@ def node_sums(v, q):
     """
     nvar, ne, p = q.shape
     if nvar == 1:
-        return np.einsum("jp,epv->vje" if v.ndim == 2 else "p,epv->ve", v, q.reshape(ne, p, 1))
+        return c_einsum("jp,epv->vje" if v.ndim == 2 else "p,epv->ve", v, q.reshape(ne, p, 1))
     qt = np.ascontiguousarray(q.transpose(2, 0, 1))
-    return np.einsum("jp,pvn->vjn" if v.ndim == 2 else "p,pvn->vn", v, qt)
+    return c_einsum("jp,pvn->vjn" if v.ndim == 2 else "p,pvn->vn", v, qt)
 
 
 @lru_cache(maxsize=None)

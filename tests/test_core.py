@@ -61,6 +61,22 @@ def test_apply_d_is_einsum_bit_for_bit(points, correction, nvar, ne):
     assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
+@pytest.mark.parametrize("points, correction", [("gl", "radau"), ("gll", "g2")])
+@pytest.mark.parametrize("rows", ["weights", "V"])
+@pytest.mark.parametrize("nvar", [1, 3])
+@pytest.mark.parametrize("ne", [1, 7, 400])
+def test_node_sums_is_einsum_bit_for_bit(points, correction, rows, nvar, ne):
+    v = getattr(make_operators(3, points, correction), rows)
+    q = _signed_values(np.random.default_rng(ne * nvar + v.ndim), (ne, 4, nvar))
+    # the documented sum, row by row: (ne, nvar) -> (nvar, ne), or (nvar, m, ne)
+    expected = (np.einsum("p,epv->ev", v, q).T if v.ndim == 1
+                else np.stack([np.einsum("p,epv->ev", row, q).T for row in v], axis=1))
+    out = node_sums(v, vm(q))
+    assert out.shape == expected.shape and out.dtype == np.float64
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
 def _broadcast_fr_flux_derivative(favg, fnum_left, fnum_right, ops):
     # the formula as once written element-major, kept as the reference
     jump_l = fnum_left - np.einsum("p,epv->ev", ops.VL, favg)
@@ -601,6 +617,23 @@ def test_mean_speed_of_the_mean_alone_is_the_folded_one_bit_for_bit(monkeypatch,
         fast, folded = core._mean_speeds(disc, None), _folded_mean_speeds(disc, means)
     assert fast.shape == folded.shape == (40,) and np.isnan(fast).any()
     assert np.array_equal(fast.view(np.int64), folded.view(np.int64))
+
+
+@pytest.mark.parametrize("a", [1.0, -2.5, -0.0, np.nan])
+def test_constant_mean_speed_is_the_folded_one_bit_for_bit(a):
+    # a model whose speed is one number gets it at every element, without
+    # the broadcast and the fold over the nodes, with the same bits
+    disc = make_disc(ncells=40, model=models.LinearAdvection(a))
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 4, 1))
+    speeds = core._mean_speeds(disc, vm(u))
+    folded = _folded_mean_speeds(disc, node_sums(disc.ops.weights, vm(u)))
+    assert speeds.shape == (40,) and speeds.dtype == folded.dtype == np.float64
+    assert np.array_equal(speeds.view(np.int64), folded.view(np.int64))
+    if np.isnan(a):
+        for given in (None, core.step_start(disc, u)):
+            with pytest.raises(AdmissibilityError) as err:
+                core.compute_dt(disc, u, 0.0, given)
+            assert err.value.constraint == "mean wave speed" and err.value.element == 0
 
 
 def test_mean_speed_that_depends_on_x_is_maxed_over_the_nodes():

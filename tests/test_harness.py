@@ -508,6 +508,22 @@ def test_cli_configuration_error_exit_code():
     assert out.returncode == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--limiter", "tvb"), ("--cells", "2.5"),
+                                         ("--cfl", "abc")])
+def test_cli_usage_error_exit_code(flag, value, capsys):
+    # argparse's own usage errors used to exit 2, an admissibility abort's code
+    assert cli.main(["run", "--case", "blast", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mdrkfr run") and f"error: argument {flag}" in err
+    out = run_cli("run", "--case", "blast", flag, value)
+    assert out.returncode == 1 and f"error: argument {flag}" in out.stderr
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli.main(["run", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mdrkfr run")
+
+
 def test_cli_mismatched_boundary_exit_code():
     out = run_cli("run", "--case", "blast", "--cells", "20",
                   "--override", "boundary=periodic")
