@@ -144,11 +144,11 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     the admissible set, so the scheme degrades to first order exactly at
     the troubled subcells.
 
-    The fluxes are (nvar, ns+1).  tau is one interval or an array of them,
-    whose shape then follows the variable axis; the reconstruction is
-    built once for all intervals, and first-order fluxes, which do not
-    depend on tau, are one (read-only) array every interval shares.  Each
-    subcell's (left, right) face traces are stacked on axis 1.
+    The fluxes are (nvar, ns+1).  First-order fluxes do not read tau.  For
+    MUSCL-Hancock, tau is one interval or an array of them, whose shape
+    then follows the variable axis; the reconstruction is built once for
+    all intervals.  Each subcell's (left, right) face traces are stacked
+    on axis 1.
     """
     model, b = disc.model, disc.boundary
     uf = u.reshape(u.shape[0], -1)
@@ -169,12 +169,10 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
         traces += up[:, None]
 
     faces = disc.subcells.padded_faces
-    lead = (slice(None),) + (None,) * np.ndim(tau)
     if not use_slopes:
-        flux = _subface_rusanov(model, traces, faces)
-        return flux if not np.ndim(tau) else np.broadcast_to(
-            flux[lead], flux.shape[:1] + np.shape(tau) + flux.shape[1:])
+        return _subface_rusanov(model, traces, faces)
 
+    lead = (slice(None),) + (None,) * np.ndim(tau)
     f = model.flux(traces, b.sub_face_x)
     dflux = f[:, 1] - f[:, 0]
     dflux /= b.sub_width
@@ -250,9 +248,10 @@ FaceParts = namedtuple("FaceParts", "sf flow f_int dm dp um upl")
 
 
 def face_update_parts(disc, subface_fluxes, u):
-    """What low_order_face_updates builds before it reads tau: subface fluxes
-    (nvar, intervals, ns+1), their face and inner-subface values flow and f_int,
-    the flux differences dm, dp across the two end subcells, their states um, upl."""
+    """What low_order_face_updates reads besides tau: subface fluxes sf
+    (nvar, intervals, ns+1), one interval for (nvar, ns+1) fluxes, their face
+    and inner-subface values flow and f_int, the flux differences dm, dp
+    across the two end subcells, and the states um, upl of those subcells."""
     b = disc.boundary
     sf = subface_fluxes if subface_fluxes.ndim == 3 else subface_fluxes[:, None]
     flow = sf[..., ::disc.ops.degree + 1]
@@ -261,7 +260,7 @@ def face_update_parts(disc, subface_fluxes, u):
                      u[:, b.cells[:-1], -1], u[:, b.cells[1:], 0])
 
 
-def low_order_face_updates(disc, subface_fluxes, u, tau, parts=None):
+def low_order_face_updates(disc, parts, taus):
     """Build and check the low-order updates next to every element face.
 
     They depend on the start-of-step state and the stage interval only,
@@ -271,21 +270,19 @@ def low_order_face_updates(disc, subface_fluxes, u, tau, parts=None):
     flux toward these updates, so no correction can help, but a shorter
     step can.
 
-    tau is one interval or a 1-D array of them.  For an array, the
-    subface fluxes are (nvar, len(tau), ns+1), or one (nvar, ns+1) array
-    every interval shares; one FaceUpdates per interval is returned.  All
-    intervals are built stacked and checked with one constraints call; the
-    error carries stage, the first failing interval counted from 1, and
-    face, the face of its lowest failing value.  parts, when the caller
-    has them, are face_update_parts(disc, subface_fluxes, u).
+    parts are face_update_parts of the subface fluxes and the state, and
+    taus a 1-D array of intervals; the subface fluxes have one interval
+    per tau, or one that every interval shares.  Returns a tuple of one
+    FaceUpdates per interval.  All intervals are built stacked and checked
+    with one constraints call; the error carries stage, the first failing
+    interval counted from 1, and face, the face of its lowest failing value.
     """
     model, b = disc.model, disc.boundary
-    taus = np.reshape(tau, -1)
-    sf, flow, f_int, dm, dp, um, upl = parts or face_update_parts(disc, subface_fluxes, u)
+    sf, flow, f_int, dm, dp, um, upl = parts
     # tau over the widths of the two end subcells
     c = taus[:, None, None] / b.end_widths
-    sides = np.empty(u.shape[:1] + (len(taus), 2) + flow.shape[-1:],
-                     dtype=np.result_type(u, sf))
+    sides = np.empty(um.shape[:1] + (len(taus), 2) + flow.shape[-1:],
+                     dtype=np.result_type(um, sf))
     np.subtract(um[:, None], c[:, 0] * dm, out=sides[:, :, 0])
     np.subtract(upl[:, None], c[:, 1] * dp, out=sides[:, :, 1])
     cons = model.constraints(sides)
@@ -300,10 +297,9 @@ def low_order_face_updates(disc, subface_fluxes, u, tau, parts=None):
                                 detail="subcell update left the admissible set",
                                 stage=stage + 1, face=int(face))
     # a shared subface flux array serves every interval
-    lows = tuple(FaceUpdates(sf[:, j], flow[:, j], um, upl, c[i, 0], c[i, 1], f_int[:, j, 0],
+    return tuple(FaceUpdates(sf[:, j], flow[:, j], um, upl, c[i, 0], c[i, 1], f_int[:, j, 0],
                              f_int[:, j, 1], cons[:, i])
                  for i, j in enumerate(np.minimum(np.arange(len(taus)), sf.shape[1] - 1)))
-    return lows if np.ndim(tau) else lows[0]
 
 
 def blend_and_limit_face_flux(disc, fnum_ho, low, alpha):

@@ -497,17 +497,15 @@ def face_values_ea(model, state, pieces, ops, xf, favg):
     (e.g. non-positive density after extrapolation) in this or an earlier
     stage, the face takes the extrapolated nodal averaged flux favg
     instead (the two constructions coincide on nodesets that include the
-    endpoints); its stencil runs on the adjacent node value with zero
-    increment.  The face flux, its increment and the (2, ne) fallback mask
-    go into pieces[-1].
+    endpoints); its five stencil states become the adjacent node value, so
+    the flux call runs, and nothing reads their flux.  The face flux, its
+    increment and the (2, ne) fallback mask go into pieces[-1].
     """
     stage, row = pieces[-1], STAGE_ROWS[len(pieces) - 1]
-    ua, u1a = node_sums(ops.V, state), node_sums(ops.V, stage["u1"])
-    stencil = _face_stencil(ua, u1a)
+    stencil = _face_stencil(node_sums(ops.V, state), node_sums(ops.V, stage["u1"]))
     bad = ~_evaluable(model, stencil).all(axis=0)
     if bad.any():
-        ends = np.stack([state[..., 0], state[..., -1]], axis=1)
-        stencil = _face_stencil(np.where(bad, ends, ua), np.where(bad, 0.0, u1a))
+        stencil[:, :, bad] = np.stack([state[..., 0], state[..., -1]], axis=1)[:, None, bad]
     # stage two weighs its own face flux by b2 = 0, so nothing reads it
     own = int(row.weights[-1] != 0)  # not a bool: f[:, True] would index by mask
     f = model.flux(stencil[:, 1 - own:], xf)
@@ -645,21 +643,19 @@ class StepStart:
     speeds          wave speed of every element mean (_mean_speeds)
     lam             dissipation coefficient of every face (face_wave_speeds)
     alpha           with a limiter, stage one's smoothness alpha; None otherwise
-    subface_fluxes  with limiter fo, the subcell-line Rusanov fluxes, which
-                    read the nodal values only, not tau; None otherwise
     face_parts      with limiter fo, the face check's blending.face_update_parts
+                    of the subcell-line Rusanov fluxes (face_parts.sf), which
+                    read the nodal values only, not tau; None otherwise
     """
 
     u: np.ndarray
     speeds: np.ndarray
     lam: np.ndarray
     alpha: np.ndarray = None
-    subface_fluxes: np.ndarray = None
     face_parts: blending.FaceParts = None
 
     def __post_init__(self):
-        for value in (self.u, self.speeds, self.lam, self.alpha, self.subface_fluxes,
-                      *(self.face_parts or ())):
+        for value in (self.u, self.speeds, self.lam, self.alpha, *(self.face_parts or ())):
             if value is not None:
                 value.setflags(write=False)
 
@@ -669,11 +665,11 @@ def step_start(disc, u):
     uv = variable_major(u)
     speeds = _mean_speeds(disc, uv)
     alpha = None if disc.config.limiter == "none" else blending.smoothness_alpha(disc, uv)
-    subface_fluxes = parts = None
+    parts = None
     if disc.config.limiter == "fo":
-        subface_fluxes = blending.low_order_subface_fluxes(disc, uv, 0.0, use_slopes=False)
-        parts = blending.face_update_parts(disc, subface_fluxes, uv)
-    return StepStart(uv, speeds, face_wave_speeds(disc, speeds), alpha, subface_fluxes, parts)
+        parts = blending.face_update_parts(
+            disc, blending.low_order_subface_fluxes(disc, uv, 0.0, use_slopes=False), uv)
+    return StepStart(uv, speeds, face_wave_speeds(disc, speeds), alpha, parts)
 
 
 def compute_dt(disc, u, t, start=None):
@@ -730,16 +726,17 @@ def _low_order(disc, u, dt, start):
 
     They depend on u and the stage interval only, so they are built and
     checked before any high-order work: a step that has to be halved stops
-    here.  First-order subcell fluxes and check parts come from start;
-    MUSCL-Hancock ones are built for all intervals in one pass.
+    here.  First-order check parts come from start; MUSCL-Hancock ones are
+    built here, from one subcell pass over all intervals.
     """
     if disc.config.limiter == "none":
         return (None,) * len(STAGE_ROWS)
     taus = np.array([row.tau * dt for row in STAGE_ROWS])
-    subfaces = start.subface_fluxes
-    if subfaces is None:
-        subfaces = blending.low_order_subface_fluxes(disc, u, taus, use_slopes=True)
-    return blending.low_order_face_updates(disc, subfaces, u, taus, start.face_parts)
+    parts = start.face_parts
+    if parts is None:
+        parts = blending.face_update_parts(
+            disc, blending.low_order_subface_fluxes(disc, u, taus, use_slopes=True), u)
+    return blending.low_order_face_updates(disc, parts, taus)
 
 
 def mdrk_step(disc, u, t, dt, start=None):

@@ -67,19 +67,16 @@ def semidiscrete_operator(cells=8, points="gl", correction="radau"):
     """Dense matrix of the baseline advection semi-discretisation.
 
     Built by applying the actual right-hand side to unit vectors, so the
-    matrix is exactly what the solver integrates.
+    matrix is exactly what the solver integrates: one core.rkfr_rhs call
+    takes the identity stack as the n variables of one state, and variable
+    j's right-hand side is column j.
     """
     cfg = core.RunConfig(points=points, correction=correction, cfl=0.1, final_time=1.0)
     grid = core.make_grid(0.0, 1.0, cells)
     disc = core.make_discretization(grid, LinearAdvection(1.0), cfg)
-    p = cfg.degree + 1
-    n = cells * p
-    a = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        a[:, j] = core.rkfr_rhs(disc, e.reshape(1, cells, p), 0.0).ravel()
-    return a, disc
+    n = cells * (cfg.degree + 1)
+    rhs = core.rkfr_rhs(disc, np.eye(n).reshape((n,) + disc.xn.shape), 0.0)
+    return np.ascontiguousarray(rhs.reshape(n, n).T), disc
 
 
 def one_step_order_scan(dts=None, cells=8, refinements=5, substeps=64,

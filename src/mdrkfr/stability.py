@@ -18,14 +18,12 @@ and its numerical flux.  The baseline's operator is read the same way.
 
 import os
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import ssprk
 from .errors import ConfigurationError
-from .operators import ReferenceOperators
 
 DISSIPATION_KINDS = ("d1", "d2")
 SCAN_DOUBLINGS = 3  # times a search stable over its whole scan doubles its range
@@ -57,34 +55,22 @@ def _blocks(response):
     return {k: response[2 - k] for k in (0, -1, -2, 1, 2) if response[2 - k].any()}
 
 
-def _fourier_sum(blocks, kappa):
-    """sum_k C_k e^{i kappa k}; kappa may be an array (batched in the leading axis)."""
-    kappa = np.asarray(kappa, dtype=float)
-    return sum(np.exp(1j * kappa * k)[..., None, None] * m for k, m in blocks.items())
-
-
-@dataclass(frozen=True)
-class AmplificationSetup:
-    """Update blocks of the two-stage scheme for one (sigma, dissipation)."""
-
-    ops: ReferenceOperators
-    sigma: float
-    dissipation: str
-    update: dict      # blocks C_k of u^{n+1} in terms of u^n
-
-
 def assemble_matrices(ops, sigma, dissipation):
-    """The update blocks of one solver step of unit-speed advection at CFL sigma."""
+    """The blocks C_k of u^{n+1} in terms of u^n, as a dict k -> C_k, of one
+    solver step of unit-speed advection at CFL sigma."""
     from . import core
 
     disc, u, start = _probe(ops.degree, ops.nodeset.kind, ops.correction, dissipation)
     response, _ = core.mdrk_step(disc, u, 0.0, sigma, start)
-    return AmplificationSetup(ops, sigma, dissipation, _blocks(response))
+    return _blocks(response)
 
 
-def amplification_matrix(setup, kappa):
-    """H(sigma, kappa); kappa may be an array (batched in the leading axis)."""
-    return _fourier_sum(setup.update, kappa)
+def amplification_matrix(blocks, kappa):
+    """sum_k C_k e^{i kappa k} of a dict of blocks C_k, H(sigma, kappa) for
+    those of assemble_matrices; kappa may be an array (batched in the
+    leading axis)."""
+    kappa = np.asarray(kappa, dtype=float)
+    return sum(np.exp(1j * kappa * k)[..., None, None] * m for k, m in blocks.items())
 
 
 def _eigvals(h):
@@ -124,8 +110,9 @@ def _eigvals(h):
     return np.concatenate(results)
 
 
-def max_spectral_radius(setup, kappas):
-    return float(np.max(np.abs(_eigvals(amplification_matrix(setup, kappas)))))
+def max_spectral_radius(blocks, kappas):
+    """The largest spectral radius of amplification_matrix(blocks, kappa) over kappas."""
+    return float(np.max(np.abs(_eigvals(amplification_matrix(blocks, kappas)))))
 
 
 def _wavenumbers(nkappa):
@@ -232,7 +219,8 @@ def _rkfr_symbol(ops, kappa):
     from . import core
 
     disc, _, start = _probe(ops.degree, ops.nodeset.kind, ops.correction, "d2")
-    return -_fourier_sum(_blocks(core.element_major(-core.rkfr_rhs(disc, start.u, 0.0))), kappa)
+    blocks = _blocks(core.element_major(-core.rkfr_rhs(disc, start.u, 0.0)))
+    return -amplification_matrix(blocks, kappa)
 
 
 def rkfr_update_matrix(ops, sigma, kappa):

@@ -31,6 +31,13 @@ def uniform_euler(disc, rho=1.0, v=0.0, p=1.0):
     return m.conserved(np.full(shape, rho), np.full(shape, v), np.full(shape, p))
 
 
+def face_updates(disc, sf, u, tau):
+    """The checked FaceUpdates of subface fluxes sf over one interval tau,
+    built by the face check's one call form."""
+    parts = blending.face_update_parts(disc, sf, u)
+    return blending.low_order_face_updates(disc, parts, np.array([tau]))[0]
+
+
 # ----------------------------------------------------------------------
 # smoothness indicator
 
@@ -200,17 +207,15 @@ def test_stacked_tau_fluxes_equal_per_tau_calls():
     u = disc.model.conserved(10.0 ** rng.uniform(-2.0, 1.0, shape),
                              rng.normal(size=shape), 10.0 ** rng.uniform(-2.0, 2.0, shape))
     taus = np.array([1e-4, 1e-2, 0.5])
-    for use_slopes in (False, True):
-        # the interval axis follows the variable axis
-        stacked = blending.low_order_subface_fluxes(disc, u, taus, use_slopes)
-        assert stacked.shape == (3, 3, 8 * 4 + 1)
-        for sf, tau in zip(np.moveaxis(stacked, 1, 0), taus):
-            assert np.array_equal(sf, blending.low_order_subface_fluxes(disc, u, tau,
-                                                                        use_slopes))
-    fo = np.moveaxis(blending.low_order_subface_fluxes(disc, u, taus, use_slopes=False), 1, 0)
+    # the interval axis follows the variable axis
+    stacked = blending.low_order_subface_fluxes(disc, u, taus, use_slopes=True)
+    assert stacked.shape == (3, 3, 8 * 4 + 1)
+    for sf, tau in zip(np.moveaxis(stacked, 1, 0), taus):
+        assert np.array_equal(sf, blending.low_order_subface_fluxes(disc, u, tau, True))
+    fo = [blending.low_order_subface_fluxes(disc, u, tau, use_slopes=False) for tau in taus]
     assert np.array_equal(fo[0], fo[1]) and np.array_equal(fo[0], fo[2])
     assert np.array_equal(fo[0], blending.low_order_subface_fluxes(disc, u, 7.0, False))
-    mh = np.moveaxis(blending.low_order_subface_fluxes(disc, u, taus, use_slopes=True), 1, 0)
+    mh = np.moveaxis(stacked, 1, 0)
     assert not np.array_equal(mh[0], mh[1])
 
 
@@ -291,7 +296,7 @@ def test_low_order_face_updates_are_the_limiter_endpoints():
     p = np.where(disc.xn < 0.5, 1000.0, 0.01)
     u = disc.model.conserved(np.ones_like(p), np.zeros_like(p), p)
     sf = blending.low_order_subface_fluxes(disc, u, 1e-5, use_slopes=False)
-    low = blending.low_order_face_updates(disc, sf, u, 1e-5)
+    low = face_updates(disc, sf, u, 1e-5)
     w = disc.ops.weights
     low_m = u[:, 3, -1] - 1e-5 / (w[-1] * disc.dx[3]) * (sf[:, 16] - sf[:, 15])
     low_p = u[:, 4, 0] - 1e-5 / (w[0] * disc.dx[4]) * (sf[:, 17] - sf[:, 16])
@@ -299,7 +304,7 @@ def test_low_order_face_updates_are_the_limiter_endpoints():
                           disc.model.constraints(np.stack([low_m, low_p], axis=1)))
     assert np.all(low.cons[:, disc.boundary.limited] > 0.0)
     with pytest.raises(StencilStateError, match="low-order pressure"):
-        blending.low_order_face_updates(disc, sf, u, 1e-2)
+        face_updates(disc, sf, u, 1e-2)
 
 
 def test_blended_means_match_high_order_means():
@@ -334,7 +339,7 @@ def test_flux_limiter_inactive_on_smooth_flow():
     sf = blending.low_order_subface_fluxes(disc, u, 1e-4, use_slopes=True)
     # candidate equals the high-order flux when alpha = 0
     fho = np.tile(disc.model.flux(u[:, 0, 0], 0.0)[:, None], (1, 17))
-    low = blending.low_order_face_updates(disc, sf, u, 1e-4)
+    low = face_updates(disc, sf, u, 1e-4)
     out, thetas = blending.blend_and_limit_face_flux(disc, fho, low, np.zeros(16))
     assert np.all(thetas == 1.0)
     assert np.allclose(out, fho, atol=1e-12)
@@ -346,7 +351,7 @@ def test_flux_limiter_endpoint_theta_zero():
     u = uniform_euler(disc, rho=1.0, v=0.0, p=1e-8)
     sf = blending.low_order_subface_fluxes(disc, u, 1e-3, use_slopes=False)
     crazy = np.tile(np.array([0.0, 1e6, 0.0])[:, None], (1, 9))
-    low = blending.low_order_face_updates(disc, sf, u, 1e-3)
+    low = face_updates(disc, sf, u, 1e-3)
     out, thetas = blending.blend_and_limit_face_flux(disc, crazy, low, np.zeros(8))
     flow = sf[:, :: 4]
     assert float(thetas.min()) < 1e-4
@@ -363,7 +368,7 @@ def test_flux_limiter_enforces_floor_on_blast_face():
     sf = blending.low_order_subface_fluxes(disc, u, tau, use_slopes=True)
     fho = np.zeros((3, 9))
     fho[:, 4] = np.array([0.0, -5e3, -3e6])  # unphysical candidate at the jump
-    low = blending.low_order_face_updates(disc, sf, u, tau)
+    low = face_updates(disc, sf, u, tau)
     out, thetas = blending.blend_and_limit_face_flux(disc, fho, low, np.zeros(8))
     # rebuild the tentative updates with the corrected flux
     w = disc.ops.weights
@@ -513,7 +518,7 @@ def test_flux_limiter_matches_per_constraint_loop(branch, boundary):
     rng = np.random.default_rng(list(BRANCHES).index(branch))
     u = random_gas(disc, rng)
     sf = blending.low_order_subface_fluxes(disc, u, 1e-3, use_slopes=False)
-    low = blending.low_order_face_updates(disc, sf, u, 1e-3)
+    low = face_updates(disc, sf, u, 1e-3)
     # drawn face-major, the order these cases were written in
     fho = low.flow * (1.0 + 1e-3 * rng.normal(size=low.flow.shape[::-1]).T)
     for face, var, size in FLUX_KICKS[branch]:

@@ -1013,43 +1013,65 @@ def test_reused_step_start_equals_fresh_step(overrides):
     # the attempts left the per-state inputs, read-only, with a fresh build's bits
     fresh_start = core.step_start(disc, u)
     assert start.alpha is not None
-    assert (start.face_parts is None) == (start.subface_fluxes is None) == (
-        overrides["limiter"] == "mh")
+    assert (start.face_parts is None) == (overrides["limiter"] == "mh")
     pairs = [(getattr(start, name), getattr(fresh_start, name))
-             for name in ("u", "speeds", "lam", "alpha", "subface_fluxes")]
+             for name in ("u", "speeds", "lam", "alpha")]
     for a, b in pairs + list(zip(start.face_parts or (), fresh_start.face_parts or ())):
         assert a is None and b is None or np.array_equal(a.view(np.int64), b.view(np.int64))
         assert a is None or not a.flags.writeable
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "reflective"])
+def test_step_start_keeps_first_order_fluxes_in_face_parts_only(boundary):
+    # the fo subcell fluxes live once, as face_parts.sf, read-only and with
+    # a fresh first-order pass's bits; an mh start builds no parts
+    m = models.Euler()
+    disc = make_disc(ncells=8, model=m, boundary=boundary, limiter="fo")
+    rng = np.random.default_rng(4)
+    shape = disc.xn.shape
+    u = em(m.conserved(rng.uniform(0.5, 1.5, shape), rng.normal(size=shape),
+                       rng.uniform(0.5, 1.5, shape)))
+    start = core.step_start(disc, u)
+    assert not hasattr(start, "subface_fluxes")
+    fresh = blending.low_order_subface_fluxes(disc, vm(u), 0.0, use_slopes=False)
+    sf = start.face_parts.sf
+    assert sf.shape == fresh.shape[:1] + (1,) + fresh.shape[1:]
+    assert np.array_equal(sf[:, 0].view(np.int64), fresh.view(np.int64))
+    assert not sf.flags.writeable
+    mh = make_disc(ncells=8, model=m, boundary=boundary, limiter="mh")
+    assert core.step_start(mh, u).face_parts is None
 
 
 def test_low_order_error_names_stage_and_face(monkeypatch):
     # the halving error of the face-update check says which stage failed
     # and at which face its lowest failing constraint value sits
     failures = []
-    check = blending.low_order_face_updates
+    low_order = core._low_order
 
-    def recorded(disc, subface_fluxes, u, tau, parts=None):
+    def recorded(disc, u, dt, start):
         try:
-            return check(disc, subface_fluxes, u, tau, parts)
+            return low_order(disc, u, dt, start)
         except StencilStateError as exc:
-            failures.append((disc, subface_fluxes, u, tau, exc))
+            failures.append((disc, u, dt, exc))
             raise
 
-    monkeypatch.setattr(blending, "low_order_face_updates", recorded)
+    monkeypatch.setattr(core, "_low_order", recorded)
     cfg = harness.case_config(harness.build_case("density_ratio"), points="gll",
                               correction="g2", limiter="fo", final_time=0.05)
     harness.run_case("density_ratio", cfg, cells=100)
     assert len(failures) > 10
     assert {exc.stage for *_, exc in failures} == {1, 2}
-    for disc, sf, u, taus, exc in failures:
-        # variable-major: u (nvar, ne, p), sf (nvar, [interval,] subface)
+    for disc, u, dt, exc in failures:
+        # variable-major: u (nvar, ne, p), sf (nvar, subface); first-order
+        # fluxes serve every stage's interval
         model, b = disc.model, disc.boundary
         k = model.constraint_names.index(exc.constraint.removeprefix("low-order "))
+        taus = np.array([row.tau * dt for row in core.STAGE_ROWS])
+        sf = blending.low_order_subface_fluxes(disc, u, 0.0, use_slopes=False)
         # the stages before the failing one pass
-        for tau in taus[:exc.stage - 1]:
-            check(disc, sf if sf.ndim == 2 else sf[:, 0], u, tau)
+        blending.low_order_face_updates(disc, blending.face_update_parts(disc, sf, u),
+                                        taus[:exc.stage - 1])
         tau = taus[exc.stage - 1]
-        sf = sf if sf.ndim == 2 else sf[:, exc.stage - 1]
         flow = sf[:, ::disc.ops.degree + 1]
         f_int_m, f_int_p = sf[:, b.inner_subfaces[0]], sf[:, b.inner_subfaces[1]]
         low_m = u[:, b.cells[:-1], -1] - (tau / b.end_widths[0]) * (flow - f_int_m)

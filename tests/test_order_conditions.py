@@ -8,7 +8,7 @@ from mdrkfr import core
 from mdrkfr.core import PRODUCTION_COEFFICIENTS, MdrkCoefficients
 from mdrkfr.errors import ConfigurationError
 from mdrkfr.order_conditions import (check_order_conditions, mdrk_ode_step,
-                                     one_step_order_scan)
+                                     one_step_order_scan, semidiscrete_operator)
 
 
 def test_production_coefficients_are_exact_zeros():
@@ -55,6 +55,30 @@ def test_one_step_order_scan_slope():
     assert slope >= 4.7
     assert len(dts) == len(errors) >= 3
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
+
+
+def per_column_operator(disc):
+    """The semi-discrete operator built one unit vector at a time, the way
+    semidiscrete_operator once did: column j is rkfr_rhs of unit vector j."""
+    cells, p = disc.xn.shape
+    n = cells * p
+    a = np.zeros((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        a[:, j] = core.rkfr_rhs(disc, e.reshape(1, cells, p), 0.0).ravel()
+    return a
+
+
+@pytest.mark.parametrize("points,correction", [("gl", "radau"), ("gll", "g2")])
+@pytest.mark.parametrize("cells", [8, 5])
+def test_semidiscrete_operator_equals_per_column_build(points, correction, cells):
+    # one rkfr_rhs call on the identity stack gives every column's bits,
+    # signs of zeros included, in the C order the column loop filled
+    a, disc = semidiscrete_operator(cells, points, correction)
+    ref = per_column_operator(disc)
+    assert np.array_equal(a, ref) and np.array_equal(np.signbit(a), np.signbit(ref))
+    assert (a == 0.0).any() and a.flags.c_contiguous
 
 
 def test_one_step_scan_needs_three_points():

@@ -27,12 +27,10 @@ def ops_gll():
     return make_operators(3, "gll", "g2")
 
 
-def a_matrices(setup):
-    """Blocks in the -sigma^k A_k sign convention used in reports."""
-    p = setup.ops.degree + 1
+def a_matrices(c, s):
+    """Blocks C_k at CFL s in the -sigma^k A_k sign convention used in reports."""
+    p = len(c[0])
     eye = np.eye(p)
-    c = setup.update
-    s = setup.sigma
     return {
         -2: -c.get(-2, np.zeros((p, p))) / s**2,
         -1: -c.get(-1, np.zeros((p, p))) / s,
@@ -44,9 +42,9 @@ def a_matrices(setup):
 
 def test_d2_matrices_match_closed_forms(ops_gl):
     sigma = 0.09
-    setup = stability.assemble_matrices(ops_gl, sigma, "d2")
+    blocks = stability.assemble_matrices(ops_gl, sigma, "d2")
     oracle = printed_d2_blocks(ops_gl, sigma)
-    derived = a_matrices(setup)
+    derived = a_matrices(blocks, sigma)
     for k in (-2, -1, 0, 1, 2):
         assert np.allclose(derived[k], oracle[k], atol=1e-12), f"block {k}"
 
@@ -55,7 +53,7 @@ def test_d2_upwind_structure(ops_gl):
     # upwind in exact arithmetic; the solver's step leaves round-off in
     # some downwind blocks (test_d2_step_is_upwind_to_round_off)
     for sigma in (0.02, 0.1, 0.107, 0.3):
-        update = stability.assemble_matrices(ops_gl, sigma, "d2").update
+        update = stability.assemble_matrices(ops_gl, sigma, "d2")
         assert {-2, -1, 0} <= set(update) <= {-2, -1, 0, 1, 2}
         scale = max(np.abs(m).max() for m in update.values())
         for k in set(update) & {1, 2}:
@@ -63,9 +61,9 @@ def test_d2_upwind_structure(ops_gl):
 
 
 def test_d1_has_downwind_coupling(ops_gl):
-    setup = stability.assemble_matrices(ops_gl, 0.08, "d1")
-    assert np.abs(setup.update[+1]).max() > 1e-8
-    assert np.abs(setup.update[+2]).max() > 1e-12
+    blocks = stability.assemble_matrices(ops_gl, 0.08, "d1")
+    assert np.abs(blocks[+1]).max() > 1e-8
+    assert np.abs(blocks[+2]).max() > 1e-12
 
 
 def _probe_response(points, correction, diss, sigma, face_scheme="ae", ncells=9):
@@ -88,9 +86,9 @@ def test_step_reaches_two_cells_each_side(points, correction, diss, sigma):
     # so the five cells of assemble_matrices see the step of an open line
     response, _, _ = _probe_response(points, correction, diss, sigma)
     assert not response[:2].any() and not response[7:].any()
-    setup = stability.assemble_matrices(make_operators(3, points, correction), sigma, diss)
+    blocks = stability.assemble_matrices(make_operators(3, points, correction), sigma, diss)
     for k in range(-2, 3):
-        assert np.array_equal(response[4 - k], setup.update.get(k, np.zeros((4, 4)))), k
+        assert np.array_equal(response[4 - k], blocks.get(k, np.zeros((4, 4)))), k
 
 
 @pytest.mark.parametrize("sigma", [0.02, 0.107, 0.3, 0.6])
@@ -126,8 +124,8 @@ def test_face_schemes_give_one_linear_step(points, correction, diss, sigma):
 def test_update_preserves_constants(ops_gl, diss):
     # spatially constant data must pass through unchanged for any sigma
     for sigma in (0.02, 0.08, 0.2):
-        setup = stability.assemble_matrices(ops_gl, sigma, diss)
-        total = sum(setup.update.values())
+        blocks = stability.assemble_matrices(ops_gl, sigma, diss)
+        total = sum(blocks.values())
         assert np.allclose(total @ np.ones(4), np.ones(4), atol=1e-13)
 
 

@@ -26,10 +26,11 @@ short runs:
   fall back to the node values at some evolved traces;
 - direct time_average and face_values_ea calls of both stages on seeded
   gas states with a forced fallback face;
-- direct blend_and_limit_face_flux and scaling_limiter calls on seeded
-  gas states built so that no constraint, density only, pressure only,
-  or both need limiting (the last with both acting on one face or
-  element), so the limiters' rare branches are compared too;
+- direct blend_and_limit_face_flux calls on the checked face updates of
+  core._low_order, and scaling_limiter calls, on seeded gas states built
+  so that no constraint, density only, pressure only, or both need
+  limiting (the last with both acting on one face or element), so the
+  limiters' rare branches are compared too;
 - the gas step's per-cell kernels (the Euler methods, numerical_flux,
   five_point, flux_time_derivative, local_solution_derivative, combine,
   blended_update and the subcell fluxes) called directly on states with
@@ -53,23 +54,21 @@ short runs:
 
 The matrix runs step themselves: every step takes the compute_dt step
 and halves it on StencilStateError, as harness.run_case does.  Compared:
-each accepted step's state, dt and StepDiagnostics fields (fnum, alpha,
-theta, theta_min, minimum constraints, read from numbered pairs or from
-per-stage records under the same keys), each run's retry count and abort
-message, each direct call's outputs (fluxes, thetas, states, fallback
-masks), each run_case result's steps, retries, retry_reasons,
-min_constraints, theta_min and final field, and the exit code, output
-(without the wall time) and every file of the CLI run, byte for byte.
+each accepted step's state, dt and StepDiagnostics fields (each stage's
+fnum, alpha and theta, theta_min, minimum constraints), each run's retry
+count and abort message, each direct call's outputs (fluxes, thetas,
+states, fallback masks), each run_case result's steps, retries,
+retry_reasons, min_constraints, theta_min and final field, and the exit
+code, output (without the wall time) and every file of the CLI run, byte
+for byte.
 Arrays compare with np.array_equal plus equal np.signbit.  Exits 1 on
 any mismatch and 2 when a tree fails to run the matrix.  A direct call
 whose outputs are float arrays of one shape reports the largest |difference|.
 
-The direct calls reach inside the solver, whose state layout may differ
-between the trees: (ne, p, nvar) with the variable last, or variable-major
-(nvar, ne, p) in a package whose core has variable_major.  The tool builds
-every state with the variable last, hands it to each tree in that tree's
-layout, and records every output with the variable last again (_Layout),
-so both trees are compared on the same values.  The constraint behind
+The direct calls reach inside the solver, which runs on variable-major
+(nvar, ne, p) states.  The tool builds every state with the variable last,
+hands it to the solver variable-major (_solver), and records every output
+with the variable last again (_record).  The constraint behind
 each halving in the matrix runs is printed as a note only: trees may test
 their admissibility conditions in different orders.  Only APIs that every
 compared tree has are used.
@@ -199,12 +198,8 @@ def run_one(case_id, cells, scheme, overrides, steps):
 
 
 def _diagnostics(diag):
-    """A StepDiagnostics under the keys of its numbered-pair form: fnum1,
-    fnum2, alpha1, alpha2, theta1, theta2, theta_min, min_constraints and
-    dt.  A package whose StepDiagnostics has per-stage records (stages)
-    gives stage k's fields as the pair's k-th, None for a baseline step."""
-    if not hasattr(diag, "stages"):
-        return {f.name: getattr(diag, f.name) for f in dataclasses.fields(diag)}
+    """A StepDiagnostics as fnum1, fnum2, alpha1, alpha2, theta1, theta2 (stage
+    k's fields, None for a baseline step), theta_min, min_constraints and dt."""
     out = {"theta_min": diag.theta_min, "min_constraints": diag.min_constraints, "dt": diag.dt}
     for name in ("fnum", "alpha", "theta"):
         for k in (1, 2):
@@ -212,52 +207,31 @@ def _diagnostics(diag):
     return out
 
 
-class _Layout:
-    """The imported package's state layout, for the direct calls.
+def _solver(a):
+    """A variable-last array as the solver's contiguous variable-major one."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
-    A package whose core has variable_major runs its solver on
-    variable-major (nvar, ...) values; otherwise the variable is last.
-    solver() turns a variable-last array into the package's layout and
-    record() turns a package array (or model state) back, so states are
-    built and recorded with the variable last.  face_updates() gives a
-    FaceUpdates's flow, um, cm and f_int_m with the variable last and cm
-    as an (ne+1, 1) column.
-    """
 
-    def __init__(self):
-        from mdrkfr import core
-
-        self.variable_major = hasattr(core, "variable_major")
-
-    def solver(self, a):
-        return np.ascontiguousarray(np.moveaxis(a, -1, 0)) if self.variable_major else a
-
-    def record(self, a):
-        return np.moveaxis(a, 0, -1) if self.variable_major else a
-
-    def face_updates(self, low):
-        if not self.variable_major:
-            return low.flow, low.um, low.cm, low.f_int_m
-        return (self.record(low.flow), self.record(low.um), low.cm[:, None],
-                self.record(low.f_int_m))
+def _record(a):
+    """A variable-major solver array (or model state) with the variable last."""
+    return np.moveaxis(a, 0, -1)
 
 
 def direct_subface_calls(ncalls=240, seed=7):
     """low_order_subface_fluxes on random gas states, one record per call."""
     from mdrkfr import blending, errors
 
-    layout = _Layout()
     rng = np.random.default_rng(seed)
     records = []
     for i in range(ncalls):
         kind = BOUNDARIES[i % 3]
         limiter = "mh" if i % 2 else "fo"
         disc = _gas_disc(kind, limiter)
-        u = _random_gas(layout, disc, rng)
+        u = _random_gas(disc, rng)
         tau = 10.0 ** rng.uniform(-5.0, -1.0)
         try:
-            value = layout.record(blending.low_order_subface_fluxes(
-                disc, layout.solver(u), tau, limiter == "mh"))
+            value = _record(blending.low_order_subface_fluxes(
+                disc, _solver(u), tau, limiter == "mh"))
         except errors.SolverAbort as exc:
             value = f"{type(exc).__name__}: {exc}"
         records.append((f"direct/subface/{i}/{kind}/{limiter}", value))
@@ -271,7 +245,6 @@ def direct_mh_fallback_calls(ncalls=48, seed=17):
     call stacks two intervals."""
     from mdrkfr import blending, errors
 
-    layout = _Layout()
     rng = np.random.default_rng(seed)
     records = []
     for i in range(ncalls):
@@ -282,13 +255,13 @@ def direct_mh_fallback_calls(ncalls=48, seed=17):
         p = 10.0 ** rng.uniform(-1.0, 1.0) * np.exp(rng.normal() * x)
         c = np.sqrt(1.4 * p / rho).max()
         v = c * (rng.normal() + rng.normal() * x + 3.0 * rng.normal() * x * x)
-        u = layout.solver(layout.record(disc.model.conserved(rho, v, p)))
+        u = _solver(_record(disc.model.conserved(rho, v, p)))
         speed = float(np.max(disc.model.speed(u, x)))
         tau = 10.0 ** rng.uniform(1.0, 2.0) * float(np.min(disc.subcells.h)) / speed
         if i % 2:
             tau = np.array([0.5, 1.0]) * tau
         try:
-            value = layout.record(blending.low_order_subface_fluxes(disc, u, tau, True))
+            value = _record(blending.low_order_subface_fluxes(disc, u, tau, True))
         except errors.SolverAbort as exc:
             value = f"{type(exc).__name__}: {exc}"
         records.append((f"direct/mh-fallback/{i}/{kind}", value))
@@ -307,7 +280,6 @@ def direct_face_calls(ncalls=48, seed=13):
     """
     from mdrkfr import core, errors
 
-    layout = _Layout()
     rng = np.random.default_rng(seed)
     records = []
     for i in range(ncalls):
@@ -321,14 +293,14 @@ def direct_face_calls(ncalls=48, seed=13):
             states.append([rho, rng.normal(size=shape), p])
         e = rng.integers(shape[0])
         states[0][0][e, -1] = 0.02 * states[0][0][e, :-1].min()
-        states = [layout.solver(layout.record(model.conserved(*q))) for q in states]
+        states = [_solver(_record(model.conserved(*q))) for q in states]
         speed = float(np.max(model.speed(states[0], disc.xn)))
         dt = 10.0 ** rng.uniform(-4.0, -2.0) * float(np.min(disc.dx)) / speed
         pieces, value = [], []
         try:
             for state in states:
                 favg, _, _ = core.time_average(model, state, pieces, disc.xn, disc.dxn, dt, ops)
-                value.append(layout.record(core.face_values_ea(model, state, pieces, ops,
+                value.append(_record(core.face_values_ea(model, state, pieces, ops,
                                                                disc.xf, favg)))
                 value.append(pieces[-1]["face_bad"])
             value = tuple(value)
@@ -379,7 +351,6 @@ def direct_kernel_calls(ncalls=24, seed=19):
     """
     from mdrkfr import blending, core, errors, models
 
-    layout = _Layout()
     rng = np.random.default_rng(seed)
     records = []
     for i in range(ncalls):
@@ -410,10 +381,10 @@ def direct_kernel_calls(ncalls=24, seed=19):
                 for k, row in enumerate(core.STAGE_ROWS)),
             "blended_update": lambda: blending.blended_update(u, ub, rng.uniform(0.0, 1.0,
                                                                                    shape[0])),
-            "subface-fo": lambda: layout.record(blending.low_order_subface_fluxes(
-                disc, layout.solver(np.moveaxis(u, 0, -1)), 1e-3, False)),
-            "subface-mh": lambda: layout.record(blending.low_order_subface_fluxes(
-                disc, layout.solver(np.moveaxis(u, 0, -1)), np.array([5e-4, 1e-3]), True)),
+            "subface-fo": lambda: _record(blending.low_order_subface_fluxes(
+                disc, _solver(np.moveaxis(u, 0, -1)), 1e-3, False)),
+            "subface-mh": lambda: _record(blending.low_order_subface_fluxes(
+                disc, _solver(np.moveaxis(u, 0, -1)), np.array([5e-4, 1e-3]), True)),
         }
         for name, call in calls.items():
             with np.errstate(all="ignore"):
@@ -432,19 +403,20 @@ def _gas_disc(kind, limiter, ncells=6):
     return core.make_discretization(core.make_grid(0.0, 1.0, ncells), models.Euler(), cfg)
 
 
-def _random_gas(layout, disc, rng):
+def _random_gas(disc, rng):
     shape = disc.xn.shape
     rho = 10.0 ** rng.uniform(-3.0, 1.0, shape)
     p = 10.0 ** rng.uniform(-4.0, 3.0, shape)
     v = rng.normal(scale=5.0, size=shape) * (rng.random(shape) > 0.1)
-    return layout.record(disc.model.conserved(rho, v, p))
+    return _record(disc.model.conserved(rho, v, p))
 
 
 def direct_limiter_calls(ncalls=96, seed=11):
     """blend_and_limit_face_flux and scaling_limiter on seeded gas states.
 
     Flux limiter: a small step keeps the low-order face updates
-    admissible, and a kick to the candidate's mass (energy) flux at a
+    admissible; they are stage one's of core._low_order at dt = 2 tau,
+    whose interval is then exactly tau.  A kick to the candidate's mass (energy) flux at a
     random face drives its minus-side density (pressure) negative; about
     half of the density calls need a pressure correction after the
     density one.  "both" kicks both fluxes at one face and the energy at
@@ -453,23 +425,22 @@ def direct_limiter_calls(ncalls=96, seed=11):
     with a hundredth of the density, one node elsewhere a negative
     pressure, and "both" also makes the thin node's pressure negative.
     """
-    from mdrkfr import blending, errors
+    from mdrkfr import blending, core, errors
 
-    layout = _Layout()
     rng = np.random.default_rng(seed)
     records = []
     for i in range(ncalls):
         kind, branch = BOUNDARIES[i % 3], list(BRANCHES)[i % 4]
         disc = _gas_disc(kind, "mh" if i % 2 else "fo")
         ne = disc.grid.ncells
-        u = _random_gas(layout, disc, rng)
-        us = layout.solver(u)
+        u = _random_gas(disc, rng)
+        us = _solver(u)
         speed = np.max(disc.model.speed(us, disc.xn))
         tau = 0.05 * float(np.min(disc.subcells.h)) / speed
         try:
-            sf = blending.low_order_subface_fluxes(disc, us, tau, i % 2 == 1)
-            low = blending.low_order_face_updates(disc, sf, us, tau)
-            flow, um, cm, f_int_m = layout.face_updates(low)
+            low = core._low_order(disc, us, 2 * tau, core.step_start(disc, u))[0]
+            flow, um, f_int_m = _record(low.flow), _record(low.um), _record(low.f_int_m)
+            cm = low.cm[:, None]
             fho = flow * (1.0 + 1e-3 * rng.normal(size=flow.shape))
             faces = rng.choice(np.arange(1, ne), size=2, replace=False)
             kicks = {"density": [(faces[0], 0)], "pressure": [(faces[0], 2)],
@@ -479,15 +450,15 @@ def direct_limiter_calls(ncalls=96, seed=11):
             for face, var in kicks:
                 fho[face, var] += 20.0 * abs(lowm[face, var]) / cm[face, 0]
             fnum, thetas = blending.blend_and_limit_face_flux(
-                disc, layout.solver(fho), low, rng.uniform(0.0, 0.5, ne))
-            value = (layout.record(fnum), thetas)
+                disc, _solver(fho), low, rng.uniform(0.0, 0.5, ne))
+            value = (_record(fnum), thetas)
         except errors.SolverAbort as exc:
             value = f"{type(exc).__name__}: {exc}"
         records.append((f"direct/flux-limiter/{i}/{kind}/{branch}", value))
 
         # element-wise levels with nodal spread a limiter leaves alone
         shape = disc.xn.shape
-        u = layout.record(disc.model.conserved(
+        u = _record(disc.model.conserved(
             10.0 ** rng.uniform(-3.0, 1.0, (ne, 1)) * rng.uniform(0.5, 1.5, shape),
             rng.normal(scale=5.0, size=(ne, 1)),
             10.0 ** rng.uniform(-4.0, 3.0, (ne, 1)) * rng.uniform(0.5, 1.5, shape)))
@@ -502,7 +473,7 @@ def direct_limiter_calls(ncalls=96, seed=11):
         if branch == "both":
             u[thin, node[0], 2] = -0.1 * u[thin, :, 2].mean()
         try:
-            value = layout.record(blending.scaling_limiter(disc, layout.solver(u)))
+            value = _record(blending.scaling_limiter(disc, _solver(u)))
         except errors.SolverAbort as exc:
             value = f"{type(exc).__name__}: {exc}"
         records.append((f"direct/scaling-limiter/{i}/{kind}/{branch}", value))
@@ -528,8 +499,10 @@ def direct_stability_calls():
                             np.array(stability.cfl_scan(ops, diss, SCAN_SIGMAS))))
             for sigma in SCAN_SIGMAS:
                 setup = stability.assemble_matrices(ops, sigma, diss)
+                # a dict of blocks, or a setup whose update holds them
+                blocks = setup if isinstance(setup, dict) else setup.update
                 records.append((f"direct/assemble_matrices/{correction}/{diss}/{sigma}",
-                                np.array([setup.update.get(k, zero) for k in range(-2, 3)])))
+                                np.array([blocks.get(k, zero) for k in range(-2, 3)])))
                 records.append((f"direct/max_spectral_radius/{correction}/{diss}/{sigma}/1",
                                 stability.max_spectral_radius(setup, stability._wavenumbers(1))))
             if correction == "g2" and diss == "d2":
