@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import blending, operators, stability
-from .errors import AdmissibilityError, ConfigurationError
+from .errors import AdmissibilityError, ConfigurationError, StencilStateError
 from .models import EquationModel, fold, numerical_flux
 from .operators import ReferenceOperators, c_einsum, gauss_legendre, make_operators, node_sums
 
@@ -449,10 +449,13 @@ def time_average(model, state, pieces, xn, dx, dt, ops, t=0.0):
     s and s1 at its start state, which lives at time t.  It appends them,
     with the state as u, in one dict to pieces, the list of the step's
     earlier stages, and combines every stage's by its row of STAGE_ROWS.
+    Before the shifted states are evaluated, _check_stencil raises a
+    StencilStateError naming the stage when any of them is not evaluable.
     """
     f = model.flux(state, xn)
     s = model.source(state, xn, t) if model.has_source else None
     u1 = local_solution_derivative(state, f, dx, dt, ops.D, s)
+    _check_stencil(model, state, u1, stage=len(pieces) + 1)
     f1 = flux_time_derivative(lambda v, k: model.flux(v, xn), state, u1)
     s1 = None
     if model.has_source:
@@ -472,7 +475,17 @@ def face_values_ae(favg, ops):
     return node_sums(ops.V, favg)
 
 
-def _evaluable(model, u):
+def _evaluable(model, u, u1=None):
+    """Points at which u, or every state u + k u1 (k = -2..2) of the
+    five-point stencil, is finite with positive density (systems).
+
+    Every component of the three middle states lies between those of
+    u - 2 u1 and u + 2 u1, in floats too (2 u1 is exact and rounding is
+    monotone), so only those two are tested.
+    """
+    if u1 is not None:
+        w = 2.0 * u1
+        return _evaluable(model, u + w) & _evaluable(model, u - w)
     ok = np.isfinite(u).all(axis=0)
     if model.nvar > 1:
         ok &= np.real(u[0]) > 0.0
@@ -484,6 +497,17 @@ def _face_stencil(ua, u1a):
     stacked on axis 1."""
     w = 2.0 * u1a
     return np.concatenate([ua, ua + u1a, ua - u1a, ua + w, ua - w], 1).reshape(len(ua), 5, 2, -1)
+
+
+def _check_stencil(model, u, u1=None, stage=None):
+    """Raise StencilStateError("density", least stencil density, NaN when
+    one is not finite) unless _evaluable holds everywhere; this is the one
+    place a flux's states are tested, and only models with constraints
+    need it."""
+    if model.constraint_names and not _evaluable(model, u, u1).all():
+        rho = u[0] if u1 is None else np.stack([u[0] + 2.0 * u1[0], u[0] - 2.0 * u1[0]])
+        raise StencilStateError("density", float(rho.min() if np.isfinite(rho).all() else np.nan),
+                                detail="primitive recovery needs positive density", stage=stage)
 
 
 def face_values_ea(model, state, pieces, ops, xf, favg):
@@ -503,7 +527,8 @@ def face_values_ea(model, state, pieces, ops, xf, favg):
     """
     stage, row = pieces[-1], STAGE_ROWS[len(pieces) - 1]
     stencil = _face_stencil(node_sums(ops.V, state), node_sums(ops.V, stage["u1"]))
-    bad = ~_evaluable(model, stencil).all(axis=0)
+    # its last two states, ua +- 2 u1a, bound the other three (_evaluable)
+    bad = ~_evaluable(model, stencil[:, 3:]).all(axis=0)
     if bad.any():
         stencil[:, :, bad] = np.stack([state[..., 0], state[..., -1]], axis=1)[:, None, bad]
     # stage two weighs its own face flux by b2 = 0, so nothing reads it
@@ -583,14 +608,17 @@ def _impose_fluxes(disc, fnum, t, tau=None):
     A stage passes its interval length tau and gets the flux averaged over
     [t, t + tau] by three-point Gauss quadrature; the semi-discrete
     baseline passes none and gets the flux at t.  One flux call takes the
-    states bc_state(x, t) of every imposed face at every sample time.
+    states bc_state(x, t) of every imposed face at every sample time, once
+    _check_stencil has passed them: they come from outside the solver.
     """
     b = disc.boundary
     if len(b.imposed):
         x = disc.grid.faces[b.imposed]
         times = [t] if tau is None else [t + tau * th for th, _ in _STAGE_QUAD]
         states = np.array([[b.bc_state(xi, ti) for ti in times] for xi in x], dtype=float)
-        f = disc.model.flux(states.reshape(len(x), len(times), -1).T, x)
+        states = states.reshape(len(x), len(times), -1).T
+        _check_stencil(disc.model, states)
+        f = disc.model.flux(states, x)
         fnum[:, b.imposed] = (f[:, 0] if tau is None
                               else sum(w * f[:, j] for j, (_, w) in enumerate(_STAGE_QUAD)))
 
@@ -803,11 +831,14 @@ def mdrk_step(disc, u, t, dt, start=None):
 
 def rkfr_rhs(disc, u, t):
     """Classical semi-discrete right-hand side with the corrected flux, of
-    variable-major u."""
+    variable-major u; its nodal states and face traces pass _check_stencil
+    before their fluxes are formed."""
     model, ops = disc.model, disc.ops
+    _check_stencil(model, u)
     f = model.flux(u, disc.xn)
     lam = face_wave_speeds(disc, _mean_speeds(disc, u))
     traces = node_sums(ops.V, u)
+    _check_stencil(model, traces)
     fnum = _assemble_face_flux(disc, model.flux(traces, disc.xf), traces, lam, t, None)
     dudt = -fr_flux_derivative(f, fnum[:, :-1], fnum[:, 1:], ops) / disc.dxn
     if model.has_source:

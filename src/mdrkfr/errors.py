@@ -43,11 +43,14 @@ class StencilStateError(SolverAbort):
     stencil left the model's evaluable domain (e.g. non-positive density).
 
     The time loop treats this as retriable: it halves the step and repeats
-    it, up to harness.MAX_HALVINGS times, before giving up.
+    it, up to harness.MAX_HALVINGS times, before giving up.  How far it
+    must halve depends on the state: stage one's nodal stencil is evaluable
+    for dt below min over nodes of rho / (2 |r|), where r = -(1/dx) D(rho v)
+    is the dt-free density rate.
 
-    A failed low-order face-update check also names the stage (1 or 2)
-    and the face (0..ne) of its lowest failing value; other failures
-    leave both None.
+    A failed nodal stencil check names the stage (1 or 2); a failed
+    low-order face-update check names the stage and the face (0..ne) of
+    its lowest failing value; other failures leave both None.
     """
 
     def __init__(self, constraint, value, detail="", stage=None, face=None):

@@ -189,9 +189,11 @@ def make_run(case_id, config=None, cells=None):
 
 
 SCHEMES = ("mdrk", "rkfr")
-# a run that needs more steps, or a step that needs more halvings, aborts
+# a run that needs more steps, or a step that needs more halvings, aborts;
+# 40 halvings, a floor of 2^-40 of the CFL step, leave room below the
+# stage-one stencil bound of admissible states (run_case)
 MAX_STEPS = 10 ** 7
-MAX_HALVINGS = 12
+MAX_HALVINGS = 40
 
 
 @dataclass
@@ -220,10 +222,13 @@ def run_case(case_id, config=None, cells=None, scheme="mdrk", on_step=None):
     state and count, before is the SolutionField the step started from and
     diag the step's StepDiagnostics.
     A stencil failure shrinks the step by half and retries, up to
-    MAX_HALVINGS times, before the abort propagates; the failures this
-    cures scale with the step size, so a bounded number of halvings always
-    suffices when the state itself is admissible.  retry_reasons counts the
-    halvings by the constraint that failed.
+    MAX_HALVINGS times, before the abort propagates.  The failures this
+    cures scale with the step size, but the step they need depends on the
+    state: stage one's nodal stencil is evaluable for dt below min over
+    nodes of rho / (2 |r|), with r = -(1/dx) D(rho v) the dt-free density
+    rate, which admissible states can put more than 20 halvings below the
+    CFL step.
+    retry_reasons counts the halvings by the constraint that failed.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")

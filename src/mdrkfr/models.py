@@ -5,15 +5,18 @@ All model functions are vectorised over variable-leading states, shape
 the coordinate argument broadcasts against the trailing axes.  A speed
 keeps the shape its inputs give it, a scalar for linear advection, and a
 caller that needs every point broadcasts it.  speed_and_flux gives both,
-bit for bit; the gas model recovers v and p once for the two, behind
-flux's density guard.  Scalar models carry nvar = 1 and no admissibility
-constraints; the gas-dynamics model has the usual two (density, then
-pressure, ordered so the second is concave once the first is positive).
+bit for bit; the gas model recovers v and p once for the two.  The
+fluxes test no input: callers form them only on evaluable states (finite,
+with positive density), as core checks every stencil and boundary state
+and the subcell traces are admissible by construction.  Scalar models carry
+nvar = 1 and no admissibility constraints; the gas-dynamics model has
+the usual two (density, then pressure, ordered so the second is concave
+once the first is positive).
 """
 
 import numpy as np
 
-from .errors import ConfigurationError, StencilStateError
+from .errors import ConfigurationError
 
 
 class EquationModel:
@@ -130,13 +133,7 @@ class Euler(EquationModel):
 
     def _flux(self, u):
         """The flux and the velocity and pressure it was built from."""
-        rho = u[0]
-        # NaN fails the first test (the minimum is NaN), +inf the second
-        if rho.size and not (rho.min() > 0.0 and rho.max() < np.inf):
-            bad = float(np.min(rho)) if np.all(np.isfinite(rho)) else float("nan")
-            raise StencilStateError("density", bad,
-                                    detail="primitive recovery needs positive density")
-        v = u[1] / rho
+        v = u[1] / u[0]
         p = u[1] * 0.5
         p *= v
         # a single state's p is a numpy scalar, which cannot be written into

@@ -120,8 +120,9 @@ state_values = st.one_of(special_floats, st.floats(-50.0, 50.0))
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.tuples(state_values, state_values, state_values),
                      min_size=1, max_size=12),
-       split=st.integers(0, 12))
-def test_admissibility_masks_equal_np_all(rows, split):
+       split=st.integers(0, 12),
+       scale=st.sampled_from([1.0, 1e-310, 1e306, 2.0 ** 1020]))
+def test_admissibility_masks_equal_np_all(rows, split, scale):
     # the masks reduce the variable and constraint axes; np.all over the
     # per-state values is the reference
     u = np.array(rows)
@@ -139,6 +140,16 @@ def test_admissibility_masks_equal_np_all(rows, split):
         assert np.array_equal(core._evaluable(gas, vm(stencil)), expected)
         assert np.array_equal(core._evaluable(scalar, vm(stencil[..., :1])),
                               np.isfinite(stencil[..., 0]))
+        # the (u, u1) form against its five shifted states one by one; the
+        # scaled increments reach subnormals and overflow
+        u1 = other * scale
+        shifted = [u + u1 * 2.0, u + u1, u, u - u1, u - u1 * 2.0]
+        expected = np.all([np.isfinite(q).all(axis=-1) & (q[..., 0] > 0.0) for q in shifted],
+                          axis=0)
+        assert np.array_equal(core._evaluable(gas, vm(u), vm(u1)), expected)
+        expected = np.all([np.isfinite(q[..., 0]) for q in shifted], axis=0)
+        assert np.array_equal(core._evaluable(scalar, vm(u[..., :1]), vm(u1[..., :1])),
+                              expected)
 
 
 def test_local_derivative_constant_data():

@@ -2,9 +2,12 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdrkfr import blending, cli, core, harness, models
 from mdrkfr.errors import ConfigurationError
@@ -389,6 +392,101 @@ def test_retry_reasons_are_recorded():
     assert res.retries > 0
     assert sum(res.retry_reasons.values()) == res.retries
     assert any(name.startswith("low-order") for name in res.retry_reasons)
+
+
+# ----------------------------------------------------------------------
+# admissible data runs through run_case's own retry loop
+
+# the pairing and limiter sets of the property, each under the boundary kinds
+PIECEWISE_SETS = {"gl-radau-mh": dict(points="gl", correction="radau", limiter="mh"),
+                  "gl-radau-fo": dict(points="gl", correction="radau", limiter="fo"),
+                  "gll-g2-fo": dict(points="gll", correction="g2", limiter="fo"),
+                  "gl-g2-mh": dict(points="gl", correction="g2", limiter="mh")}
+PIECEWISE_STEPS = 5
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def gas_pieces(draw):
+    """(cuts, rho, v, p) of 2-5 constant gas states on [0, 1]: density
+    1e-2..1e3, pressure 1e-4..1e3, |v| <= 10."""
+    n = draw(st.integers(2, 5))
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         min_size=n - 1, max_size=n - 1, unique=True))
+    values = [tuple(draw(st.lists(q, min_size=n, max_size=n)))
+              for q in (_log_uniform(1e-2, 1e3), st.floats(-10.0, 10.0),
+                        _log_uniform(1e-4, 1e3))]
+    return (tuple(sorted(cuts)), *values)
+
+
+class _Enough(Exception):
+    pass
+
+
+def run_pieces(setup, boundary, pieces, steps=PIECEWISE_STEPS):
+    """run_case on the pieces sampled at the nodes of 16 cells, as a
+    catalogue entry, stopped after the given number of accepted steps."""
+    cuts, rho, v, p = (np.array(q) for q in pieces)
+
+    def initial(x):
+        k = np.searchsorted(cuts, x)
+        return core.element_major(models.Euler().conserved(rho[k], v[k], p[k]))
+
+    def stop(result, before, diag):
+        if result.steps == steps:
+            raise _Enough(result)
+
+    case = harness.CaseSpec(name="pieces", make_model=models.Euler, xlo=0.0, xhi=1.0,
+                            boundary=boundary, final_time=1.0, default_cells=16,
+                            initial=initial)
+    cfg = harness.case_config(case, **PIECEWISE_SETS[setup])
+    with mock.patch.dict(harness.CATALOG, {"pieces": case}):
+        try:
+            return harness.run_case("pieces", cfg, on_step=stop)
+        except _Enough as enough:
+            return enough.args[0]
+
+
+# admissible states whose first step needs 13-15 halvings: the stage-one
+# stencil bound min rho / (2 |r|) lies that far below the CFL step
+HALVING_PIECES = (
+    ("gll-g2-fo", "periodic",
+     ((0.5812,), (2.932e-2, 990.08), (-8.9101, 8.1218), (0.1194, 0.0053))),
+    ("gl-radau-fo", "transmissive",
+     ((0.1266, 0.1929, 0.2379, 0.7309), (960.6, 0.65463, 164.5, 2.3893e-2, 6.5336),
+      (-1.2681, 6.8415, -4.8498, 4.789, -5.7319),
+      (585.58, 1.2915, 352.27, 1.6873e-3, 3.033))),
+    ("gll-g2-fo", "reflective",
+     ((0.2229, 0.348, 0.5428), (1.8753e-2, 326.24, 526.34, 1.722e-2),
+      (-1.595, 5.7834, -6.9113, 4.6305), (0.30057, 2.249e-4, 56.414, 0.78576))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(setup=st.sampled_from(sorted(PIECEWISE_SETS)),
+       boundary=st.sampled_from(["periodic", "transmissive", "reflective"]),
+       pieces=gas_pieces())
+@example(*HALVING_PIECES[0])
+@example(*HALVING_PIECES[1])
+@example(*HALVING_PIECES[2])
+def test_admissible_pieces_run_and_stay_admissible(setup, boundary, pieces):
+    with np.errstate(all="ignore"):
+        res = run_pieces(setup, boundary, pieces)
+    assert res.steps == PIECEWISE_STEPS or res.field.time == 1.0
+    assert (res.min_constraints > 0.0).all()
+
+
+@pytest.mark.parametrize("setup, boundary, pieces", HALVING_PIECES,
+                         ids=[f"{s}-{b}" for s, b, _ in HALVING_PIECES])
+def test_first_step_of_admissible_pieces_halves_past_twelve(setup, boundary, pieces):
+    # what the step limit has to leave room for: all at the stencil check
+    with np.errstate(all="ignore"):
+        res = run_pieces(setup, boundary, pieces, steps=1)
+    assert res.steps == 1 and 12 < res.retries <= harness.MAX_HALVINGS
+    assert set(res.retry_reasons) == {"density"}
 
 
 def test_step_inputs_built_once_per_accepted_state(monkeypatch):

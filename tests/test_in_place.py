@@ -203,7 +203,8 @@ def test_low_order_subface_fluxes_leave_the_state_alone(use_slopes, boundary):
     cfg = core.RunConfig(limiter="mh" if use_slopes else "fo", boundary=boundary)
     disc = core.make_discretization(core.make_grid(0.0, 1.0, 6), models.Euler(GAMMA), cfg)
     u = _gas(np.random.default_rng(9), disc.xn.shape)
-    for tau in (1e-3, np.array([5e-4, 1e-3])):
+    # first-order fluxes do not read tau, so only MUSCL-Hancock takes an array
+    for tau in (1e-3, np.array([5e-4, 1e-3]))[:1 + use_slopes]:
         _in_place_call(blending.low_order_subface_fluxes, disc, u, tau, use_slopes)
 
 

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdrkfr import core
 from mdrkfr.blending import _subface_rusanov
 from mdrkfr.errors import ConfigurationError, StencilStateError
 from mdrkfr.models import (Burgers, Euler, LinearAdvection, VariableAdvection,
                            exact_solution, fold, varadv_x2_speed)
+from mdrkfr.operators import node_sums
 
 finite_floats = st.floats(-50.0, 50.0)
 positive_floats = st.floats(0.01, 50.0)
@@ -31,27 +33,86 @@ def test_variable_advection_flux():
     assert m.flux(np.array([1.0]), 0.5) == pytest.approx(0.25)
 
 
+def _gas_disc(boundary="periodic", bc_state=None, ncells=6):
+    cfg = core.RunConfig(boundary=boundary)
+    return core.make_discretization(core.make_grid(0.0, 1.0, ncells), Euler(), cfg, bc_state)
+
+
+def _at_rest(disc):
+    # variable-major (3, ne, p) gas at rest, density and pressure one
+    return euler_state(np.ones(disc.xn.shape), np.zeros(disc.xn.shape), np.ones(disc.xn.shape))
+
+
+def _stage_raises(disc, state, earlier=0):
+    """The StencilStateError of time_average on state after `earlier` stages."""
+    pieces, good = [], _at_rest(disc)
+    for _ in range(earlier):
+        core.time_average(disc.model, good, pieces, disc.xn, disc.dxn, 1e-3, disc.ops)
+    with pytest.raises(StencilStateError) as err:
+        core.time_average(disc.model, state, pieces, disc.xn, disc.dxn, 1e-3, disc.ops)
+    return err.value
+
+
+# the flux has no guard of its own: core's stencil check refuses every
+# state of these densities before a flux is formed from it
 @pytest.mark.parametrize("rho", [0.0, -0.1, np.nan, np.inf, -np.inf],
                          ids=["zero", "negative", "nan", "inf", "minus-inf"])
 def test_euler_flux_requires_positive_density(rho):
     u = euler_state(1.0, 0.0, 1.0)
     u[0] = rho
-    with pytest.raises(StencilStateError):
-        Euler().flux(u, 0.0)
-    with pytest.raises(StencilStateError):
-        Euler().speed_and_flux(u, 0.0)
+    with np.errstate(all="ignore"):
+        # the model itself forms the flux without a test
+        assert Euler().flux(u, 0.0).shape == Euler().speed_and_flux(u, 0.0)[1].shape == (3,)
+        disc = _gas_disc()
+        state = _at_rest(disc)
+        state[0, 2, 1] = rho
+        for stage in (1, 2):
+            err = _stage_raises(disc, state, earlier=stage - 1)
+            assert (err.constraint, err.stage, err.face) == ("density", stage, None)
+        with pytest.raises(StencilStateError, match="density"):
+            core.rkfr_rhs(disc, state, 0.0)
+        inflow = _gas_disc("dirichlet", lambda x, t: u)
+        good = _at_rest(inflow)
+        with pytest.raises(StencilStateError, match="density") as err:
+            core.rkfr_rhs(inflow, good, 0.0)
+        assert err.value.stage is None
+        with pytest.raises(StencilStateError, match="density"):
+            core.mdrk_step(inflow, core.element_major(good), 0.0, 1e-3)
 
 
 def test_euler_flux_guard_reports_minimum_or_nan():
-    u = euler_state(np.ones(4), np.zeros(4), np.ones(4))
-    u[0, 1], u[0, 2] = -0.5, -0.2
+    # the check reports the least density of the states it tested, NaN
+    # when one is not finite
+    disc = _gas_disc()
+    state = _at_rest(disc)
+    state[0, 1, 2], state[0, 3, 0] = -0.5, -0.2
+    with np.errstate(all="ignore"):
+        with pytest.raises(StencilStateError) as err:
+            core.rkfr_rhs(disc, state, 0.0)
+        assert err.value.value == -0.5
+        state[0, 4, 1] = np.inf
+        with pytest.raises(StencilStateError) as err:
+            core.rkfr_rhs(disc, state, 0.0)
+        assert np.isnan(err.value.value)
+    # positive nodes whose right-face trace extrapolates below zero
+    state = _at_rest(disc)
+    state[0, 2, -1] = 1e-3
+    traces = node_sums(disc.ops.V, state)
+    assert (state[0] > 0.0).all() and traces[0].min() < 0.0
     with pytest.raises(StencilStateError) as err:
-        Euler().flux(u, 0.0)
-    assert err.value.value == -0.5
-    u[0, 3] = np.inf
+        core.rkfr_rhs(disc, state, 0.0)
+    assert err.value.value == traces[0].min()
+    # a stage reports the least density of u - 2 u1 and u + 2 u1; the
+    # step takes them below zero where the momentum varies
+    state, dt = _at_rest(disc), 1e-3
+    state[1, 3] = [100.0, -100.0, 100.0, -100.0]
+    f = disc.model.flux(state, disc.xn)
+    u1 = core.local_solution_derivative(state, f, disc.dxn, dt, disc.ops.D)
+    least = min((state[0] + 2.0 * u1[0]).min(), (state[0] - 2.0 * u1[0]).min())
+    assert least < 0.0
     with pytest.raises(StencilStateError) as err:
-        Euler().flux(u, 0.0)
-    assert np.isnan(err.value.value)
+        core.time_average(disc.model, state, [], disc.xn, disc.dxn, dt, disc.ops)
+    assert (err.value.value, err.value.stage) == (least, 1)
 
 
 def test_euler_flux_of_no_states():

@@ -53,7 +53,8 @@ short runs:
   cadence.
 
 The matrix runs step themselves: every step takes the compute_dt step
-and halves it on StencilStateError, as harness.run_case does.  Compared:
+and halves it on StencilStateError, up to the tree's own
+harness.MAX_HALVINGS times, as harness.run_case does.  Compared:
 each accepted step's state, dt and StepDiagnostics fields (each stage's
 fnum, alpha and theta, theta_min, minimum constraints), each run's retry
 count and abort message, each direct call's outputs (fluxes, thetas,
@@ -93,7 +94,6 @@ SMOOTH = {"linadv_sine": 40, "varadv_x2": 40, "burgers_sine": 40,
 GAS = {"blast": 100, "titarev_toro": 100, "density_ratio": 100, "sedov": 51}
 PAIRINGS = (("gl", "radau"), ("gll", "g2"))
 SHORT, LONG = 30, 150
-MAX_HALVINGS = 12
 BOUNDARIES = ("periodic", "transmissive", "reflective")
 # the constraints (0 density, 1 pressure) a direct limiter call breaks
 BRANCHES = {"none": (), "density": (0,), "pressure": (1,), "both": (0, 1)}
@@ -180,12 +180,12 @@ def run_one(case_id, cells, scheme, overrides, steps):
             if disc.config.final_time - t <= 1e-12:
                 break
             dt = core.compute_dt(disc, u, t)
-            for attempt in range(MAX_HALVINGS + 1):
+            for attempt in range(harness.MAX_HALVINGS + 1):
                 try:
                     unew, diag = step_fn(disc, u, t, dt)
                     break
                 except errors.StencilStateError as exc:
-                    if attempt == MAX_HALVINGS:
+                    if attempt == harness.MAX_HALVINGS:
                         raise
                     out["reasons"].append((n, exc.constraint))
                     out["retries"] += 1
@@ -498,13 +498,11 @@ def direct_stability_calls():
             records.append((f"direct/cfl_scan/{correction}/{diss}",
                             np.array(stability.cfl_scan(ops, diss, SCAN_SIGMAS))))
             for sigma in SCAN_SIGMAS:
-                setup = stability.assemble_matrices(ops, sigma, diss)
-                # a dict of blocks, or a setup whose update holds them
-                blocks = setup if isinstance(setup, dict) else setup.update
+                blocks = stability.assemble_matrices(ops, sigma, diss)
                 records.append((f"direct/assemble_matrices/{correction}/{diss}/{sigma}",
                                 np.array([blocks.get(k, zero) for k in range(-2, 3)])))
                 records.append((f"direct/max_spectral_radius/{correction}/{diss}/{sigma}/1",
-                                stability.max_spectral_radius(setup, stability._wavenumbers(1))))
+                                stability.max_spectral_radius(blocks, stability._wavenumbers(1))))
             if correction == "g2" and diss == "d2":
                 # the sigmas of `mdrkfr stability --scan` at its defaults
                 sigmas = np.linspace(0.005, stability.find_cfl(ops, diss) * 1.15, 40)
