@@ -36,19 +36,26 @@ def _modal_inverse(degree, kind):
     return np.linalg.inv(vand)
 
 
+# the indicator's fixed parameters, from Hennemann, Rueda-Ramirez, Hindenlang
+# and Gassner (JCP 2021): the cap and floor of alpha, and the logistic's
+# sharpness ln(9999), which puts alpha at 1e-4 where the energy is zero
+ALPHA_MAX = 0.5
+ALPHA_MIN = 1e-3
+INDICATOR_SHARPNESS = 9.21024
+
+
 def indicator_threshold(degree):
     return 0.5 * 10.0 ** (-1.8 * (degree + 1) ** 0.25)
 
 
 def smoothness_alpha(disc, u):
-    """Per-element blending coefficient in [0, alpha_max].
+    """Per-element blending coefficient in [0, ALPHA_MAX].
 
     Energy of the two highest Legendre modes of the indicator quantity is
     mapped through a logistic; tiny values floor to zero, saturated values
-    cap at alpha_max, and one max-with-half-neighbour pass spreads the
+    cap at ALPHA_MAX, and one max-with-half-neighbour pass spreads the
     flag to adjacent elements.
     """
-    cfg = disc.config
     degree = disc.ops.degree
     q = np.real(disc.model.indicator_quantity(u))
     modal = q @ _modal_inverse(degree, disc.ops.nodeset.kind).T
@@ -60,10 +67,10 @@ def smoothness_alpha(disc, u):
     energy = np.maximum(e_top, e_next)
 
     thresh = indicator_threshold(degree)
-    alpha = 1.0 / (1.0 + np.exp(-cfg.indicator_sharpness / thresh * (energy - thresh)))
-    alpha[alpha < cfg.alpha_min] = 0.0
-    alpha[alpha > 1.0 - cfg.alpha_min] = 1.0
-    alpha = np.minimum(alpha, cfg.alpha_max)
+    alpha = 1.0 / (1.0 + np.exp(-INDICATOR_SHARPNESS / thresh * (energy - thresh)))
+    alpha[alpha < ALPHA_MIN] = 0.0
+    alpha[alpha > 1.0 - ALPHA_MIN] = 1.0
+    alpha = np.minimum(alpha, ALPHA_MAX)
 
     padded = alpha[disc.boundary.cells]
     return np.maximum(alpha, 0.5 * np.maximum(padded[:-2], padded[2:]))

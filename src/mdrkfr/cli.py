@@ -8,6 +8,7 @@ aborts on an admissibility violation.
 import argparse
 import contextlib
 import csv
+import os
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from .operators import make_operators
 # the RunConfig fields settable by flag (--face-scheme sets face_scheme),
 # in --help order; a choice field takes its values from core.CHOICES
 FLAGS = ("points", "correction", "dissipation", "face_scheme", "limiter",
-         "cfl", "safety", "final_time")
+         "cfl", "final_time")
 
 
 def _add_config_arguments(p):
@@ -71,9 +72,9 @@ def _write_limiter_rows(writer, step, t, model, stage):
 
 def _write_numbered_snapshot(path, res):
     """Snapshot named by the step count: out.csv -> out_000007.csv."""
-    stem, dot, ext = path.rpartition(".")
-    name = f"{stem}_{res.steps:06d}.{ext}" if dot else f"{path}_{res.steps:06d}"
-    harness.write_snapshot(name, res.disc, res.field.data, res.field.time)
+    stem, ext = os.path.splitext(path)
+    harness.write_snapshot(f"{stem}_{res.steps:06d}{ext}", res.disc, res.field.data,
+                           res.field.time)
 
 
 def _cmd_run(args):

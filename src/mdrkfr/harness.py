@@ -366,15 +366,14 @@ def config_hash(config):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def write_snapshot(path, disc, u, t, var_names=None):
+def write_snapshot(path, disc, u, t):
     """Plot-ready CSV: meta comments, header, one row per node."""
-    names = var_names or disc.model.var_names
     x = disc.xn.ravel()
     vals = u.reshape(-1, u.shape[-1])
     with open(path, "w") as fh:
         fh.write(f"# meta: t={t:.17g}\n")
         fh.write(f"# meta: config={config_hash(disc.config)}\n")
-        fh.write("x," + ",".join(names) + "\n")
+        fh.write("x," + ",".join(disc.model.var_names) + "\n")
         for i in range(len(x)):
             fh.write(f"{x[i]:.17g}," + ",".join(f"{v:.17g}" for v in vals[i]) + "\n")
 
@@ -461,12 +460,17 @@ def load_config(path=None, text=None, overrides=(), base=None):
     when no base is given).  Returns (config, extras), extras holding cells,
     the one key not a RunConfig field; any other key, a misspelt one, is refused.
     """
-    parser = configparser.ConfigParser()
-    if text is not None:
-        parser.read_string(text)
-    elif path is not None:
-        if not parser.read(path):
+    # no key uses interpolation, so a % reaches _coerce like any other character
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if text is not None:
+            parser.read_string(text)
+        elif path is not None and not parser.read(path):
             raise ConfigurationError(f"cannot read config file {path!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a missing [run] header, a repeated key or bytes that are not text
+        source = "<string>" if text is not None else path
+        raise ConfigurationError(f"cannot parse config {source!r}: {exc}") from None
     items = [(k, "=", v) for k, v in parser.items("run")] if parser.has_section("run") else []
     values, extras = {}, {}
     for key, sep, value in items + [item.partition("=") for item in overrides]:

@@ -63,7 +63,7 @@ def test_alpha_saturates_on_step():
     # formed and dropped
     with np.errstate(divide="raise", invalid="raise"):
         alpha = blending.smoothness_alpha(disc, u)
-    assert float(alpha.max()) == pytest.approx(disc.config.alpha_max)
+    assert float(alpha.max()) == pytest.approx(blending.ALPHA_MAX)
     assert alpha[-1] == 0.0
 
 

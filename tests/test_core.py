@@ -567,7 +567,7 @@ def test_reflective_requires_system():
 
 def test_compute_dt_euler_formula():
     m = models.Euler()
-    cfg = core.RunConfig(final_time=10.0, cfl=0.107, safety=0.98)
+    cfg = core.RunConfig(final_time=10.0, cfl=0.107)
     grid = core.make_grid(0.0, 1.0, 100)
     disc = core.make_discretization(grid, m, cfg)
     u = np.tile(m.conserved(1.0, 0.0, 1.0), (100, 4, 1))
@@ -576,7 +576,7 @@ def test_compute_dt_euler_formula():
 
 
 def test_compute_dt_advection_and_clamp():
-    disc = make_disc(ncells=10, cfl=0.107, safety=0.98, final_time=1.0)
+    disc = make_disc(ncells=10, cfl=0.107, final_time=1.0)
     u = np.ones((10, 4, 1))
     assert core.compute_dt(disc, u, 0.0) == pytest.approx(0.98 * 0.107 * 0.1)
     assert core.compute_dt(disc, u, 1.0 - 1e-5) == pytest.approx(1e-5, rel=1e-6)
@@ -894,7 +894,7 @@ def test_theta_min_is_the_least_theta_over_the_stage_records():
     assert baseline.stages == () and baseline.theta_min == 1.0
 
 
-def test_constraints_evaluated_at_most_12_times_per_step(monkeypatch):
+def test_constraints_evaluated_at_most_11_times_per_step(monkeypatch):
     # each constraint value is evaluated once per state: two subcell checks
     # and one check of both stages' face updates, then per stage one
     # flux-limiter call, the means and the nodes in the scaling limiter and
@@ -1179,8 +1179,6 @@ def test_rkfr_rejects_limiter():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         core.RunConfig(dissipation="d3").validate()
-    with pytest.raises(ConfigurationError):
-        core.RunConfig(safety=1.5).validate()
     with pytest.raises(ConfigurationError):
         core.RunConfig(cfl=-0.1).validate()
     assert core.RunConfig().resolved_cfl() == pytest.approx(0.107)

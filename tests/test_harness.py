@@ -2,6 +2,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -150,21 +151,26 @@ def test_snapshot_determinism(tmp_path):
 
 def test_load_config_file_and_overrides():
     text = "[run]\ncfl = 0.09\nlimiter = mh\ncells = 123\n"
-    cfg, extras = harness.load_config(text=text, overrides=["safety=0.9"])
+    cfg, extras = harness.load_config(text=text, overrides=["final_time=0.5"])
     assert cfg.cfl == pytest.approx(0.09)
     assert cfg.limiter == "mh"
-    assert cfg.safety == pytest.approx(0.9)
+    assert cfg.final_time == pytest.approx(0.5)
     assert extras["cells"] == "123"
 
 
 @pytest.mark.parametrize("text, overrides, key", [
     ("[run]\nlimitr = fo\ncells = 50\n", [], "limitr"),
     ("[run]\ncells = 50\n", ["limter=fo"], "limter"),
+    # the step margin and the indicator's parameters are constants, not settings
+    ("[run]\nsafety = 0.9\n", [], "safety"),
+    ("[run]\n", ["alpha_max=0.4"], "alpha_max"),
+    ("[run]\nalpha_min = 0.002\n", [], "alpha_min"),
+    ("[run]\n", ["indicator_sharpness=8.0"], "indicator_sharpness"),
 ])
 def test_load_config_refuses_unknown_keys(text, overrides, key):
     # a misspelt key used to be filed under extras and left the setting at
     # its default; cells is the one extra anything reads
-    with pytest.raises(ConfigurationError, match=key):
+    with pytest.raises(ConfigurationError, match=rf"unknown configuration keys \['{key}'\]"):
         harness.load_config(text=text, overrides=overrides)
 
 
@@ -197,9 +203,8 @@ def test_every_config_knob_is_settable():
     samples = {
         "degree": "3", "points": "gll", "correction": "g2",
         "dissipation": "d1", "face_scheme": "ae", "cfl": "0.05",
-        "safety": "0.9", "limiter": "fo", "boundary": "transmissive",
-        "final_time": "0.125", "alpha_max": "0.4", "alpha_min": "0.002",
-        "indicator_sharpness": "8.0", "snapshot_every": "7",
+        "limiter": "fo", "boundary": "transmissive", "final_time": "0.125",
+        "snapshot_every": "7",
     }
     names = {f.name for f in fields(core.RunConfig)}
     assert names == set(samples), "keep the sample map in sync with RunConfig"
@@ -311,9 +316,7 @@ def test_configuration_sweep_runs_or_is_refused(points, correction, dissipation,
         assert res.steps > 0
 
 
-OUT_OF_RANGE = [("cfl", "nan"), ("final_time", "nan"), ("alpha_max", "-0.5"),
-                ("snapshot_every", "-3"), ("indicator_sharpness", "nan"),
-                ("indicator_sharpness", "-1"), ("alpha_min", "nan"), ("alpha_min", "0.7")]
+OUT_OF_RANGE = [("cfl", "nan"), ("final_time", "nan"), ("snapshot_every", "-3")]
 
 
 @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
@@ -360,7 +363,7 @@ def test_unknown_choice_is_refused(key):
         harness.load_config(overrides=[f"{key}=bogus"])
 
 
-REAL_SETTINGS = ("cfl", "safety", "final_time", "alpha_max", "alpha_min", "indicator_sharpness")
+REAL_SETTINGS = ("cfl", "final_time")
 
 
 # cfl=None selects the certified default
@@ -375,13 +378,12 @@ def test_non_real_setting_is_refused(key, value):
 
 
 def test_real_number_types_are_accepted():
-    core.RunConfig(cfl=np.float32(0.1), safety=1, final_time=np.float64(0.5),
-                   alpha_max=np.int64(1), alpha_min=0, indicator_sharpness=9).validate()
+    core.RunConfig(cfl=np.float32(0.1), final_time=np.float64(0.5)).validate()
+    core.RunConfig(cfl=1, final_time=np.int64(2)).validate()
 
 
 def test_range_ends_are_accepted():
-    core.RunConfig(alpha_max=0.0, snapshot_every=0, alpha_min=0.0).validate()
-    core.RunConfig(alpha_max=1.0, cfl=0.05).validate()
+    core.RunConfig(snapshot_every=0).validate()
 
 
 def test_retry_reasons_are_recorded():
@@ -703,15 +705,35 @@ def test_cli_refuses_bad_mesh_and_unparsable_value(argv, key, tmp_path, capsys):
     assert err.startswith("configuration error:") and key in err
 
 
-@pytest.mark.parametrize("argv", [["--override", "limter=fo"], ["--config", "{tmp}/typo.cfg"]])
+@pytest.mark.parametrize("argv", [["--override", "limter=fo"], ["--config", "{tmp}/limitr.cfg"],
+                                  # constants, no longer settings
+                                  ["--override", "alpha_max=0.4"], ["--config", "{tmp}/safety.cfg"],
+                                  ["--override", "alpha_min=0.002"],
+                                  ["--config", "{tmp}/indicator_sharpness.cfg"]])
 def test_cli_refuses_unknown_configuration_keys(argv, tmp_path, capsys):
-    # both used to exit 0 after a run with the default mh limiter
-    (tmp_path / "typo.cfg").write_text("[run]\nlimitr = fo\n")
+    # a misspelt key used to exit 0 after a run with the default mh limiter;
+    # the key is the override's left side or the config file's name
+    key = Path(argv[1].partition("=")[0]).stem
+    (tmp_path / f"{key}.cfg").write_text(f"[run]\n{key} = 0.9\n")
     argv = ["run", "--case", "blast", "--cells", "50", "--final-time", "0.001", *argv]
     assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("configuration error:")
-    assert ("limter" if "--override" in argv else "limitr") in err
+    assert out == "" and err == f"configuration error: unknown configuration keys ['{key}']\n"
+
+
+@pytest.mark.parametrize("text, want", [
+    (b"cfl = 0.1\n", "bad.cfg"),
+    (b"[run]\ncfl = 0.1\ncfl = 0.2\n", "bad.cfg"),
+    (b"[run]\ncfl = 10%\n", "cfl must be a number, got '10%'"),
+    (b"\xff[run]\ncfl = 0.1\n", "bad.cfg"),
+], ids=["no-header", "repeated-key", "percent", "not-utf8"])
+def test_cli_refuses_unparsable_config_file(text, want, tmp_path, capsys):
+    # the parser's own errors used to escape main as tracebacks
+    (tmp_path / "bad.cfg").write_bytes(text)
+    assert cli.main(["run", "--case", "blast", "--cells", "20",
+                     "--config", str(tmp_path / "bad.cfg")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error:") and want in err
 
 
 @pytest.mark.parametrize("pin, cfl", [([], "0.2152"), (["--cfl", "0.05"], "0.0500")])
@@ -738,6 +760,19 @@ def test_cli_numbered_snapshots(tmp_path, capsys, monkeypatch):
     last = (tmp_path / f"snap_{steps:06d}.csv").read_text()
     assert last == (tmp_path / "snap.csv").read_text()
     assert (tmp_path / "snap_000004.csv").read_text() != last
+
+
+def test_cli_numbered_snapshots_in_dotted_directory(tmp_path, capsys, monkeypatch):
+    # the step count used to go in at the directory's dot, out_000002.d/snap,
+    # which does not exist
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.d").mkdir()
+    assert cli.main(["run", "--case", "blast", "--cells", "20", "--final-time", "0.002",
+                     "--output", "out.d/snap", "--override", "snapshot_every=2"]) == 0
+    steps = int(re.search(r"steps=(\d+)", capsys.readouterr().out).group(1))
+    want = {"snap", *(f"snap_{n:06d}" for n in [*range(2, steps + 1, 2), steps])}
+    assert {p.name for p in (tmp_path / "out.d").iterdir()} == want
+    assert [p.name for p in tmp_path.iterdir()] == ["out.d"]
 
 
 def test_cli_snapshot_and_diagnostics(tmp_path):
