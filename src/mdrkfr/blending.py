@@ -77,41 +77,6 @@ def smoothness_alpha(disc, u):
 
 
 # ----------------------------------------------------------------------
-# subcell geometry
-
-
-class SubcellGeometry:
-    """Global line of subcells covering the whole mesh.
-
-    Arrays are flat over (element, node); ``subfaces`` has one more entry
-    than there are subcells and its every P-th entry is an element face.
-    """
-
-    def __init__(self, grid, ops):
-        w = ops.weights
-        csum = np.concatenate([[0.0], np.cumsum(w)])
-        csum[-1] = 1.0
-        dx = grid.dx
-        self.psub = len(w)
-        sub = grid.faces[:-1, None] + dx[:, None] * csum[None, :]
-        self.subfaces = np.concatenate([sub[:, :-1].ravel(), grid.faces[-1:]])
-        self.x = (grid.faces[:-1, None] + dx[:, None] * ops.nodes[None, :]).ravel()
-        self.h = (dx[:, None] * w[None, :]).ravel()
-        # every subcell's quadrature weight, its width over its element's
-        self.w = np.tile(w, grid.ncells)
-        # node offsets to the subcell's own faces (left is negative)
-        self.dl = self.subfaces[:-1] - self.x
-        self.dr = self.subfaces[1:] - self.x
-        self.length = grid.faces[-1] - grid.faces[0]
-        # (left, right) face positions along the line padded with a ghost
-        # subcell per end, whose outer faces repeat the end faces
-        f, pf = self.subfaces, np.empty((2, len(self.subfaces) + 1))
-        pf[0, 1:] = pf[1, :-1] = f
-        pf[0, 0], pf[1, -1] = f[0], f[-1]
-        self.padded_faces = pf
-
-
-# ----------------------------------------------------------------------
 # low-order subcell schemes
 
 
@@ -131,7 +96,7 @@ def _admissible(model, states):
 def _subface_rusanov(model, traces, x):
     """Rusanov fluxes at the subfaces of the padded subcell line, (nvar, ...,
     N-1), from one speed_and_flux call on the (left, right) traces of its N
-    subcells stacked on axis 1; x is SubcellGeometry.padded_faces."""
+    subcells stacked on axis 1; x is Boundary.sub_faces."""
     x = x.reshape(x.shape[:1] + (1,) * (traces.ndim - 3) + x.shape[1:])
     s, f = model.speed_and_flux(traces, x)
     if np.shape(s) != traces.shape[1:]:
@@ -175,9 +140,8 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
         traces = slopes[:, None] * b.sub_offsets
         traces += up[:, None]
 
-    faces = disc.subcells.padded_faces
     if not use_slopes:
-        return _subface_rusanov(model, traces, faces)
+        return _subface_rusanov(model, traces, b.sub_faces)
 
     lead = (slice(None),) + (None,) * np.ndim(tau)
     f = model.flux(traces, b.sub_face_x)
@@ -190,7 +154,7 @@ def low_order_subface_fluxes(disc, u, tau, use_slopes):
     # node value
     if not (ok := _admissible(model, evolved)).all():
         evolved = np.where(ok, evolved, up[lead][:, None])
-    return _subface_rusanov(model, evolved, faces)
+    return _subface_rusanov(model, evolved, b.sub_faces)
 
 
 def low_order_residual(disc, subface_fluxes, fnum):
@@ -204,7 +168,7 @@ def low_order_residual(disc, subface_fluxes, fnum):
     g = np.array(subface_fluxes)
     # every p-th subface is an element face
     g[:, ::disc.ops.degree + 1] = fnum
-    return ((g[:, 1:] - g[:, :-1]) / disc.subcells.w).reshape((len(g),) + disc.xn.shape)
+    return ((g[:, 1:] - g[:, :-1]) / disc.boundary.sub_weights).reshape(-1, *disc.xn.shape)
 
 
 def blended_update(high, low, alpha):

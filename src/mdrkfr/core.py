@@ -153,11 +153,13 @@ class Boundary:
 
     Every lookup that crosses a domain end (element neighbours, face
     traces, subcells) reads its ghost from the gathers here; nothing else
-    branches on the boundary kind.  Periodic ends wrap: the ghost is the
-    element or subcell at the far end, shifted by the domain length.  All
-    other kinds mirror the end element across the end face; transmissive
-    and the Dirichlet kinds copy its values, reflective walls also apply
-    the model's reflection signs (momentum for states, mass and energy for
+    branches on the boundary kind.  The arrays of the subcell line (N+1
+    subcells per element, their widths the quadrature weights times dx)
+    are all built here too.  Periodic ends wrap: the ghost is the element
+    or subcell at the far end, shifted by the domain length.  All other
+    kinds mirror the end element across the end face; transmissive and
+    the Dirichlet kinds copy its values, reflective walls also apply the
+    model's reflection signs (momentum for states, mass and energy for
     fluxes).  At imposed faces (the left face for dirichlet_outflow, both
     for dirichlet) the numerical flux is the flux of bc_state(x, t), and it
     is neither blended nor limited.
@@ -169,6 +171,11 @@ class Boundary:
     sub_offsets  (left, right) offsets from each node of that line to its subcell's
                  faces; sub_face_x adds the node positions, sub_width subtracts them
     sub_gaps     (left, right, both) node gaps around every interior node of that line
+    sub_faces    (left, right) face positions of every subcell of that line, the
+                 ghosts' outer faces repeating the end faces; sub_face_x to
+                 rounding at every entry read, kept apart for the fluxes' bits
+    sub_weights  the quadrature weight of every subcell of the unpadded line, its
+                 width over its element's
     state_sign, flux_sign   (nvar,) factors applied to ghost states and fluxes
     limited      (minus, plus) masks over faces: whether the interface flux
                  limiter keeps that side's subcell update admissible (not
@@ -186,6 +193,8 @@ class Boundary:
     sub_face_x: np.ndarray
     sub_width: np.ndarray
     sub_gaps: np.ndarray
+    sub_faces: np.ndarray
+    sub_weights: np.ndarray
     state_sign: np.ndarray
     flux_sign: np.ndarray
     limited: np.ndarray
@@ -218,10 +227,17 @@ class Boundary:
         return (minus[0], plus[0]), (minus[1], plus[1])
 
 
-def make_boundary(kind, grid, subcells, model, bc_state=None):
-    """The ghost gathers of one boundary kind on one mesh."""
-    ne, ns = grid.ncells, len(subcells.x)
-    x, dl, dr = subcells.x, subcells.dl, subcells.dr
+def make_boundary(kind, grid, ops, model, bc_state=None):
+    """The ghost gathers of one boundary kind on one mesh, and its subcell line."""
+    ne, w, dx = grid.ncells, ops.weights, grid.dx
+    p, ns = len(w), ne * len(w)
+    # subface j is the left face of subcell j, and every p-th one an element face
+    csum = np.r_[0.0, np.cumsum(w[:-1])]
+    subfaces = np.r_[(grid.faces[:-1, None] + dx[:, None] * csum).ravel(), grid.faces[-1]]
+    x = grid.nodes(ops).ravel()
+    dl, dr = subfaces[:-1] - x, subfaces[1:] - x
+    # the ghost subcells' outer faces repeat the end faces
+    sub_faces = np.stack([np.r_[subfaces[0], subfaces], np.r_[subfaces, subfaces[-1]]])
     imposed = {"dirichlet_outflow": [0], "dirichlet": [0, ne]}.get(kind, [])
     if imposed and bc_state is None:
         raise ConfigurationError("dirichlet boundaries need a boundary-state callable")
@@ -235,7 +251,8 @@ def make_boundary(kind, grid, subcells, model, bc_state=None):
         cells = np.r_[ne - 1, 0:ne, 0]
         traces = ((1, ne - 1), (0, 0))
         sub = np.r_[ns - 1, 0:ns, 0]
-        sub_x = np.concatenate([[x[-1] - subcells.length], x, [x[0] + subcells.length]])
+        length = grid.faces[-1] - grid.faces[0]
+        sub_x = np.concatenate([[x[-1] - length], x, [x[0] + length]])
         sub_dl, sub_dr = dl[sub], dr[sub]
     else:
         cells = np.r_[0, 0:ne, ne - 1]
@@ -248,28 +265,27 @@ def make_boundary(kind, grid, subcells, model, bc_state=None):
         limited[0, 0] = limited[1, -1] = False
         if kind == "reflective":
             state_sign, flux_sign = model.reflect_state(ones), model.reflect_flux(ones)
-    # the subcells next to every face; subface j is the left face of subcell j
-    p = subcells.psub
+    # the subcells next to every face
     end_cells = np.stack([p * cells[:-1] + p - 1, p * cells[1:]])
     inner_subfaces = end_cells + np.array([[0], [1]])
     offsets, gap = np.stack([sub_dl, sub_dr]), np.diff(sub_x)
     return Boundary(cells, traces, sub, offsets, sub_x + offsets, offsets[1] - offsets[0],
-                    np.stack([gap[:-1], gap[1:], gap[:-1] + gap[1:]]), state_sign, flux_sign,
-                    limited, subcells.h[end_cells], inner_subfaces,
+                    np.stack([gap[:-1], gap[1:], gap[:-1] + gap[1:]]), sub_faces, np.tile(w, ne),
+                    state_sign, flux_sign, limited,
+                    np.stack([w[-1] * dx[cells[:-1]], w[0] * dx[cells[1:]]]), inner_subfaces,
                     np.array(imposed, dtype=int), bc_state)
 
 
 @dataclass
 class Discretization:
-    """Immutable per-run bundle: mesh, operators, model, configuration,
-    boundary closure and subcell line."""
+    """Immutable per-run bundle: mesh, operators, model, configuration and
+    boundary closure with its subcell line."""
 
     grid: Grid
     ops: ReferenceOperators
     model: EquationModel
     config: RunConfig
     boundary: Boundary
-    subcells: blending.SubcellGeometry
     xn: np.ndarray = field(init=False)
     xf: np.ndarray = field(init=False)
     dx: np.ndarray = field(init=False)
@@ -288,9 +304,8 @@ def make_discretization(grid, model, config, bc_state=None):
     ops = make_operators(config.degree, config.points, config.correction)
     if model.has_source and config.limiter != "none":
         raise ConfigurationError("source terms are supported with limiter='none' only")
-    subcells = blending.SubcellGeometry(grid, ops)
-    boundary = make_boundary(config.boundary, grid, subcells, model, bc_state)
-    return Discretization(grid, ops, model, config, boundary, subcells)
+    boundary = make_boundary(config.boundary, grid, ops, model, bc_state)
+    return Discretization(grid, ops, model, config, boundary)
 
 
 # ----------------------------------------------------------------------

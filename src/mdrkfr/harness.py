@@ -77,9 +77,12 @@ def _density_ratio_initial(x):
 
 
 def _sedov_cellwise(xc, dx):
-    """Point blast: all energy deposited in the cell containing the origin."""
+    """Point blast: total energy 3.2e6 shared by the k cells nearest the origin,
+    k = 1 on an odd mesh and 2 on an even one, so the deposit is symmetric."""
     xc = np.asarray(xc, dtype=float)
-    e = np.where(np.abs(xc) <= dx / 2.0, 3.2e6 / dx, 1e-12)
+    k = 2 - len(xc) % 2
+    e = np.full(xc.shape, 1e-12)
+    e[np.argsort(np.abs(xc))[:k]] = 3.2e6 / (k * dx)
     u = np.zeros(xc.shape + (3,))
     u[..., 0] = 1.0
     u[..., 2] = e
@@ -455,10 +458,11 @@ def _coerce(key, value):
 def load_config(path=None, text=None, overrides=(), base=None):
     """RunConfig (plus extras) from a key=value file and override pairs.
 
-    The file uses one [run] section; --override key=value pairs win over
-    the file, and both win over the base config (the dataclass defaults
-    when no base is given).  Returns (config, extras), extras holding cells,
-    the one key not a RunConfig field; any other key, a misspelt one, is refused.
+    The file uses one [run] section, and any other section is refused;
+    --override key=value pairs win over the file, and both win over the
+    base config (the dataclass defaults when no base is given).  Returns
+    (config, extras), extras holding cells, the one key not a RunConfig
+    field; any other key, a misspelt one, is refused.
     """
     # no key uses interpolation, so a % reaches _coerce like any other character
     parser = configparser.ConfigParser(interpolation=None)
@@ -471,6 +475,13 @@ def load_config(path=None, text=None, overrides=(), base=None):
         # a missing [run] header, a repeated key or bytes that are not text
         source = "<string>" if text is not None else path
         raise ConfigurationError(f"cannot parse config {source!r}: {exc}") from None
+    # configparser files [DEFAULT] keys under every section and reads no
+    # other section by itself, so a key anywhere but [run] would be lost
+    sections = [name for name in parser.sections() if name != "run"]
+    if parser.defaults():
+        sections.append("DEFAULT")
+    if sections:
+        raise ConfigurationError(f"unknown configuration sections {sections}; keys go under [run]")
     items = [(k, "=", v) for k, v in parser.items("run")] if parser.has_section("run") else []
     values, extras = {}, {}
     for key, sep, value in items + [item.partition("=") for item in overrides]:

@@ -97,11 +97,29 @@ def test_alpha_neighbour_spreading():
 
 def test_subcell_widths_match_weights():
     disc = scalar_disc()
-    geo = disc.subcells
-    w = disc.ops.weights
-    assert np.allclose(geo.h.reshape(8, 4), w[None, :] * disc.dx[:, None])
-    assert np.all(np.diff(geo.subfaces) > 0)
-    assert geo.subfaces[0] == 0.0 and geo.subfaces[-1] == pytest.approx(1.0)
+    b, w = disc.boundary, disc.ops.weights
+    left, right = b.sub_faces[:, 1:-1]
+    assert np.allclose((right - left).reshape(8, 4), w[None, :] * disc.dx[:, None])
+    assert np.allclose(b.sub_width[1:-1].reshape(8, 4), w[None, :] * disc.dx[:, None])
+    assert np.array_equal(b.sub_weights.reshape(8, 4), np.broadcast_to(w, (8, 4)))
+    subfaces = b.sub_faces[0, 1:]
+    assert np.all(np.diff(subfaces) > 0)
+    assert subfaces[0] == 0.0 and subfaces[-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("points, correction", [("gl", "radau"), ("gll", "g2")])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("ncells", [1, 7, 40, 51, 400])
+def test_every_element_face_is_a_subface_bitwise(points, correction, degree, ncells):
+    # low_order_residual overwrites every (degree+1)-th subface flux with
+    # the element-face flux, so those subfaces must be the grid faces
+    cfg = core.RunConfig(degree=degree, points=points, correction=correction, cfl=0.1,
+                         final_time=1.0, limiter="fo")
+    grid = core.make_grid(0.1, 1.0, ncells)
+    disc = core.make_discretization(grid, models.Burgers(), cfg)
+    left, right = disc.boundary.sub_faces
+    assert same_bits(left[1::degree + 1], grid.faces)
+    assert same_bits(right[:-1:degree + 1], grid.faces)
 
 
 def sign_minmod3(a, b, c):
@@ -142,7 +160,7 @@ def reference_mh_fluxes(disc, u, tau):
     evolved = traces - (0.5 * tau * dflux)[:, None]
     ok = (model.constraints(evolved) > 0.0).all(axis=(0, 1))
     evolved = np.where(ok, evolved, up[:, None])
-    return blending._subface_rusanov(model, evolved, disc.subcells.padded_faces), ok
+    return blending._subface_rusanov(model, evolved, b.sub_faces), ok
 
 
 @pytest.mark.parametrize("tau, fallbacks", [(0.05, 0), (0.1, 1)])
@@ -224,12 +242,11 @@ def test_mh_exact_gradient_on_linear_data():
     # at vanishing evolution time both traces agree at every interior
     # subface and the two-state flux collapses to the pointwise flux
     disc = scalar_disc(ncells=4)
-    geo = disc.subcells
     u = vm((2.0 + 3.0 * disc.xn)[..., None])
     sf = blending.low_order_subface_fluxes(disc, u, 0.0, use_slopes=True)
     # skip the subfaces touching the edge subcells, whose slopes are
     # zeroed by the constant ghost extension
-    exact_state = 2.0 + 3.0 * geo.subfaces[2:-2]
+    exact_state = 2.0 + 3.0 * disc.boundary.sub_faces[0, 3:-2]
     assert np.allclose(sf[0, 2:-2], 0.5 * exact_state ** 2, atol=1e-13)
     sf_fo = blending.low_order_subface_fluxes(disc, u, 0.0, use_slopes=False)
     assert not np.allclose(sf_fo[0, 2:-2], 0.5 * exact_state ** 2, atol=1e-6)

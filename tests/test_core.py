@@ -493,19 +493,20 @@ def test_boundary_ghosts(kind):
 
     # subcells: each ghost abuts its end face with the width of the
     # subcell it copies
-    geo = disc.subcells
-    ns = len(geo.x)
+    x = disc.xn.ravel()
+    ns = len(x)
     assert b.subcells.tolist() == [ns - 1 if wraps else 0, *range(ns), 0 if wraps else ns - 1]
-    offsets = np.stack([geo.dl, geo.dr])
+    offsets = b.sub_faces[:, 1:-1] - x
     assert (b.sub_offsets[:, 1:-1] == offsets).all()
-    assert (b.sub_face_x[:, 1:-1] == geo.x + offsets).all()
+    assert (b.sub_face_x[:, 1:-1] == x + offsets).all()
     faces = disc.grid.faces
+    assert b.sub_faces[0, 0] == faces[0] and b.sub_faces[1, -1] == faces[-1]
     # the ghosts' node positions plus their inner offsets
     assert b.sub_face_x[1, 0] == pytest.approx(faces[0], abs=1e-15)
     assert b.sub_face_x[0, -1] == pytest.approx(faces[-1], abs=1e-15)
-    widths = b.sub_width
-    assert widths[0] == pytest.approx(geo.h[-1] if wraps else geo.h[0], rel=1e-14)
-    assert widths[-1] == pytest.approx(geo.h[0] if wraps else geo.h[-1], rel=1e-14)
+    widths, h = b.sub_width, (disc.dx[:, None] * disc.ops.weights).ravel()
+    assert widths[0] == pytest.approx(h[-1] if wraps else h[0], rel=1e-14)
+    assert widths[-1] == pytest.approx(h[0] if wraps else h[-1], rel=1e-14)
 
     # imposed faces, and the faces whose subcell updates the limiter guards
     imposed = {"dirichlet_outflow": [0], "dirichlet": [0, ne]}.get(kind, [])

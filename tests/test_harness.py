@@ -44,15 +44,20 @@ def test_case_setups_match_documented_values():
 
 
 def test_sedov_energy_deposit():
+    # the middle cell of an odd mesh, or the middle two of an even one,
+    # carry the energy; testing |x| <= dx/2 picked 0, 1 or 2 cells by rounding
     case = harness.build_case("sedov")
-    grid = core.make_grid(-1.0, 1.0, 201)
     ops = core.make_operators(3, "gl", "radau")
-    fld = harness.initial_field(case, grid, ops)
-    dx = 2.0 / 201
-    peak = fld.data[..., 2].max()
-    assert peak == pytest.approx(3.2e6 / dx, rel=1e-12)
-    # exactly one cell carries the peak
-    assert int(np.sum(fld.data[:, 0, 2] > 1.0)) == 1
+    for cells in (2, 4, 10, 50, 51, 100, 200, 201, 400):
+        grid = core.make_grid(-1.0, 1.0, cells)
+        e = harness.initial_field(case, grid, ops).data[..., 2]
+        assert (e == e[:, :1]).all()
+        e = e[:, 0]
+        k = 2 - cells % 2
+        assert np.flatnonzero(e > 1.0).tolist() == list(range((cells - 1) // 2, cells // 2 + 1))
+        assert e.max() == pytest.approx(3.2e6 / (k * 2.0 / cells), rel=1e-12)
+        assert np.sum(e * grid.dx) == pytest.approx(3.2e6, rel=1e-12)
+        assert np.array_equal(e, e[::-1])
 
 
 # ----------------------------------------------------------------------
@@ -734,6 +739,23 @@ def test_cli_refuses_unparsable_config_file(text, want, tmp_path, capsys):
                      "--config", str(tmp_path / "bad.cfg")]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("configuration error:") and want in err
+
+
+@pytest.mark.parametrize("text, sections", [
+    ("[Run]\nlimiter = fo\ncfl = abc\n", "['Run']"),
+    ("[run]\ncfl = 0.1\n[extra]\ncfl = abc\n", "['extra']"),
+    ("[DEFAULT]\ncfl = abc\n", "['DEFAULT']"),
+    ("[DEFAULT]\nlimiter = fo\n[run]\ncfl = 0.1\n[Run]\n", "['Run', 'DEFAULT']"),
+], ids=["capitalised", "extra", "default", "run-between"])
+def test_cli_refuses_other_config_sections(text, sections, tmp_path, capsys):
+    # keys outside [run] used to be dropped without a word, and the run
+    # exited 0 with the case defaults
+    (tmp_path / "f.cfg").write_text(text)
+    assert cli.main(["run", "--case", "blast", "--cells", "20", "--final-time", "0.0001",
+                     "--config", str(tmp_path / "f.cfg")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"configuration error: unknown configuration sections "
+                                 f"{sections}; keys go under [run]\n")
 
 
 @pytest.mark.parametrize("pin, cfl", [([], "0.2152"), (["--cfl", "0.05"], "0.0500")])

@@ -257,7 +257,8 @@ def direct_mh_fallback_calls(ncalls=48, seed=17):
         v = c * (rng.normal() + rng.normal() * x + 3.0 * rng.normal() * x * x)
         u = _solver(_record(disc.model.conserved(rho, v, p)))
         speed = float(np.max(disc.model.speed(u, x)))
-        tau = 10.0 ** rng.uniform(1.0, 2.0) * float(np.min(disc.subcells.h)) / speed
+        h = float(np.min(disc.dx[:, None] * disc.ops.weights))
+        tau = 10.0 ** rng.uniform(1.0, 2.0) * h / speed
         if i % 2:
             tau = np.array([0.5, 1.0]) * tau
         try:
@@ -436,7 +437,7 @@ def direct_limiter_calls(ncalls=96, seed=11):
         u = _random_gas(disc, rng)
         us = _solver(u)
         speed = np.max(disc.model.speed(us, disc.xn))
-        tau = 0.05 * float(np.min(disc.subcells.h)) / speed
+        tau = 0.05 * float(np.min(disc.dx[:, None] * disc.ops.weights)) / speed
         try:
             low = core._low_order(disc, us, 2 * tau, core.step_start(disc, u))[0]
             flow, um, f_int_m = _record(low.flow), _record(low.um), _record(low.f_int_m)
